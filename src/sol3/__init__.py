@@ -2,10 +2,10 @@
 
 Surfaces invariant under all vertical left translations are swept from a
 generating curve in the plane z = 0.  This package integrates the generating
-curve equations for prescribed mean curvature (zero or constant) and zero
-Gauss curvature, evaluates the surface's differential invariants two
-independent ways, classifies the curve shapes, and hunts closed
-constant-mean-curvature generating curves by shooting.
+curve equations for prescribed mean curvature (zero or constant), provides
+the closed-form flat (zero Gauss curvature) circle, evaluates the surface's
+differential invariants two independent ways, classifies the curve shapes,
+and hunts closed constant-mean-curvature generating curves by shooting.
 """
 
 from .analysis import (

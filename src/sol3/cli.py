@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -66,7 +67,10 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("bracket must be LO:HI")
-    return float(parts[0]), float(parts[1])
+    lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError("bracket LO:HI must be finite with LO < HI")
+    return lo, hi
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -329,14 +333,13 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](_config_from_args(args))
     except ValueError as exc:
-        print(f"sol3 {cfg.command}: {exc}", file=sys.stderr)
+        print(f"sol3 {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"sol3 {cfg.command}: {exc}", file=sys.stderr)
+        print(f"sol3 {args.command}: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
 
 

@@ -9,16 +9,20 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .ode import Trajectory, circle_flat, explicit_solution
-from .surface import CurveState, curvature_report, immersion, unit_normal
+# `immersion` is not called here (surface_mesh inlines it, bit for bit) but
+# stays part of this module's namespace: perfbench/layertrace.py wraps
+# `io.immersion` to count per-vertex calls.
+from .surface import CurveState, curvature_report, immersion, unit_normal  # noqa: F401
 
 CSV_HEADER = "s,x,y,theta,theta_prime,H,K"
+_OBJ_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -50,13 +54,24 @@ class MeshGrid:
             raise ValueError("mesh grid extents must be increasing")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and atomic rename."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of text chunks, to path atomically.
+
+    The data goes to a same-directory temp file, which is renamed over path
+    only once every chunk is written; on any failure, including one raised by
+    the chunk iterable, the temp file is removed and path is left untouched.
+    The temp file is created with mode 0o666 and the process umask applied,
+    as `open` would create path itself.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -119,26 +134,29 @@ def surface_mesh(
     Vertices are psi(s_i, t_j) in row-major order (s slowest).  Quads are
     split into two triangles, wound so Euclidean face normals agree with the
     surface normal at the grid center.
+
+    The vertex columns are the products e^{-t} x and e^{t} y of `immersion`,
+    formed by broadcasting; the factors come from `math.exp` (not `np.exp`,
+    which may differ in the last bit), so every vertex is bitwise the point
+    `immersion(state, t)` returns.
     """
     svals = np.linspace(grid.s_min, grid.s_max, grid.n_s)
     tvals = np.linspace(grid.t_min, grid.t_max, grid.n_t)
     states = [curve(float(s)) for s in svals]
-    vertices = np.empty((grid.n_s * grid.n_t, 3))
-    for i, state in enumerate(states):
-        for j, t in enumerate(tvals):
-            p = immersion(state, float(t))
-            vertices[i * grid.n_t + j] = (p.x, p.y, p.z)
+    tlist = tvals.tolist()
+    vertices = np.empty((grid.n_s, grid.n_t, 3))
+    vertices[:, :, 0] = (np.array([st.x for st in states])[:, None]
+                         * np.array([math.exp(-t) for t in tlist]))
+    vertices[:, :, 1] = (np.array([st.y for st in states])[:, None]
+                         * np.array([math.exp(t) for t in tlist]))
+    vertices[:, :, 2] = tvals
+    vertices = vertices.reshape(-1, 3)
 
-    faces = []
-    for i in range(grid.n_s - 1):
-        for j in range(grid.n_t - 1):
-            a = i * grid.n_t + j
-            b = (i + 1) * grid.n_t + j
-            c = (i + 1) * grid.n_t + j + 1
-            d = i * grid.n_t + j + 1
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    faces_arr = np.array(faces, dtype=int)
+    # Quad (i, j) has corners a = i*n_t + j, b = a + n_t, c = b + 1, d = a + 1
+    # and is split into the triangles (a, b, c) and (a, c, d).
+    a = (np.arange(grid.n_s - 1)[:, None] * grid.n_t + np.arange(grid.n_t - 1)).ravel()
+    b = a + grid.n_t
+    faces_arr = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
 
     if _center_alignment(states, svals, tvals, vertices, faces_arr, grid) < 0.0:
         faces_arr = faces_arr[:, ::-1]
@@ -157,13 +175,19 @@ def _center_alignment(states, svals, tvals, vertices, faces, grid) -> float:
     return float(np.cross(v1 - v0, v2 - v0) @ n_coords)
 
 
-def format_obj(vertices: np.ndarray, faces: np.ndarray) -> str:
-    lines = []
-    for v in vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for f in faces:
-        lines.append(f"f {int(f[0]) + 1} {int(f[1]) + 1} {int(f[2]) + 1}")
-    return "\n".join(lines) + "\n"
+def format_obj(vertices: np.ndarray, faces: np.ndarray) -> Iterator[str]:
+    """OBJ text of the mesh as chunks of whole lines, to be joined or streamed.
+
+    Vertices print as `repr` of each float and faces as 1-based indices.  The
+    text is produced lazily, _OBJ_CHUNK_ROWS rows at a time, so a large mesh
+    is never held in memory as one string.
+    """
+    for i in range(0, len(vertices), _OBJ_CHUNK_ROWS):
+        rows = vertices[i:i + _OBJ_CHUNK_ROWS]
+        yield ("v %r %r %r\n" * len(rows)) % tuple(rows.ravel().tolist())
+    for i in range(0, len(faces), _OBJ_CHUNK_ROWS):
+        rows = faces[i:i + _OBJ_CHUNK_ROWS] + 1
+        yield ("f %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def write_mesh_obj(path: str, vertices: np.ndarray, faces: np.ndarray) -> None:

@@ -42,7 +42,7 @@ class InvalidInitialCondition(ValueError):
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Integrator tolerances and horizons; all entries must be positive."""
+    """Integrator tolerances and horizons; all entries must be finite and positive."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -52,8 +52,9 @@ class OdeSettings:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "max_step", "max_s", "event_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 """CSV/OBJ round-trips, mesh invariants, CLI exit codes and determinism."""
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from sol3 import (
     OdeSettings,
     circle_flat,
     gauss_curvature,
+    immersion,
     integrate,
     unit_normal,
 )
@@ -18,13 +20,16 @@ from sol3.cli import main
 from sol3.io import (
     CSV_HEADER,
     MeshGrid,
+    atomic_write_text,
     curve_from_kind,
     format_curve_csv,
+    format_obj,
     read_curve_csv,
     read_obj,
     surface_mesh,
     trajectory_records,
     write_curve_csv,
+    write_mesh_obj,
 )
 
 PI8 = math.pi / 8
@@ -134,13 +139,92 @@ def test_obj_round_trip(tmp_path):
     grid = MeshGrid(-1.0, 1.0, -1.0, 1.0, 4, 5)
     vertices, faces = surface_mesh(curve_from_kind("circle", r=1.0), grid)
     path = str(tmp_path / "m.obj")
-    from sol3.io import write_mesh_obj
-
     write_mesh_obj(path, vertices, faces)
     rv, rf = read_obj(path)
     assert np.array_equal(rv, vertices)
     assert np.array_equal(rf, faces)
     assert rf.min() == 0 and rf.max() == len(vertices) - 1
+
+
+def _reference_surface_mesh(curve, grid):
+    """Per-vertex `immersion` loop and per-quad face loop: the scalar definition."""
+    svals = np.linspace(grid.s_min, grid.s_max, grid.n_s)
+    tvals = np.linspace(grid.t_min, grid.t_max, grid.n_t)
+    states = [curve(float(s)) for s in svals]
+    vertices = np.empty((grid.n_s * grid.n_t, 3))
+    for i, state in enumerate(states):
+        for j, t in enumerate(tvals):
+            p = immersion(state, float(t))
+            vertices[i * grid.n_t + j] = (p.x, p.y, p.z)
+    faces = []
+    for i in range(grid.n_s - 1):
+        for j in range(grid.n_t - 1):
+            a, d = i * grid.n_t + j, i * grid.n_t + j + 1
+            b, c = a + grid.n_t, d + grid.n_t
+            faces += [(a, b, c), (a, c, d)]
+    return vertices, np.array(faces, dtype=int)
+
+
+def _reference_obj_text(vertices, faces):
+    lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in vertices]
+    lines += [f"f {int(f[0]) + 1} {int(f[1]) + 1} {int(f[2]) + 1}" for f in faces]
+    return "\n".join(lines) + "\n"
+
+
+_PI8_TRAJ = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=3.0))
+
+
+@pytest.mark.parametrize("curve, grid, flipped", [
+    # the 2x2 grid is a single quad, and its winding is flipped
+    (curve_from_kind("circle", r=1.0), MeshGrid(-1.0, 1.0, -1.0, 1.0, 2, 2), True),
+    (curve_from_kind("circle", r=1.3), MeshGrid(0.0, 6.2, -1.1, 0.9, 41, 23), False),
+    (curve_from_kind("III"), MeshGrid(-1.0, 1.0, -1.0, 1.0, 9, 9), False),
+    (curve_from_kind("I", x0=0.0, y0=1.0), MeshGrid(-1.0, 1.0, -0.5, 0.5, 5, 6), False),
+    (_PI8_TRAJ.state_at, MeshGrid(-3.0, 3.0, -1.0, 1.0, 17, 13), False),
+    (_PI8_TRAJ.state_at, MeshGrid(-3.0, 3.0, 0.0, 2.0, 3, 2), False),
+])
+def test_mesh_matches_scalar_reference(curve, grid, flipped):
+    vertices, faces = surface_mesh(curve, grid)
+    ref_vertices, ref_faces = _reference_surface_mesh(curve, grid)
+    if flipped:
+        ref_faces = ref_faces[:, ::-1]
+    assert vertices.tobytes() == ref_vertices.tobytes()
+    assert faces.dtype == ref_faces.dtype
+    assert np.array_equal(faces, ref_faces)
+    assert "".join(format_obj(vertices, faces)) == _reference_obj_text(vertices, faces)
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("circle", "02d7223778d460c92f2a16c51d39709cfd899b6dcbba1f7f321b0c9ac3ad3e4f"),
+    ("III", "db8aee870a2f7b899327bfc1d129e60f09d32c15174b7f5826961f416f54d0f5"),
+])
+def test_cli_mesh_golden_digest(tmp_path, kind, digest):
+    out = tmp_path / f"{kind}.obj"
+    assert main(["mesh", "--kind", kind, "--grid=-1:1:-1:1:9:9", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text", ["a\nb\n", iter(["a\n", "b\n"])])
+def test_atomic_write_follows_umask(tmp_path, text):
+    path = tmp_path / "out.txt"
+    old = os.umask(0o022)
+    try:
+        atomic_write_text(str(path), text)
+    finally:
+        os.umask(old)
+    assert path.read_text() == "a\nb\n"
+    assert os.stat(path).st_mode & 0o777 == 0o644
+
+
+def test_atomic_write_failing_chunks_leave_nothing(tmp_path):
+    def chunks():
+        yield "v 0.0 0.0 0.0\n"
+        raise RuntimeError("chunk failed")
+
+    path = tmp_path / "m.obj"
+    with pytest.raises(RuntimeError):
+        atomic_write_text(str(path), chunks())
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_integrate_and_determinism(tmp_path):
@@ -192,6 +276,21 @@ def test_cli_shoot_bracket_failure(tmp_path):
 
 def test_cli_shoot_usage_error():
     assert main(["shoot", "--H", "0"]) == 64
+
+
+@pytest.mark.parametrize("bracket", ["0.75:0.125", "0.5:0.5", "nan:0.75", "0.125:inf"])
+def test_cli_shoot_bad_bracket_is_usage_error(bracket):
+    with pytest.raises(SystemExit) as exc:
+        main(["shoot", "--H", "1", "--bracket", bracket])
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("option", ["--max-s", "--max-step", "--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_non_finite_settings_are_usage_errors(tmp_path, option, value):
+    out = str(tmp_path / "c.csv")
+    assert main(["integrate", "--theta0", "0.1", option, value, "--out", out]) == 64
+    assert not os.path.exists(out)
 
 
 def test_cli_usage_exit_code():

@@ -47,6 +47,13 @@ def test_settings_validation():
     assert defaults.max_step == 1e-2 and defaults.event_tol == 1e-12
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "max_step", "max_s", "event_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_settings_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        OdeSettings(**{field: value})
+
+
 def test_rhs_minimal_constant_angle_starts():
     assert rhs_minimal(CurveState(0, 1.3, -0.2, 0.0)) == (1.0, 0.0, 0.0)
     dx, dy, dth = rhs_minimal(CurveState(0, 0.9, 0.9, math.pi / 4))
