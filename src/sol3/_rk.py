@@ -2,13 +2,16 @@
 
 Dormand-Prince pair: six fresh right-hand-side evaluations per step (FSAL),
 fifth-order propagation, fourth-order error estimate, proportional-integral
-step-size control.  Each accepted step stores interpolation coefficients so
-trajectories can be evaluated continuously and events located by bisection.
+step-size control.  State, stage arguments, error norm and step control are
+lists of Python floats, since numpy's per-call overhead dominates on a
+3-vector.  The stage sums stay in `np.matmul`: the BLAS kernel fuses their
+multiply-adds (FMA), which float arithmetic cannot reproduce, and that keeps
+output bytes unchanged.  Each accepted step keeps its stage matrix K; the
+interpolant Q = K.T @ P is formed lazily, as few steps are ever evaluated.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,9 +39,7 @@ _P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _BETA = 0.04            # integral gain of the PI controller
 _EXP1 = 0.2 - 0.75 * _BETA
 
@@ -51,19 +52,20 @@ class StepSizeUnderflow(RuntimeError):
         self.last_s = last_s
 
 
-@dataclass(frozen=True)
 class DenseSegment:
-    """One accepted step's interpolant: y(t0 + u*h) = y0 + h * Q @ [u, u^2, u^3, u^4]."""
+    """One accepted step's interpolant: y(t0 + u*h) = y0 + h * (K.T @ P) @ [u, u^2, u^3, u^4]."""
 
-    t0: float
-    h: float
-    y0: np.ndarray
-    Q: np.ndarray  # shape (n, 4)
+    __slots__ = ("t0", "h", "y0", "K", "_Q")
 
-    def eval(self, t: float) -> np.ndarray:
-        u = (t - self.t0) / self.h
-        powers = np.array([u, u * u, u ** 3, u ** 4])
-        return self.y0 + self.h * (self.Q @ powers)
+    def __init__(self, t0: float, h: float, y0: list[float], K: np.ndarray):
+        self.t0, self.h, self.y0, self.K, self._Q = t0, h, y0, K, None
+
+    def eval(self, t: float) -> list[float]:
+        if self._Q is None:
+            self._Q = self.K.T @ _P
+        u, h = (t - self.t0) / self.h, self.h
+        q = (self._Q @ np.array([u, u * u, u ** 3, u ** 4])).tolist()
+        return [yj + h * qj for yj, qj in zip(self.y0, q)]
 
 
 def solve_fixed_horizon(
@@ -73,7 +75,7 @@ def solve_fixed_horizon(
     abs_tol: float,
     rel_tol: float,
     max_step: float,
-    stop_event: Optional[Callable[[float, np.ndarray], float]] = None,
+    stop_event: Optional[Callable[[float, list], float]] = None,
 ) -> tuple[np.ndarray, np.ndarray, list[DenseSegment], bool]:
     """Integrate y' = f(*y) from s = 0 to s_end (s_end > 0).
 
@@ -82,47 +84,45 @@ def solve_fixed_horizon(
     endpoint changes the sign of the event function (the step itself is kept,
     so the sign change is bracketed by the last two samples).
     """
-    y = np.asarray(y0, dtype=float)
-    n = y.size
-    k = np.empty((7, n))
-    k[0] = f(*y)
+    y = [float(v) for v in y0]
+    K = np.empty((7, len(y)))
+    K[0] = f(*y)
+    stages = [(a, K[: a.size]) for a in _A]
+    K6 = K[:6]
     h = min(max_step, 1e-3, s_end)
-    s = 0.0
-    ss = [0.0]
-    ys = [y.copy()]
+    s, ss, ys = 0.0, [0.0], [y]
     segments: list[DenseSegment] = []
-    err_prev = 1e-4
+    err_prev, event_seen = 1e-4, False
     p_prev = stop_event(0.0, y) if stop_event is not None else None
-    event_seen = False
 
     while s < s_end:
         h = min(h, max_step, s_end - s)
         if h < 1e-14 * max(1.0, abs(s)):
             raise StepSizeUnderflow(s)
 
-        for i in range(5):
-            yi = y + h * (_A[i] @ k[: i + 1])
-            k[i + 1] = f(*yi)
-        y_new = y + h * (_B @ k[:6])
-        k[6] = f(*y_new)
+        for i, (a, Ki) in enumerate(stages, 1):
+            K[i] = f(*[yj + h * dj for yj, dj in zip(y, (a @ Ki).tolist())])
+        y_new = [yj + h * dj for yj, dj in zip(y, (_B @ K6).tolist())]
+        K[6] = f(*y_new)
 
-        err_vec = h * (_E @ k)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        # Summed in np.mean's order; r * r overflows to inf where r ** 2 raises.
+        sq = 0.0
+        for yj, zj, ej in zip(y, y_new, (_E @ K).tolist()):
+            r = h * ej / (abs_tol + rel_tol * max(abs(yj), abs(zj)))
+            sq += r * r
+        err_norm = math.sqrt(sq / len(y))
 
         if err_norm <= 1.0:
-            segments.append(DenseSegment(t0=s, h=h, y0=y.copy(), Q=k.T @ _P))
+            segments.append(DenseSegment(s, h, y, K.copy()))
             s += h
             ss.append(s)
-            ys.append(y_new.copy())
-            if err_norm == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA
+            ys.append(y_new)
+            factor = (_MAX_FACTOR if err_norm == 0.0
+                      else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
             err_prev = max(err_norm, 1e-4)
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             y = y_new
-            k[0] = k[6]
+            K[0] = K[6]
             if stop_event is not None:
                 p_new = stop_event(s, y)
                 if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):

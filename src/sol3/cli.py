@@ -190,11 +190,10 @@ def cmd_integrate(cfg: RunConfig) -> int:
         print("integrate: --out PATH is required", file=sys.stderr)
         return EXIT_USAGE
     try:
-        traj = integrate(cfg.ic, cfg.settings, H=cfg.H, snap=cfg.snap)
+        io.write_curve_csv(cfg.out, integrate(cfg.ic, cfg.settings, H=cfg.H, snap=cfg.snap))
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    io.write_curve_csv(cfg.out, traj)
     return EXIT_OK
 
 
@@ -242,6 +241,9 @@ def cmd_shoot(cfg: RunConfig) -> int:
         _emit({"error": "closure", "message": str(exc), "y0_star": exc.y0_star,
                "s1": exc.s1, "residual_y": exc.residual_y}, cfg.out)
         return EXIT_CLOSURE
+    except IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATION
     _emit({
         "H": cfg.H,
         "y0_star": result.y0_star,
@@ -283,13 +285,16 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _sweep_task(task: tuple) -> dict:
+    """One curve's classification entry, or {"theta0", "error"} if it failed."""
     x0, y0, theta0, settings_tuple, tail, settle, csv_path = task
     settings = OdeSettings(*settings_tuple)
-    traj = integrate(InitialCondition(x0, y0, theta0), settings, H=None)
-    result = analysis.classify_minimal(traj, tail, settle)
-    if csv_path is not None:
-        io.write_curve_csv(csv_path, traj)
-    entry = _classification_dict(result)
+    try:
+        traj = integrate(InitialCondition(x0, y0, theta0), settings, H=None)
+        if csv_path is not None:
+            io.write_curve_csv(csv_path, traj)
+    except IntegrationError as exc:
+        return {"theta0": theta0, "error": str(exc)}
+    entry = _classification_dict(analysis.classify_minimal(traj, tail, settle))
     entry["theta0"] = theta0
     return entry
 
@@ -317,7 +322,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         entries = [_sweep_task(t) for t in tasks]
     _emit({"x0": cfg.ic.x0, "y0": cfg.ic.y0, "curves": entries}, cfg.out)
-    return EXIT_OK
+    return EXIT_INTEGRATION if any("error" in e for e in entries) else EXIT_OK
 
 
 _HANDLERS = {

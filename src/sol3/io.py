@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .ode import Trajectory, circle_flat, explicit_solution
+from .ode import IntegrationError, Trajectory, circle_flat, explicit_solution
 # `immersion` is not called here (surface_mesh inlines it, bit for bit) but
 # stays part of this module's namespace: perfbench/layertrace.py wraps
 # `io.immersion` to count per-vertex calls.
@@ -38,7 +38,7 @@ class CurveRecord:
 
 @dataclass(frozen=True)
 class MeshGrid:
-    """Sampling rectangle for the swept surface; both counts must be >= 2."""
+    """Sampling rectangle for the swept surface: finite increasing extents, counts >= 2."""
 
     s_min: float
     s_max: float
@@ -50,6 +50,8 @@ class MeshGrid:
     def __post_init__(self):
         if self.n_s < 2 or self.n_t < 2:
             raise ValueError("mesh grid needs at least 2 samples per direction")
+        if not all(map(math.isfinite, (self.s_min, self.s_max, self.t_min, self.t_max))):
+            raise ValueError("mesh grid extents must be finite")
         if not (self.s_max > self.s_min and self.t_max > self.t_min):
             raise ValueError("mesh grid extents must be increasing")
 
@@ -98,7 +100,18 @@ def format_curve_csv(records: list[CurveRecord]) -> str:
 
 
 def write_curve_csv(path: str, traj: Trajectory) -> None:
-    atomic_write_text(path, format_curve_csv(trajectory_records(traj)))
+    """Write the trajectory's records as CSV.
+
+    A non-finite value in any column raises IntegrationError and writes nothing.
+    """
+    records = trajectory_records(traj)
+    finite = np.isfinite([traj.s, traj.x, traj.y, traj.theta, traj.theta_prime,
+                          [r.H for r in records], [r.K for r in records]]).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise IntegrationError(f"curve sample at s = {records[i].s!r} is not finite",
+                               records[i - 1].s if i else math.nan)
+    atomic_write_text(path, format_curve_csv(records))
 
 
 def read_curve_csv(path: str) -> list[CurveRecord]:

@@ -163,8 +163,8 @@ class Trajectory:
             raise ValueError(f"s = {s!r} outside sampled range [{lo}, {hi}]")
         i = min(bisect.bisect_left(self._seg_his, s), len(self._segments) - 1)
         seg, mirrored = self._segments[i]
-        vals = seg.eval(-s if mirrored else s)
-        return CurveState(s, float(vals[0]), float(vals[1]), float(vals[2]))
+        x, y, theta = seg.eval(-s if mirrored else s)
+        return CurveState(s, x, y, theta)
 
     def theta_prime_at(self, s: float) -> float:
         state = self.state_at(s)
@@ -226,7 +226,11 @@ def _line_trajectory(
 
 def _run_side(raw, ic, settings, horizon, mirrored, stop_event=None):
     """One forward integration; mirrored=True integrates the reversed field."""
-    f = (lambda x, y, th: tuple(-v for v in raw(x, y, th))) if mirrored else raw
+    def reversed_field(x, y, th):
+        dx, dy, dth = raw(x, y, th)
+        return -dx, -dy, -dth
+
+    f = reversed_field if mirrored else raw
     stop = None
     if stop_event is not None:
         stop = lambda s, yv: stop_event(-s if mirrored else s, yv)
@@ -267,7 +271,7 @@ def integrate(
     s = np.concatenate([-bs[::-1][:-1], fs])
     states = np.concatenate([by[::-1][:-1], fy])
     segments = [(seg, True) for seg in reversed(bsegs)] + [(seg, False) for seg in fsegs]
-    theta_prime = np.array([raw(*row)[2] for row in states])
+    theta_prime = np.array([raw(*row)[2] for row in states.tolist()])
     return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], theta_prime,
                       ic, H, settings, segments=segments)
 
@@ -288,7 +292,7 @@ def integrate_forward(
     raw = _raw_rhs(H)
     span = settings.max_s if horizon is None else horizon
     fs, fy, fsegs, _ = _run_side(raw, ic, settings, span, False, stop_event)
-    theta_prime = np.array([raw(*row)[2] for row in fy])
+    theta_prime = np.array([raw(*row)[2] for row in fy.tolist()])
     return Trajectory(fs, fy[:, 0], fy[:, 1], fy[:, 2], theta_prime,
                       ic, H, settings, segments=[(seg, False) for seg in fsegs])
 

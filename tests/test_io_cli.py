@@ -204,7 +204,44 @@ def test_cli_mesh_golden_digest(tmp_path, kind, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("text", ["a\nb\n", iter(["a\n", "b\n"])])
+# Digests of integrated outputs, recorded before the float-state stepper
+# replaced the numpy one; they prove the stepper writes the same bytes.  Like
+# perfbench/baseline.json, they depend on the order in which the BLAS gemv
+# kernel fuses multiply-adds (FMA) in the stage sums, so another BLAS build
+# may legitimately give other digests.
+@pytest.mark.parametrize("argv, digest", [
+    (["integrate", "--theta0", str(PI8), "--max-s", "600", "--max-step", "0.5"],
+     "6cac0bd018dd7cd550be680ab6c5c74d029757ecddaff6b3a9895560d221a8d3"),
+    (["integrate", "--y0", "0.6425", "--H", "1", "--max-s", "5"],
+     "6d88111f0dd3545fd96fdc63f048762153e285bad32d2891cf7e035b26d29882"),
+    (["classify", "--x0", "1", "--y0", "2", "--theta0", str(math.pi / 3),
+      "--max-s", "1000", "--max-step", "1.0"],
+     "6a03767b5026723dea18e78d90544ba7e3e3f944d2a68681cc16f4090c8e3750"),
+    (["shoot", "--H", "1", "--bracket", "0.125:0.75"],
+     "e0c4c229c26c90fd47602790ccc48612766c4437735d619644e7692abeb62c73"),
+])
+def test_cli_integrated_golden_digest(tmp_path, argv, digest):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_sweep_golden_digests(tmp_path):
+    out, out_dir = tmp_path / "sweep.json", tmp_path / "curves"
+    assert main(["sweep", "--x0", "1", "--y0", "2", "--theta0-range", "0.3:1.0:3",
+                 "--max-s", "600", "--max-step", "0.5", "--workers", "1",
+                 "--out", str(out), "--out-dir", str(out_dir)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in [out] + sorted(out_dir.iterdir())]
+    assert digests == [
+        "0d1dd18c77407d14aa758f300c212235ee4f98475746dbab077845ef769f2bec",
+        "e5b4c4cb36e53f588c8ff08893113c39ca569f83d98eb19807a3bda92601d97a",
+        "c7f9280d86817fc251add23dd023dff39358bb48afbc2a3c4c0b266d4e210a5f",
+        "29d876698196e19202a561544721ec7f73e70b34823f5ba94ac4ec2509df6051",
+    ]
+
+
+@pytest.mark.parametrize("text",["a\nb\n", iter(["a\n", "b\n"])])
 def test_atomic_write_follows_umask(tmp_path, text):
     path = tmp_path / "out.txt"
     old = os.umask(0o022)
@@ -349,3 +386,68 @@ def test_failed_integrate_leaves_no_file(tmp_path):
     target = str(target_dir / "c.csv")
     assert main(["integrate", "--theta0", "0.1", "--max-s", "1", "--out", target]) == 1
     assert not os.path.exists(target)
+
+
+def test_cli_integrate_non_finite_curvatures_exit_1(tmp_path, capsys):
+    # The state stays finite but H and K overflow at x0 = 1e200.
+    out = tmp_path / "big.csv"
+    assert main(["integrate", "--x0", "1e200", "--max-s", "1", "--out", str(out)]) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("extents", [(-math.inf, 1, -1, 1), (0, math.nan, -1, 1),
+                                     (0, 1, -1, math.inf)])
+def test_mesh_grid_rejects_non_finite_extents(extents):
+    with pytest.raises(ValueError, match="finite"):
+        MeshGrid(*extents, 3, 3)
+
+
+def test_cli_mesh_non_finite_grid_is_usage_error(tmp_path):
+    out = tmp_path / "inf.obj"
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "--kind", "circle", "--grid=-inf:1:-1:1:3:3", "--out", str(out)])
+    assert exc.value.code == 64
+    assert os.listdir(tmp_path) == []
+
+
+TINY_TOLS = ["--abs-tol", "1e-300", "--rel-tol", "1e-300"]
+
+
+def test_cli_shoot_integration_failure_exits_1(tmp_path, capsys):
+    out = tmp_path / "shoot.json"
+    assert main(["shoot", "--H", "1", "--bracket", "0.125:0.75", "--out", str(out)]
+                + TINY_TOLS) == 1
+    assert "integration failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_sweep_records_failed_curves(tmp_path):
+    out, out_dir = tmp_path / "sweep.json", tmp_path / "curves"
+    assert main(["sweep", "--theta0-range", "0.3:1.0:2", "--workers", "1",
+                 "--out", str(out), "--out-dir", str(out_dir)] + TINY_TOLS) == 1
+    curves = json.loads(out.read_text())["curves"]
+    assert [c["theta0"] for c in curves] == [0.3, 1.0]
+    assert all(set(c) == {"theta0", "error"} for c in curves)
+    assert list(out_dir.iterdir()) == []
+
+
+def test_cli_sweep_keeps_good_curves_beside_a_failed_one(tmp_path, monkeypatch):
+    from sol3 import cli
+    from sol3.ode import IntegrationError
+
+    def integrate_or_fail(ic, settings, H=None):
+        if 0.5 < ic.theta0 < 0.8:  # the middle curve, theta0 = 0.65
+            raise IntegrationError("generating-curve integration failed", 0.0)
+        return integrate(ic, settings, H=H)
+
+    monkeypatch.setattr(cli, "integrate", integrate_or_fail)
+    out, out_dir = tmp_path / "sweep.json", tmp_path / "curves"
+    assert main(["sweep", "--x0", "1", "--y0", "2", "--theta0-range", "0.3:1.0:3",
+                 "--max-s", "600", "--max-step", "0.5", "--workers", "1",
+                 "--out", str(out), "--out-dir", str(out_dir)]) == 1
+    curves = json.loads(out.read_text())["curves"]
+    assert curves[1]["theta0"] == pytest.approx(0.65)
+    assert curves[1]["error"] == "generating-curve integration failed (last good s = 0.0)"
+    assert [c["kind"] for c in (curves[0], curves[2])] == ["type-B", "type-A"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["curve_000.csv", "curve_002.csv"]

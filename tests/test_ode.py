@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 from sol3 import (
     CurveState,
     InitialCondition,
+    IntegrationError,
     InvalidInitialCondition,
     OdeSettings,
     circle_flat,
@@ -175,6 +176,49 @@ def test_step_size_underflow_raises():
         solve_fixed_horizon(lambda y: (1.0 + y * y,), (1.0,), 2.0,
                             1e-10, 1e-10, 0.1)
     assert 0.0 < err.value.last_s < 2.0
+
+
+def test_tiny_tolerances_reject_steps_without_overflow():
+    # The scaled error overflows to inf: every step is rejected until the step
+    # size underflows, and no OverflowError escapes the float arithmetic.
+    from sol3._rk import StepSizeUnderflow, solve_fixed_horizon
+
+    with pytest.raises(StepSizeUnderflow):
+        solve_fixed_horizon(lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th)),
+                            (0.0, 0.0, 0.3), 1.0, 1e-300, 1e-300, 0.01)
+    with pytest.raises(IntegrationError):
+        integrate(InitialCondition(0, 0, 0.3), OdeSettings(abs_tol=1e-300, rel_tol=1e-300))
+
+
+def test_stop_event_sees_accepted_states():
+    from sol3._rk import solve_fixed_horizon
+
+    seen = []
+
+    def stop(s, yv):
+        seen.append((s, list(yv)))
+        return yv[2] + 0.5  # theta passes -0.5 on this CMC field
+
+    f = lambda x, y, th: rhs_cmc(CurveState(0.0, x, y, th), 1.0)
+    ss, ys, segments, hit = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
+                                                1e-10, 1e-10, 0.01, stop)
+    assert hit and len(segments) == len(ss) - 1
+    assert seen == [(s, row) for s, row in zip(ss.tolist(), ys.tolist())]
+    assert ys[-2, 2] > -0.5 >= ys[-1, 2]
+
+
+def test_dense_segment_ends_reproduce_samples():
+    traj = integrate(InitialCondition(0.2, -0.1, PI8), OdeSettings(max_s=2.0))
+    rows = np.column_stack([traj.x, traj.y, traj.theta])
+    index = {s: i for i, s in enumerate(traj.s.tolist())}
+    mirrored_kinds = set()
+    for seg, mirrored in traj._segments:
+        mirrored_kinds.add(mirrored)
+        sign = -1.0 if mirrored else 1.0
+        # The stepper forms each sample time as t0 + h, so both ends are samples.
+        for t in (seg.t0, seg.t0 + seg.h):
+            assert np.max(np.abs(np.array(seg.eval(t)) - rows[index[sign * t]])) < 1e-12
+    assert mirrored_kinds == {False, True}
 
 
 def test_determinism_bitwise():
