@@ -8,6 +8,8 @@ lists of Python floats, since numpy's per-call overhead dominates on a
 multiply-adds (FMA), which float arithmetic cannot reproduce, and that keeps
 output bytes unchanged.  Each accepted step keeps its stage matrix K; the
 interpolant Q = K.T @ P is formed lazily, as few steps are ever evaluated.
+A backward run takes negative steps; since rounding is sign-symmetric, it
+gives exactly the negated-arc-length samples of a forward run of -f.
 """
 from __future__ import annotations
 
@@ -77,9 +79,10 @@ def solve_fixed_horizon(
     max_step: float,
     stop_event: Optional[Callable[[float, list], float]] = None,
 ) -> tuple[np.ndarray, np.ndarray, list[DenseSegment], bool]:
-    """Integrate y' = f(*y) from s = 0 to s_end (s_end > 0).
+    """Integrate y' = f(*y) from s = 0 to s_end; s_end < 0 steps backward.
 
-    Returns (s samples, state samples, dense segments, event_seen).  When
+    Returns (s samples, state samples, dense segments, event_seen), samples
+    ordered from s = 0 outward.  A backward segment has a negative `h`.  When
     `stop_event` is given, integration halts at the first accepted step whose
     endpoint changes the sign of the event function (the step itself is kept,
     so the sign change is bracketed by the last two samples).
@@ -89,33 +92,36 @@ def solve_fixed_horizon(
     K[0] = f(*y)
     stages = [(a, K[: a.size]) for a in _A]
     K6 = K[:6]
-    h = min(max_step, 1e-3, s_end)
-    s, ss, ys = 0.0, [0.0], [y]
+    # t is the distance from s = 0; the signed position is sign * t.
+    sign, span = math.copysign(1.0, s_end), abs(s_end)
+    h = min(max_step, 1e-3, span)
+    t, ss, ys = 0.0, [0.0], [y]
     segments: list[DenseSegment] = []
     err_prev, event_seen = 1e-4, False
     p_prev = stop_event(0.0, y) if stop_event is not None else None
 
-    while s < s_end:
-        h = min(h, max_step, s_end - s)
-        if h < 1e-14 * max(1.0, abs(s)):
-            raise StepSizeUnderflow(s)
+    while t < span:
+        h = min(h, max_step, span - t)
+        if h < 1e-14 * max(1.0, t):
+            raise StepSizeUnderflow(sign * t)
+        hs = sign * h
 
         for i, (a, Ki) in enumerate(stages, 1):
-            K[i] = f(*[yj + h * dj for yj, dj in zip(y, (a @ Ki).tolist())])
-        y_new = [yj + h * dj for yj, dj in zip(y, (_B @ K6).tolist())]
+            K[i] = f(*[yj + hs * dj for yj, dj in zip(y, (a @ Ki).tolist())])
+        y_new = [yj + hs * dj for yj, dj in zip(y, (_B @ K6).tolist())]
         K[6] = f(*y_new)
 
         # Summed in np.mean's order; r * r overflows to inf where r ** 2 raises.
         sq = 0.0
         for yj, zj, ej in zip(y, y_new, (_E @ K).tolist()):
-            r = h * ej / (abs_tol + rel_tol * max(abs(yj), abs(zj)))
+            r = hs * ej / (abs_tol + rel_tol * max(abs(yj), abs(zj)))
             sq += r * r
         err_norm = math.sqrt(sq / len(y))
 
         if err_norm <= 1.0:
-            segments.append(DenseSegment(s, h, y, K.copy()))
-            s += h
-            ss.append(s)
+            segments.append(DenseSegment(sign * t, hs, y, K.copy()))
+            t += h
+            ss.append(sign * t)
             ys.append(y_new)
             factor = (_MAX_FACTOR if err_norm == 0.0
                       else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
@@ -124,7 +130,7 @@ def solve_fixed_horizon(
             y = y_new
             K[0] = K[6]
             if stop_event is not None:
-                p_new = stop_event(s, y)
+                p_new = stop_event(sign * t, y)
                 if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):
                     event_seen = True
                     break

@@ -20,6 +20,7 @@ from .ode import (
     InitialCondition,
     OdeSettings,
     Trajectory,
+    _bisect,
     find_event,
     integrate_forward,
 )
@@ -146,6 +147,11 @@ def inflection_points(traj: Trajectory) -> list[float]:
     _require_minimal(traj)
     if traj.explicit_kind is not None:
         return []
+
+    def concavity(s: float) -> float:
+        st = traj.state_at(s)
+        return -st.x * math.cos(st.theta) + st.y * math.sin(st.theta)
+
     vals = _concavity_indicator(traj)
     s = traj.s
     roots: list[float] = []
@@ -161,28 +167,12 @@ def inflection_points(traj: Trajectory) -> list[float]:
             if zero_at is not None:
                 roots.append(zero_at)
             else:
-                roots.append(_refine_zero(traj, float(s[i - 1]), float(s[i])))
+                lo = float(s[i - 1])
+                roots.append(_bisect(concavity, lo, float(s[i]), concavity(lo),
+                                     traj.settings.event_tol))
         last_sign = sign
         zero_at = None
     return roots
-
-
-def _refine_zero(traj: Trajectory, lo: float, hi: float) -> float:
-    def f(s: float) -> float:
-        st = traj.state_at(s)
-        return -st.x * math.cos(st.theta) + st.y * math.sin(st.theta)
-
-    f_lo = f(lo)
-    while hi - lo > traj.settings.event_tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
 
 
 def _tail_slice(traj: Trajectory, end: str, tail_fraction: float) -> slice:
@@ -244,10 +234,7 @@ def classify_minimal(
     """
     _require_minimal(traj)
     if traj.explicit_kind is not None:
-        kind = {
-            "I": CurveClass.LINE_I, "II": CurveClass.LINE_II,
-            "III": CurveClass.LINE_III, "IV": CurveClass.LINE_IV,
-        }[traj.explicit_kind]
+        kind = CurveClass(f"line-{traj.explicit_kind}")
         asym: list[Line] = []
         if kind is CurveClass.LINE_I:
             asym = [Line(Axis.PARALLEL_TO_X, traj.ic.y0)]

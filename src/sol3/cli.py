@@ -7,12 +7,12 @@ Identical arguments produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Optional
 
 from . import analysis, io, verify
@@ -29,27 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    ic: InitialCondition
-    settings: OdeSettings
-    H: Optional[float] = None
-    out: Optional[str] = None
-    grid: Optional[io.MeshGrid] = None
-    seed: int = 42
-    samples: int = 100
-    kind: Optional[str] = None
-    r: float = 1.0
-    bracket: Optional[tuple[float, float]] = None
-    tail_fraction: float = analysis.DEFAULT_TAIL_FRACTION
-    settle_threshold: float = analysis.DEFAULT_SETTLE_THRESHOLD
-    theta0_range: Optional[tuple[float, float, int]] = None
-    out_dir: Optional[str] = None
-    workers: int = 1
-    snap: bool = True
 
 
 def _parse_grid(text: str) -> io.MeshGrid:
@@ -146,35 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    settings = OdeSettings(
-        abs_tol=getattr(args, "abs_tol", 1e-10),
-        rel_tol=getattr(args, "rel_tol", 1e-10),
-        max_step=getattr(args, "max_step", 1e-2),
-        max_s=getattr(args, "max_s", 10.0),
-    )
-    ic = InitialCondition(getattr(args, "x0", 0.0), getattr(args, "y0", 0.0),
-                          getattr(args, "theta0", 0.0))
-    return RunConfig(
-        command=args.command,
-        ic=ic,
-        settings=settings,
-        H=getattr(args, "H", None),
-        out=getattr(args, "out", None),
-        grid=getattr(args, "grid", None),
-        seed=getattr(args, "seed", 42),
-        samples=getattr(args, "samples", 100),
-        kind=getattr(args, "kind", None),
-        r=getattr(args, "r", 1.0),
-        bracket=getattr(args, "bracket", None),
-        tail_fraction=getattr(args, "tail_fraction", analysis.DEFAULT_TAIL_FRACTION),
-        settle_threshold=getattr(args, "settle_threshold",
-                                 analysis.DEFAULT_SETTLE_THRESHOLD),
-        theta0_range=getattr(args, "theta0_range", None),
-        out_dir=getattr(args, "out_dir", None),
-        workers=getattr(args, "workers", 1),
-        snap=not getattr(args, "no_snap", False),
-    )
+def _settings(args: argparse.Namespace) -> OdeSettings:
+    return OdeSettings(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
+                       max_step=args.max_step, max_s=args.max_s)
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -185,26 +138,29 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_integrate(cfg: RunConfig) -> int:
-    if cfg.out is None:
+def cmd_integrate(args: argparse.Namespace) -> int:
+    settings = _settings(args)
+    ic = InitialCondition(args.x0, args.y0, args.theta0)
+    if args.out is None:
         print("integrate: --out PATH is required", file=sys.stderr)
         return EXIT_USAGE
     try:
-        io.write_curve_csv(cfg.out, integrate(cfg.ic, cfg.settings, H=cfg.H, snap=cfg.snap))
+        io.write_curve_csv(args.out, integrate(ic, settings, H=args.H, snap=not args.no_snap))
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
+    settings = _settings(args)
     try:
-        traj = integrate(cfg.ic, cfg.settings, H=None)
+        traj = integrate(InitialCondition(args.x0, args.y0, args.theta0), settings, H=None)
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    result = analysis.classify_minimal(traj, cfg.tail_fraction, cfg.settle_threshold)
-    _emit(_classification_dict(result), cfg.out)
+    result = analysis.classify_minimal(traj, args.tail_fraction, args.settle_threshold)
+    _emit(_classification_dict(result), args.out)
     return EXIT_OK
 
 
@@ -220,108 +176,107 @@ def _classification_dict(result: analysis.Classification) -> dict:
     }
 
 
-def cmd_shoot(cfg: RunConfig) -> int:
-    if cfg.H is None or cfg.H == 0.0:
+def cmd_shoot(args: argparse.Namespace) -> int:
+    settings = _settings(args)
+    if args.H == 0.0:
         print("shoot: --H must be nonzero", file=sys.stderr)
         return EXIT_USAGE
+    horizon = max(settings.max_s, 40.0)
     try:
-        bracket = cfg.bracket
+        bracket = args.bracket
         if bracket is None:
-            bracket = analysis.scan_bracket(cfg.H, cfg.settings,
-                                            horizon=max(cfg.settings.max_s, 40.0))
-        result = analysis.closed_curve_search(
-            cfg.H, bracket, cfg.settings,
-            horizon=max(cfg.settings.max_s, 40.0))
+            bracket = analysis.scan_bracket(args.H, settings, horizon=horizon)
+        result = analysis.closed_curve_search(args.H, bracket, settings, horizon=horizon)
     except analysis.BracketError as exc:
         _emit({"error": "bracket", "message": str(exc),
                "residual_lo": exc.residual_lo, "residual_hi": exc.residual_hi},
-              cfg.out)
+              args.out)
         return EXIT_BRACKET
     except analysis.ClosureError as exc:
         _emit({"error": "closure", "message": str(exc), "y0_star": exc.y0_star,
-               "s1": exc.s1, "residual_y": exc.residual_y}, cfg.out)
+               "s1": exc.s1, "residual_y": exc.residual_y}, args.out)
         return EXIT_CLOSURE
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
     _emit({
-        "H": cfg.H,
+        "H": args.H,
         "y0_star": result.y0_star,
         "s1": result.s1,
         "residual_x": result.residual_x,
         "residual_y": result.residual_y,
         "iterations": result.iterations,
-    }, cfg.out)
+    }, args.out)
     return EXIT_OK
 
 
-def cmd_mesh(cfg: RunConfig) -> int:
-    if cfg.out is None:
+def cmd_mesh(args: argparse.Namespace) -> int:
+    settings = _settings(args)
+    ic = InitialCondition(args.x0, args.y0, args.theta0)
+    if args.out is None:
         print("mesh: --out PATH is required", file=sys.stderr)
         return EXIT_USAGE
-    grid = cfg.grid
-    if cfg.kind is not None:
-        curve = io.curve_from_kind(cfg.kind, cfg.ic.x0, cfg.ic.y0, cfg.r)
+    grid = args.grid
+    if args.kind is not None:
+        curve = io.curve_from_kind(args.kind, ic.x0, ic.y0, args.r)
     else:
         span = max(abs(grid.s_min), abs(grid.s_max))
-        settings = OdeSettings(cfg.settings.abs_tol, cfg.settings.rel_tol,
-                               cfg.settings.max_step, max(span, 1e-6),
-                               cfg.settings.event_tol)
+        settings = dataclasses.replace(settings, max_s=max(span, 1e-6))
         try:
-            traj = integrate(cfg.ic, settings, H=cfg.H)
+            traj = integrate(ic, settings, H=args.H)
         except IntegrationError as exc:
             print(f"integration failed: {exc}", file=sys.stderr)
             return EXIT_INTEGRATION
         curve = traj.state_at
     vertices, faces = io.surface_mesh(curve, grid)
-    io.write_mesh_obj(cfg.out, vertices, faces)
+    io.write_mesh_obj(args.out, vertices, faces)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = verify.run_verification(cfg.samples, cfg.seed)
-    _emit(report, cfg.out)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = verify.run_verification(args.samples, args.seed)
+    _emit(report, args.out)
     return EXIT_OK if report["passed"] else 1
 
 
 def _sweep_task(task: tuple) -> dict:
     """One curve's classification entry, or {"theta0", "error"} if it failed."""
-    x0, y0, theta0, settings_tuple, tail, settle, csv_path = task
-    settings = OdeSettings(*settings_tuple)
+    ic, settings, tail, settle, csv_path = task
     try:
-        traj = integrate(InitialCondition(x0, y0, theta0), settings, H=None)
+        traj = integrate(ic, settings, H=None)
         if csv_path is not None:
             io.write_curve_csv(csv_path, traj)
     except IntegrationError as exc:
-        return {"theta0": theta0, "error": str(exc)}
+        return {"theta0": ic.theta0, "error": str(exc)}
     entry = _classification_dict(analysis.classify_minimal(traj, tail, settle))
-    entry["theta0"] = theta0
+    entry["theta0"] = ic.theta0
     return entry
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    start, stop, count = cfg.theta0_range
+def cmd_sweep(args: argparse.Namespace) -> int:
+    settings = _settings(args)
+    ic = InitialCondition(args.x0, args.y0, args.theta0)
+    start, stop, count = args.theta0_range
     if count < 1:
         print("sweep: COUNT must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     thetas = [start + (stop - start) * i / max(count - 1, 1) for i in range(count)]
-    if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    settings_tuple = (cfg.settings.abs_tol, cfg.settings.rel_tol,
-                      cfg.settings.max_step, cfg.settings.max_s,
-                      cfg.settings.event_tol)
     tasks = []
     for i, theta0 in enumerate(thetas):
-        csv_path = (os.path.join(cfg.out_dir, f"curve_{i:03d}.csv")
-                    if cfg.out_dir is not None else None)
-        tasks.append((cfg.ic.x0, cfg.ic.y0, theta0, settings_tuple,
-                      cfg.tail_fraction, cfg.settle_threshold, csv_path))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        csv_path = (os.path.join(args.out_dir, f"curve_{i:03d}.csv")
+                    if args.out_dir is not None else None)
+        tasks.append((dataclasses.replace(ic, theta0=theta0), settings,
+                      args.tail_fraction, args.settle_threshold, csv_path))
+    if args.out_dir is not None:
+        os.makedirs(args.out_dir, exist_ok=True)
+    # The pool starts all its workers at once: never more than curves or CPUs.
+    workers = min(args.workers, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_sweep_task, tasks))
     else:
         entries = [_sweep_task(t) for t in tasks]
-    _emit({"x0": cfg.ic.x0, "y0": cfg.ic.y0, "curves": entries}, cfg.out)
+    _emit({"x0": ic.x0, "y0": ic.y0, "curves": entries}, args.out)
     return EXIT_INTEGRATION if any("error" in e for e in entries) else EXIT_OK
 
 
@@ -339,7 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](_config_from_args(args))
+        return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"sol3 {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,7 +5,8 @@ The arc-length system is always integrated:
     x' = cos(theta),  y' = sin(theta),
     theta' = [sin(2 theta)(-x cos + y sin) - 2 H (1 + A^2)^{3/2}] / (1 + x^2 + y^2)
 
-with H = 0 for minimal surfaces.  theta is kept unwrapped so closure events
+with H = 0 for minimal surfaces.  The backward half of a curve is the same
+stepper run with negative steps.  theta is kept unwrapped so closure events
 (theta returning to theta0 - 2 pi) reduce to a plain sign test.  Initial
 angles within 1e-14 of the constant-angle solutions are snapped and routed to
 the exact lines, where nearby numerics would look spuriously stiff.
@@ -19,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ._rk import StepSizeUnderflow, solve_fixed_horizon
+from ._rk import DenseSegment, StepSizeUnderflow, solve_fixed_horizon
 from .surface import CurveState
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -118,7 +119,7 @@ class Trajectory:
         ic: InitialCondition,
         H_target: Optional[float],
         settings: OdeSettings,
-        segments: Optional[list] = None,
+        segments: Optional[list[DenseSegment]] = None,
         explicit_kind: Optional[str] = None,
     ):
         for arr in (s, x, y, theta, theta_prime):
@@ -134,9 +135,8 @@ class Trajectory:
         self.explicit_kind = explicit_kind
         self._line_direction: Optional[tuple[float, float]] = None
         self._segments = segments or []
-        # Mirrored segments cover s in [-(t0 + h), -t0]; forward ones [t0, t0 + h].
-        self._seg_his = [-seg.t0 if mirrored else seg.t0 + seg.h
-                         for seg, mirrored in self._segments]
+        # Backward segments have h < 0 and end at t0 + h, below their start.
+        self._seg_his = [max(seg.t0, seg.t0 + seg.h) for seg in self._segments]
         self._raw = _raw_rhs(H_target)
 
     def __len__(self) -> int:
@@ -162,13 +162,8 @@ class Trajectory:
         if s < lo - 1e-12 or s > hi + 1e-12:
             raise ValueError(f"s = {s!r} outside sampled range [{lo}, {hi}]")
         i = min(bisect.bisect_left(self._seg_his, s), len(self._segments) - 1)
-        seg, mirrored = self._segments[i]
-        x, y, theta = seg.eval(-s if mirrored else s)
+        x, y, theta = self._segments[i].eval(s)
         return CurveState(s, x, y, theta)
-
-    def theta_prime_at(self, s: float) -> float:
-        state = self.state_at(s)
-        return self._raw(state.x, state.y, state.theta)[2]
 
     def eval(self, s: float) -> tuple[CurveState, float]:
         state = self.state_at(s)
@@ -183,27 +178,25 @@ class Trajectory:
         return worst
 
 
-# Constant-angle solutions: exact angle and exact direction components, so the
-# line's frozen coordinate never picks up a cos(pi/2)-sized drift.
+# Constant-angle solutions: exact angle, exact direction components (so the
+# line's frozen coordinate never picks up a cos(pi/2)-sized drift) and, for
+# the diagonal lines, the slope c of their start constraint y0 == c * x0.
 _LINE_DIRECTIONS = (
-    (0.0, "I", (1.0, 0.0)),
-    (_HALF_PI, "II", (0.0, 1.0)),
-    (-_HALF_PI, "II", (0.0, -1.0)),
-    (_QUARTER_PI, "III", (_INV_SQRT2, _INV_SQRT2)),
-    (-_QUARTER_PI, "IV", (_INV_SQRT2, -_INV_SQRT2)),
+    (0.0, "I", (1.0, 0.0), None),
+    (_HALF_PI, "II", (0.0, 1.0), None),
+    (-_HALF_PI, "II", (0.0, -1.0), None),
+    (_QUARTER_PI, "III", (_INV_SQRT2, _INV_SQRT2), 1.0),
+    (-_QUARTER_PI, "IV", (_INV_SQRT2, -_INV_SQRT2), -1.0),
 )
 
 
 def _snap_line_kind(ic: InitialCondition) -> Optional[tuple[str, float, tuple[float, float]]]:
     """Line (kind, exact theta, direction) when ic sits on a constant-angle solution."""
-    for target, kind, direction in _LINE_DIRECTIONS:
-        if abs(ic.theta0 - target) > _SNAP_TOL:
-            continue
-        if kind == "III" and ic.y0 != ic.x0:
-            return None
-        if kind == "IV" and ic.y0 != -ic.x0:
-            return None
-        return kind, target, direction
+    for target, kind, direction, slope in _LINE_DIRECTIONS:
+        if abs(ic.theta0 - target) <= _SNAP_TOL:
+            if slope is not None and ic.y0 != slope * ic.x0:
+                return None
+            return kind, target, direction
     return None
 
 
@@ -224,24 +217,30 @@ def _line_trajectory(
     return traj
 
 
-def _run_side(raw, ic, settings, horizon, mirrored, stop_event=None):
-    """One forward integration; mirrored=True integrates the reversed field."""
-    def reversed_field(x, y, th):
-        dx, dy, dth = raw(x, y, th)
-        return -dx, -dy, -dth
+def _trajectory(
+    ic: InitialCondition, settings: OdeSettings, H: Optional[float], horizon: float,
+    stop_event: Optional[Callable[[float, list], float]] = None, both_sides: bool = False,
+) -> Trajectory:
+    """Trajectory over [0, horizon], or over [-horizon, horizon] with both_sides."""
+    raw = _raw_rhs(H)
 
-    f = reversed_field if mirrored else raw
-    stop = None
-    if stop_event is not None:
-        stop = lambda s, yv: stop_event(-s if mirrored else s, yv)
-    try:
-        ss, ys, segs, seen = solve_fixed_horizon(
-            f, (ic.x0, ic.y0, ic.theta0), horizon,
-            settings.abs_tol, settings.rel_tol, settings.max_step, stop)
-    except StepSizeUnderflow as exc:
-        side_s = -exc.last_s if mirrored else exc.last_s
-        raise IntegrationError("generating-curve integration failed", side_s) from exc
-    return ss, ys, segs, seen
+    def side(s_end: float):
+        try:
+            return solve_fixed_horizon(
+                raw, (ic.x0, ic.y0, ic.theta0), s_end,
+                settings.abs_tol, settings.rel_tol, settings.max_step, stop_event)[:3]
+        except StepSizeUnderflow as exc:
+            raise IntegrationError("generating-curve integration failed", exc.last_s) from exc
+
+    s, states, segments = side(horizon)
+    if both_sides:
+        bs, bstates, bsegs = side(-horizon)
+        s = np.concatenate([bs[::-1][:-1], s])
+        states = np.concatenate([bstates[::-1][:-1], states])
+        segments = bsegs[::-1] + segments
+    theta_prime = np.array([raw(*row)[2] for row in states.tolist()])
+    return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], theta_prime,
+                      ic, H, settings, segments=segments)
 
 
 def integrate(
@@ -264,23 +263,14 @@ def integrate(
             kind, theta, direction = hit
             return _line_trajectory(ic, settings, kind, theta, direction,
                                     -settings.max_s, settings.max_s)
-    raw = _raw_rhs(H)
-    fs, fy, fsegs, _ = _run_side(raw, ic, settings, settings.max_s, mirrored=False)
-    bs, by, bsegs, _ = _run_side(raw, ic, settings, settings.max_s, mirrored=True)
-
-    s = np.concatenate([-bs[::-1][:-1], fs])
-    states = np.concatenate([by[::-1][:-1], fy])
-    segments = [(seg, True) for seg in reversed(bsegs)] + [(seg, False) for seg in fsegs]
-    theta_prime = np.array([raw(*row)[2] for row in states.tolist()])
-    return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], theta_prime,
-                      ic, H, settings, segments=segments)
+    return _trajectory(ic, settings, H, settings.max_s, both_sides=True)
 
 
 def integrate_forward(
     ic: InitialCondition,
     settings: Optional[OdeSettings] = None,
     H: Optional[float] = None,
-    stop_event: Optional[Callable[[float, np.ndarray], float]] = None,
+    stop_event: Optional[Callable[[float, list], float]] = None,
     horizon: Optional[float] = None,
 ) -> Trajectory:
     """One-sided variant of `integrate` over [0, horizon or max_s].
@@ -289,12 +279,8 @@ def integrate_forward(
     sign change, leaving the change bracketed by the final two samples.
     """
     settings = settings or OdeSettings()
-    raw = _raw_rhs(H)
     span = settings.max_s if horizon is None else horizon
-    fs, fy, fsegs, _ = _run_side(raw, ic, settings, span, False, stop_event)
-    theta_prime = np.array([raw(*row)[2] for row in fy.tolist()])
-    return Trajectory(fs, fy[:, 0], fy[:, 1], fy[:, 2], theta_prime,
-                      ic, H, settings, segments=[(seg, False) for seg in fsegs])
+    return _trajectory(ic, settings, H, span, stop_event)
 
 
 def explicit_solution(kind: str, x0: float, y0: float, s: float) -> CurveState:
@@ -305,21 +291,16 @@ def explicit_solution(kind: str, x0: float, y0: float, s: float) -> CurveState:
     kind III (requires y0 == x0):  (x0 + s/sqrt2, x0 + s/sqrt2, theta = pi/4)
     kind IV  (requires y0 == -x0): (x0 + s/sqrt2, -x0 - s/sqrt2, theta = -pi/4)
     """
-    if kind == "I":
-        return CurveState(s, x0 + s, y0, 0.0)
-    if kind == "II":
-        return CurveState(s, x0, y0 + s, _HALF_PI)
-    if kind == "III":
-        if y0 != x0:
-            raise InvalidInitialCondition("kind III requires y0 == x0")
-        u = x0 + s * _INV_SQRT2
-        return CurveState(s, u, u, _QUARTER_PI)
-    if kind == "IV":
-        if y0 != -x0:
-            raise InvalidInitialCondition("kind IV requires y0 == -x0")
-        u = x0 + s * _INV_SQRT2
-        return CurveState(s, u, -u, -_QUARTER_PI)
-    raise ValueError(f"unknown line kind {kind!r}")
+    line = next((row for row in _LINE_DIRECTIONS if row[1] == kind), None)
+    if line is None:
+        raise ValueError(f"unknown line kind {kind!r}")
+    theta, _, (dx, dy), slope = line
+    if slope is None:  # the frozen coordinate stays exactly as given
+        return CurveState(s, x0 + s * dx if dx else x0, y0 + s * dy if dy else y0, theta)
+    if y0 != slope * x0:
+        raise InvalidInitialCondition(f"kind {kind} requires y0 == {'-' * (slope < 0)}x0")
+    u = x0 + s * dx
+    return CurveState(s, u, slope * u, theta)
 
 
 def circle_flat(r: float, s: float) -> tuple[CurveState, float]:
@@ -360,18 +341,21 @@ def find_event(
         if p_a == 0.0:
             continue
         if p_a * p_b < 0.0:
-            return _bisect_event(traj, predicate, s_a, s_b, p_a, traj.settings.event_tol)
+            return _bisect(lambda s: predicate(*traj.eval(s)), s_a, s_b, p_a,
+                           traj.settings.event_tol)
     return None
 
 
-def _bisect_event(traj, predicate, lo, hi, p_lo, tol):
+def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
+            tol: float) -> float:
+    """Zero of f between lo and hi, where f(lo) = f_lo and f(hi) differ in sign."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        p_mid = predicate(*traj.eval(mid))
-        if p_mid == 0.0:
+        f_mid = f(mid)
+        if f_mid == 0.0:
             return mid
-        if p_lo * p_mid < 0.0:
+        if f_lo * f_mid < 0.0:
             hi = mid
         else:
-            lo, p_lo = mid, p_mid
+            lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)

@@ -37,6 +37,8 @@ def random_states(samples: int, seed: int,
 def run_verification(samples: int = 100, seed: int = 42,
                      tolerance: Optional[float] = None) -> dict:
     """Compare both curvature routes on seeded states; return a flat report."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
     max_dev_h = 0.0
     max_dev_k = 0.0

@@ -14,6 +14,7 @@ from sol3 import (
     gauss_curvature,
     immersion,
     integrate,
+    run_verification,
     unit_normal,
 )
 from sol3.cli import main
@@ -451,3 +452,43 @@ def test_cli_sweep_keeps_good_curves_beside_a_failed_one(tmp_path, monkeypatch):
     assert curves[1]["error"] == "generating-curve integration failed (last good s = 0.0)"
     assert [c["kind"] for c in (curves[0], curves[2])] == ["type-B", "type-A"]
     assert sorted(p.name for p in out_dir.iterdir()) == ["curve_000.csv", "curve_002.csv"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_verify_without_samples_is_usage_error(tmp_path, samples):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--samples", samples, "--out", str(out)]) == 64
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ValueError, match="samples"):
+        run_verification(int(samples))
+
+
+@pytest.mark.parametrize("count,cpus,expected", [(3, 8, 3), (3, 2, 2), (3, None, None)])
+def test_cli_sweep_caps_workers(tmp_path, monkeypatch, count, cpus, expected):
+    from sol3 import cli
+
+    recorded = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--theta0-range", f"0.3:1.0:{count}", "--workers", "100000",
+                 "--max-s", "1", "--out", str(out)]) == 0
+    # With an unknown CPU count the sweep runs serially, without a pool.
+    assert recorded == ([] if expected is None else [expected])
+    assert len(json.loads(out.read_text())["curves"]) == count

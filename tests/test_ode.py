@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 from scipy.integrate import solve_ivp
 
 from sol3 import (
@@ -127,6 +128,9 @@ def test_explicit_solution_examples():
     assert (st.x, st.y, st.theta) == (1.7, 2.0, 0.0)
     st = explicit_solution("II", 1.0, 2.0, 0.7)
     assert (st.x, st.y, st.theta) == (1.0, 2.7, math.pi / 2)
+    # The frozen coordinate is kept as given, signed zero included.
+    assert math.copysign(1.0, explicit_solution("II", -0.0, 0.0, 1.0).x) == -1.0
+    assert math.copysign(1.0, explicit_solution("I", 0.0, -0.0, 1.0).y) == -1.0
     st = explicit_solution("IV", 1.0, -1.0, 1.0)
     assert st.x == pytest.approx(1.0 + 1.0 / math.sqrt(2), rel=1e-15)
     assert st.y == pytest.approx(-1.0 - 1.0 / math.sqrt(2), rel=1e-15)
@@ -211,14 +215,13 @@ def test_dense_segment_ends_reproduce_samples():
     traj = integrate(InitialCondition(0.2, -0.1, PI8), OdeSettings(max_s=2.0))
     rows = np.column_stack([traj.x, traj.y, traj.theta])
     index = {s: i for i, s in enumerate(traj.s.tolist())}
-    mirrored_kinds = set()
-    for seg, mirrored in traj._segments:
-        mirrored_kinds.add(mirrored)
-        sign = -1.0 if mirrored else 1.0
+    step_signs = set()
+    for seg in traj._segments:
+        step_signs.add(math.copysign(1.0, seg.h))
         # The stepper forms each sample time as t0 + h, so both ends are samples.
         for t in (seg.t0, seg.t0 + seg.h):
-            assert np.max(np.abs(np.array(seg.eval(t)) - rows[index[sign * t]])) < 1e-12
-    assert mirrored_kinds == {False, True}
+            assert np.max(np.abs(np.array(seg.eval(t)) - rows[index[t]])) < 1e-12
+    assert step_signs == {-1.0, 1.0}
 
 
 def test_determinism_bitwise():
@@ -277,6 +280,20 @@ def test_origin_symmetry():
         assert abs(b.x + a.x) < 1e-9
         assert abs(b.y + a.y) < 1e-9
         assert abs(b.theta - a.theta) < 1e-9
+
+
+@given(theta0=st.floats(0.01, 1.5, exclude_min=True, exclude_max=True),
+       max_step=st.sampled_from([0.1, 0.5]))
+@hsettings(derandomize=True, max_examples=25, deadline=None)
+def test_origin_symmetry_is_exact(theta0, max_step):
+    # The backward run takes the forward run's steps with the sign flipped, so
+    # the samples mirror bit for bit through the origin.
+    traj = integrate(InitialCondition(0.0, 0.0, theta0),
+                     OdeSettings(max_s=20.0, max_step=max_step), snap=False)
+    assert np.array_equal(traj.s[::-1], -traj.s)
+    assert np.array_equal(traj.x[::-1], -traj.x)
+    assert np.array_equal(traj.y[::-1], -traj.y)
+    assert np.array_equal(traj.theta[::-1], traj.theta)
 
 
 def test_flip_covariance_of_trajectories():
