@@ -59,11 +59,9 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _add_common(sub: argparse.ArgumentParser, with_ic: bool = True):
-    if with_ic:
-        sub.add_argument("--x0", type=float, default=0.0)
-        sub.add_argument("--y0", type=float, default=0.0)
-        sub.add_argument("--theta0", type=float, default=0.0)
+def _add_common(sub: argparse.ArgumentParser, ic: tuple[str, ...] = ("x0", "y0", "theta0")):
+    for name in ic:
+        sub.add_argument(f"--{name}", type=float, default=0.0)
     sub.add_argument("--max-s", type=float, default=10.0)
     sub.add_argument("--abs-tol", type=float, default=1e-10)
     sub.add_argument("--rel-tol", type=float, default=1e-10)
@@ -90,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=analysis.DEFAULT_SETTLE_THRESHOLD)
 
     p_shoot = subs.add_parser("shoot", help="search the closed CMC generating curve")
-    _add_common(p_shoot, with_ic=False)
+    _add_common(p_shoot, ic=())
     p_shoot.add_argument("--H", type=float, required=True)
     p_shoot.add_argument("--bracket", type=_parse_bracket, default=None,
                          help="y0 bracket LO:HI (scanned automatically if omitted)")
@@ -110,8 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--out", type=str, default=None)
 
-    p_sweep = subs.add_parser("sweep", help="classify over a theta0 range in parallel")
-    _add_common(p_sweep)
+    # No abbreviations: "--theta0" must not silently mean "--theta0-range".
+    p_sweep = subs.add_parser("sweep", help="classify over a theta0 range in parallel",
+                              allow_abbrev=False)
+    _add_common(p_sweep, ic=("x0", "y0"))
     p_sweep.add_argument("--theta0-range", type=_parse_range, required=True,
                          metavar="START:STOP:COUNT")
     p_sweep.add_argument("--workers", type=int, default=1)
@@ -216,6 +216,9 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     if args.out is None:
         print("mesh: --out PATH is required", file=sys.stderr)
         return EXIT_USAGE
+    if args.kind is not None and args.H is not None:
+        print("mesh: --H applies to integrated curves, not to --kind", file=sys.stderr)
+        return EXIT_USAGE
     grid = args.grid
     if args.kind is not None:
         curve = io.curve_from_kind(args.kind, ic.x0, ic.y0, args.r)
@@ -255,7 +258,6 @@ def _sweep_task(task: tuple) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    ic = InitialCondition(args.x0, args.y0, args.theta0)
     start, stop, count = args.theta0_range
     if count < 1:
         print("sweep: COUNT must be >= 1", file=sys.stderr)
@@ -265,7 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, theta0 in enumerate(thetas):
         csv_path = (os.path.join(args.out_dir, f"curve_{i:03d}.csv")
                     if args.out_dir is not None else None)
-        tasks.append((dataclasses.replace(ic, theta0=theta0), settings,
+        tasks.append((InitialCondition(args.x0, args.y0, theta0), settings,
                       args.tail_fraction, args.settle_threshold, csv_path))
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -276,7 +278,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             entries = list(pool.map(_sweep_task, tasks))
     else:
         entries = [_sweep_task(t) for t in tasks]
-    _emit({"x0": ic.x0, "y0": ic.y0, "curves": entries}, args.out)
+    _emit({"x0": args.x0, "y0": args.y0, "curves": entries}, args.out)
     return EXIT_INTEGRATION if any("error" in e for e in entries) else EXIT_OK
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ._rk import DenseSegment, StepSizeUnderflow, solve_fixed_horizon
+from ._rk import DenseSegment, StepBudgetExceeded, StepSizeUnderflow, solve_fixed_horizon
 from .surface import CurveState
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -155,7 +155,9 @@ class Trajectory:
         if self.explicit_kind is not None:
             ic, th = self.ic, float(self.theta[0])
             dx, dy = self._line_direction
-            return CurveState(s, ic.x0 + s * dx, ic.y0 + s * dy, th)
+            # The frozen coordinate stays exactly as given, -0.0 included.
+            return CurveState(s, ic.x0 + s * dx if dx else ic.x0,
+                              ic.y0 + s * dy if dy else ic.y0, th)
         if not self._segments:
             raise ValueError("trajectory has no dense segments")
         lo, hi = float(self.s[0]), float(self.s[-1])
@@ -208,8 +210,9 @@ def _line_trajectory(
     s = np.linspace(s_lo, s_hi, n)
     if s_lo < 0.0 < s_hi and 0.0 not in s:
         s = np.sort(np.append(s, 0.0))
-    x = ic.x0 + s * direction[0]
-    y = ic.y0 + s * direction[1]
+    dx, dy = direction
+    x = ic.x0 + s * dx if dx else np.full_like(s, ic.x0)
+    y = ic.y0 + s * dy if dy else np.full_like(s, ic.y0)
     th = np.full_like(s, theta)
     tp = np.zeros_like(s)
     traj = Trajectory(s, x, y, th, tp, ic, None, settings, explicit_kind=kind)
@@ -226,19 +229,27 @@ def _trajectory(
 
     def side(s_end: float):
         try:
-            return solve_fixed_horizon(
+            s, states, segments, _ = solve_fixed_horizon(
                 raw, (ic.x0, ic.y0, ic.theta0), s_end,
-                settings.abs_tol, settings.rel_tol, settings.max_step, stop_event)[:3]
+                settings.abs_tol, settings.rel_tol, settings.max_step, stop_event)
         except StepSizeUnderflow as exc:
             raise IntegrationError("generating-curve integration failed", exc.last_s) from exc
+        except StepBudgetExceeded as exc:
+            raise IntegrationError(f"generating-curve integration failed: {exc}",
+                                   exc.last_s) from exc
+        # theta' is already stored: each segment's first stage is f at its
+        # start sample, and the last segment's FSAL stage is f at the end.
+        tp = [seg.K[0, 2] for seg in segments]
+        tp.append(segments[-1].K[6, 2] if segments else raw(*states[0].tolist())[2])
+        return s, states, np.array(tp), segments
 
-    s, states, segments = side(horizon)
+    s, states, theta_prime, segments = side(horizon)
     if both_sides:
-        bs, bstates, bsegs = side(-horizon)
+        bs, bstates, btp, bsegs = side(-horizon)
         s = np.concatenate([bs[::-1][:-1], s])
         states = np.concatenate([bstates[::-1][:-1], states])
+        theta_prime = np.concatenate([btp[::-1][:-1], theta_prime])
         segments = bsegs[::-1] + segments
-    theta_prime = np.array([raw(*row)[2] for row in states.tolist()])
     return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], theta_prime,
                       ic, H, settings, segments=segments)
 
@@ -330,19 +341,22 @@ def find_event(
     bisection on the dense output to settings.event_tol.  Returns None when
     no sign change exists on the sampled horizon.
     """
-    idx = np.searchsorted(traj.s, 0.0, side="left")
-    vals = []
-    for i in range(idx, len(traj)):
-        state, tp = traj.sample(i)
-        vals.append((state.s, predicate(state, tp)))
-    for (s_a, p_a), (s_b, p_b) in zip(vals, vals[1:]):
+    idx = int(np.searchsorted(traj.s, 0.0, side="left"))
+    vals = [predicate(*traj.sample(i)) for i in range(idx, len(traj))]
+    return _first_crossing(traj.s[idx:].tolist(), vals,
+                           lambda s: predicate(*traj.eval(s)), traj.settings.event_tol)
+
+
+def _first_crossing(s: list[float], vals: list[float], f: Callable[[float], float],
+                    tol: float) -> Optional[float]:
+    """First s > 0 where the sampled values `vals` of f change sign, refined on f."""
+    for s_a, p_a, s_b, p_b in zip(s, vals, s[1:], vals[1:]):
         if p_b == 0.0 and s_b > 0.0:
             return s_b
         if p_a == 0.0:
             continue
         if p_a * p_b < 0.0:
-            return _bisect(lambda s: predicate(*traj.eval(s)), s_a, s_b, p_a,
-                           traj.settings.event_tol)
+            return _bisect(f, s_a, s_b, p_a, tol)
     return None
 
 

@@ -18,6 +18,7 @@ from sol3 import (
     classify_minimal,
     closed_curve_search,
     explicit_solution,
+    find_event,
     first_return,
     immersion,
     inflection_points,
@@ -198,6 +199,19 @@ def test_first_return_small_y0_overshoots():
     assert s1 == pytest.approx(4.174436, abs=1e-4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: integrate_forward(InitialCondition(0, 0.6425, 0), OdeSettings(max_s=10.0), H=1.0),
+    lambda: integrate_forward(InitialCondition(0, 0.3, 0), OdeSettings(max_s=10.0), H=1.5,
+                              stop_event=lambda s, yv: yv[2] + 2 * math.pi),
+    lambda: integrate(InitialCondition(0, 0.5, 0.2), OdeSettings(max_s=10.0), H=-1.0),
+])
+def test_first_return_matches_the_find_event_route(make):
+    traj = make()
+    target = traj.ic.theta0 - math.copysign(2.0 * math.pi, traj.H_target)
+    s1 = find_event(traj, lambda st, _: st.theta - target)
+    assert s1 is not None and first_return(traj) == (s1, traj.state_at(s1))
+
+
 def test_first_return_none_for_minimal_like():
     traj = integrate(InitialCondition(0, 0.5, 0), OdeSettings(max_s=10.0), H=0.0)
     assert first_return(traj) is None
@@ -272,6 +286,49 @@ def test_closed_curve_search_h2_via_scan():
     assert res.s1 == pytest.approx(1.64957283, abs=1e-5)
     assert res.y0_star < 0.6421766756  # smaller closed curve than H = 1
     assert abs(res.residual_y) < 1e-6
+
+
+def _count_integrations(monkeypatch):
+    from sol3 import ode
+
+    calls, solve = [], ode.solve_fixed_horizon
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "solve_fixed_horizon", counted)
+    return calls
+
+
+def _fields(res):
+    return res.y0_star, res.s1, res.residual_x, res.residual_y, res.iterations
+
+
+def test_scanned_bracket_spares_integrating_its_ends(monkeypatch):
+    bracket = scan_bracket(2.0)
+    lo, hi = bracket  # still a (lo, hi) pair
+    calls = _count_integrations(monkeypatch)
+    carried = closed_curve_search(2.0, bracket)
+    n_carried = len(calls)
+    plain = closed_curve_search(2.0, tuple(bracket))
+    assert _fields(carried) == _fields(plain)
+    assert len(calls) - n_carried == n_carried + 2
+
+
+@pytest.mark.parametrize("settings,horizon", [
+    (OdeSettings(max_step=5e-3), 40.0),
+    (OdeSettings(), 30.0),
+])
+def test_bracket_scanned_for_other_arguments_is_integrated_again(
+        monkeypatch, settings, horizon):
+    bracket = scan_bracket(2.0)
+    calls = _count_integrations(monkeypatch)
+    reused = closed_curve_search(2.0, bracket, settings, horizon=horizon)
+    n_reused = len(calls)
+    plain = closed_curve_search(2.0, tuple(bracket), settings, horizon=horizon)
+    assert _fields(reused) == _fields(plain)
+    assert n_reused > 2 and len(calls) == 2 * n_reused
 
 
 def test_closed_curve_search_bad_bracket():

@@ -358,6 +358,31 @@ def test_cli_mesh_degenerate_grid():
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theta0", "0.5", "--theta0-range", "0.3:1:2", "--max-s", "1"],
+    ["sweep", "--theta0", "0.3:1:2", "--max-s", "1"],  # no abbreviation either
+    ["mesh", "--kind", "circle", "--H", "1", "--grid=-1:1:-1:1:3:3"],
+])
+def test_cli_refuses_ignored_flags(tmp_path, argv):
+    out = tmp_path / "out"
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 64
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_integrate_step_budget_exits_1(tmp_path, monkeypatch, capsys):
+    from sol3 import _rk
+
+    monkeypatch.setattr(_rk, "MAX_STEPS", 100)
+    out = tmp_path / "c.csv"
+    assert main(["integrate", "--theta0", "0.3", "--max-s", "10", "--out", str(out)]) == 1
+    assert "100 attempted steps" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_verify(tmp_path):
     out = str(tmp_path / "verify.json")
     assert main(["verify", "--samples", "25", "--seed", "11", "--out", out]) == 0

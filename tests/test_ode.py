@@ -137,6 +137,18 @@ def test_explicit_solution_examples():
     assert st.theta == -math.pi / 4
 
 
+@pytest.mark.parametrize("kind,theta0", [("I", 0.0), ("II", math.pi / 2)])
+def test_line_routes_agree_on_signed_zero(kind, theta0):
+    # The frozen coordinate keeps the sign of a -0.0 start on both sides.
+    traj = integrate(InitialCondition(-0.0, -0.0, theta0), OdeSettings(max_s=1.0, max_step=0.25))
+    frozen = traj.y if kind == "I" else traj.x
+    assert traj.explicit_kind == kind and np.all(np.signbit(frozen))
+    for s in traj.s.tolist():
+        got, want = traj.state_at(s), explicit_solution(kind, -0.0, -0.0, s)
+        assert (got.x, got.y) == (want.x, want.y)
+        assert np.signbit([got.x, got.y]).tolist() == np.signbit([want.x, want.y]).tolist()
+
+
 def test_explicit_solution_preconditions():
     with pytest.raises(InvalidInitialCondition):
         explicit_solution("III", 1.0, 2.0, 0.0)
@@ -192,6 +204,36 @@ def test_tiny_tolerances_reject_steps_without_overflow():
                             (0.0, 0.0, 0.3), 1.0, 1e-300, 1e-300, 0.01)
     with pytest.raises(IntegrationError):
         integrate(InitialCondition(0, 0, 0.3), OdeSettings(abs_tol=1e-300, rel_tol=1e-300))
+
+
+def test_step_budget_ends_in_integration_error(monkeypatch):
+    from sol3 import _rk
+
+    f = lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th))
+    monkeypatch.setattr(_rk, "MAX_STEPS", 50)
+    ss, _, _, _ = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)
+    assert ss[-1] == 0.4  # 41 steps, none rejected, fit the budget
+    with pytest.raises(_rk.StepBudgetExceeded) as err:
+        _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), -1.0, 1e-10, 1e-10, 0.01)
+    assert -1.0 < err.value.last_s < 0.0
+    with pytest.raises(IntegrationError, match="50 attempted steps"):
+        integrate(InitialCondition(0, 0, 0.3), OdeSettings(max_s=1.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: integrate(InitialCondition(0.2, -0.1, PI8), OdeSettings(max_s=3.0)),
+    lambda: integrate(InitialCondition(0.0, 0.6, 0.0), OdeSettings(max_s=3.0), H=1.0),
+    lambda: integrate_forward(InitialCondition(0.0, 0.6, 0.0), OdeSettings(max_s=10.0),
+                              H=1.0, stop_event=lambda s, yv: yv[2] + 2 * math.pi),
+    lambda: integrate_forward(InitialCondition(0.0, 0.5, 0.1), H=1.0, horizon=0.0),
+])
+def test_theta_prime_is_the_rhs_at_every_sample(make):
+    traj = make()
+    H = traj.H_target
+    rhs = rhs_minimal if H is None else lambda state: rhs_cmc(state, H)
+    raw = [rhs(CurveState(0.0, x, y, th))[2]
+           for x, y, th in zip(traj.x.tolist(), traj.y.tolist(), traj.theta.tolist())]
+    assert np.array_equal(traj.theta_prime, np.array(raw))
 
 
 def test_stop_event_sees_accepted_states():
