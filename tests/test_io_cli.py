@@ -479,6 +479,32 @@ def test_cli_sweep_keeps_good_curves_beside_a_failed_one(tmp_path, monkeypatch):
     assert sorted(p.name for p in out_dir.iterdir()) == ["curve_000.csv", "curve_002.csv"]
 
 
+# Recorded before the oracle was rewritten on Python floats.  Its metric inner
+# products stay on the BLAS dot kernel, so, like the digests above, these
+# depend on that kernel's multiply-add (FMA) order.
+@pytest.mark.parametrize("seed, digest", [
+    ("1", "292e9ea29533245fa34b235b27d1f784433d9e2d446febd047f8bf14af13e97f"),
+    ("7", "3aff7125e0c4763e6a0573214ebac47513f9a4ee1b7a84d9214573748c8a599c"),
+    ("2026", "bc326880943b852d2703c6200670c966ffda93bc7ce410b502fce26aa4b23dc0"),
+])
+def test_cli_verify_golden_digest(tmp_path, seed, digest):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--samples", "500", "--seed", seed, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_verify_disagreement_exits_1(tmp_path, monkeypatch):
+    from sol3 import verify
+
+    # No deviation is below a zero tolerance, so the routes "disagree".
+    monkeypatch.setattr(verify, "DEFAULT_TOLERANCE", 0.0)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--samples", "5", "--seed", "3", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["passed"] is False
+    assert data["tolerance"] == 0.0
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_cli_verify_without_samples_is_usage_error(tmp_path, samples):
     out = tmp_path / "verify.json"

@@ -1,6 +1,9 @@
 """Self-checks of the coordinate finite-difference route, then the dual-route
 agreement between it and the closed frame formulas."""
+import ast
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,3 +105,49 @@ def test_run_verification_deterministic():
     a = run_verification(samples=30, seed=9)
     b = run_verification(samples=30, seed=9)
     assert a == b
+
+
+def _wide_states(samples, seed):
+    """Seeded states far outside verify's box: |x|, |y| <= 8, |theta| <= 20, |theta'| <= 50."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        x, y = rng.uniform(-8.0, 8.0, size=2)
+        out.append((CurveState(0.0, float(x), float(y), float(rng.uniform(-20.0, 20.0))),
+                    float(rng.uniform(-50.0, 50.0))))
+    return out
+
+
+# Recorded before the oracle was rewritten on Python floats; it proves that
+# every OracleReport field keeps its bits, sign of zero included.  The metric
+# inner products go through the BLAS dot kernel, whose multiply-add (FMA)
+# order these bits depend on, so another BLAS build may legitimately give
+# another digest.
+def test_oracle_report_golden_digest():
+    states = random_states(400, 99) + _wide_states(200, 5) + [
+        (CurveState(0.0, -0.0, 0.0, 0.0), 0.0),
+        (CurveState(0.0, 0.0, -0.0, -math.pi / 4), -0.0),
+    ]
+    digest = hashlib.sha256()
+    for state, tp in states:
+        rep = oracle.curvatures_fd(state, tp)
+        digest.update(repr(tuple(getattr(rep, name) for name in (
+            "E", "F", "G", "e", "f", "g", "H", "K", "K_ext", "K_sec"))).encode())
+    assert digest.hexdigest() == \
+        "d8b1804c0f0bf4f87bf6b2e3e47d1a03149efb19b5f48a5a6f5c37381d79fb0e"
+
+
+def test_oracle_never_imports_surface():
+    # The oracle is only independent evidence if it shares no code with the
+    # frame route it checks.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert "surface" not in name.split("."), f"oracle imports {name}"
