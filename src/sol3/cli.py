@@ -59,13 +59,17 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+# Defaults of the options that only matter when a curve is integrated.
+_INTEGRATION_DEFAULTS = {"theta0": 0.0, "max_s": 10.0, "abs_tol": 1e-10,
+                         "rel_tol": 1e-10, "max_step": 1e-2}
+
+
 def _add_common(sub: argparse.ArgumentParser, ic: tuple[str, ...] = ("x0", "y0", "theta0")):
     for name in ic:
         sub.add_argument(f"--{name}", type=float, default=0.0)
-    sub.add_argument("--max-s", type=float, default=10.0)
-    sub.add_argument("--abs-tol", type=float, default=1e-10)
-    sub.add_argument("--rel-tol", type=float, default=1e-10)
-    sub.add_argument("--max-step", type=float, default=1e-2)
+    for name in ("max_s", "abs_tol", "rel_tol", "max_step"):
+        sub.add_argument(f"--{name.replace('_', '-')}", type=float,
+                         default=_INTEGRATION_DEFAULTS[name])
     sub.add_argument("--out", type=str, default=None)
 
 
@@ -95,6 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mesh = subs.add_parser("mesh", help="export a swept surface as OBJ")
     _add_common(p_mesh)
+    # None marks "not given", so that --kind can refuse them; cmd_mesh fills
+    # in the defaults for integrated curves.
+    p_mesh.set_defaults(**dict.fromkeys(_INTEGRATION_DEFAULTS))
     p_mesh.add_argument("--H", type=float, default=None)
     p_mesh.add_argument("--kind", type=str, default=None,
                         choices=["I", "II", "III", "IV", "circle"],
@@ -211,18 +218,26 @@ def cmd_shoot(args: argparse.Namespace) -> int:
 
 
 def cmd_mesh(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    ic = InitialCondition(args.x0, args.y0, args.theta0)
     if args.out is None:
         print("mesh: --out PATH is required", file=sys.stderr)
         return EXIT_USAGE
-    if args.kind is not None and args.H is not None:
-        print("mesh: --H applies to integrated curves, not to --kind", file=sys.stderr)
-        return EXIT_USAGE
     grid = args.grid
     if args.kind is not None:
+        given = [name for name in ("H", *_INTEGRATION_DEFAULTS)
+                 if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            print(f"mesh: {flags} apply to integrated curves, not to --kind",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        ic = InitialCondition(args.x0, args.y0, 0.0)  # checks that x0, y0 are finite
         curve = io.curve_from_kind(args.kind, ic.x0, ic.y0, args.r)
     else:
+        for name, default in _INTEGRATION_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+        settings = _settings(args)
+        ic = InitialCondition(args.x0, args.y0, args.theta0)
         span = max(abs(grid.s_min), abs(grid.s_max))
         settings = dataclasses.replace(settings, max_s=max(span, 1e-6))
         try:

@@ -133,7 +133,7 @@ class Trajectory:
         self.H_target = H_target
         self.settings = settings
         self.explicit_kind = explicit_kind
-        self._line_direction: Optional[tuple[float, float]] = None
+        self._line: Optional[tuple] = None  # the _LINE_DIRECTIONS row of a snapped line
         self._segments = segments or []
         # Backward segments have h < 0 and end at t0 + h, below their start.
         self._seg_his = [max(seg.t0, seg.t0 + seg.h) for seg in self._segments]
@@ -153,11 +153,8 @@ class Trajectory:
     def state_at(self, s: float) -> CurveState:
         """Dense-output state at arc length s (s within the sampled range)."""
         if self.explicit_kind is not None:
-            ic, th = self.ic, float(self.theta[0])
-            dx, dy = self._line_direction
-            # The frozen coordinate stays exactly as given, -0.0 included.
-            return CurveState(s, ic.x0 + s * dx if dx else ic.x0,
-                              ic.y0 + s * dy if dy else ic.y0, th)
+            x, y = _line_xy(self._line, self.ic.x0, self.ic.y0, s)
+            return CurveState(s, x, y, float(self.theta[0]))
         if not self._segments:
             raise ValueError("trajectory has no dense segments")
         lo, hi = float(self.s[0]), float(self.s[-1])
@@ -183,6 +180,7 @@ class Trajectory:
 # Constant-angle solutions: exact angle, exact direction components (so the
 # line's frozen coordinate never picks up a cos(pi/2)-sized drift) and, for
 # the diagonal lines, the slope c of their start constraint y0 == c * x0.
+# Rows are (theta, kind, (dx, dy), slope).
 _LINE_DIRECTIONS = (
     (0.0, "I", (1.0, 0.0), None),
     (_HALF_PI, "II", (0.0, 1.0), None),
@@ -192,31 +190,44 @@ _LINE_DIRECTIONS = (
 )
 
 
-def _snap_line_kind(ic: InitialCondition) -> Optional[tuple[str, float, tuple[float, float]]]:
-    """Line (kind, exact theta, direction) when ic sits on a constant-angle solution."""
-    for target, kind, direction, slope in _LINE_DIRECTIONS:
+def _snap_line_kind(ic: InitialCondition) -> Optional[tuple]:
+    """The _LINE_DIRECTIONS row when ic sits on a constant-angle solution."""
+    for row in _LINE_DIRECTIONS:
+        target, _, _, slope = row
         if abs(ic.theta0 - target) <= _SNAP_TOL:
             if slope is not None and ic.y0 != slope * ic.x0:
                 return None
-            return kind, target, direction
+            return row
     return None
 
 
+def _line_xy(line: tuple, x0: float, y0: float, s):
+    """(x, y) at arc length s (a float or an array) on a _LINE_DIRECTIONS line.
+
+    The frozen coordinate of lines I and II stays exactly as given, -0.0
+    included; the diagonals form y = slope * x, so every route through this
+    function gives the same signed zeros.
+    """
+    _, _, (dx, dy), slope = line
+    x = x0 + s * dx if dx else x0
+    if slope is not None:
+        return x, slope * x
+    return x, (y0 + s * dy if dy else y0)
+
+
 def _line_trajectory(
-    ic: InitialCondition, settings: OdeSettings, kind: str, theta: float,
-    direction: tuple[float, float], s_lo: float, s_hi: float,
+    ic: InitialCondition, settings: OdeSettings, line: tuple, s_lo: float, s_hi: float,
 ) -> Trajectory:
     n = max(2, int(math.ceil((s_hi - s_lo) / settings.max_step)) + 1)
     s = np.linspace(s_lo, s_hi, n)
     if s_lo < 0.0 < s_hi and 0.0 not in s:
         s = np.sort(np.append(s, 0.0))
-    dx, dy = direction
-    x = ic.x0 + s * dx if dx else np.full_like(s, ic.x0)
-    y = ic.y0 + s * dy if dy else np.full_like(s, ic.y0)
-    th = np.full_like(s, theta)
+    x, y = (np.full_like(s, c) if np.ndim(c) == 0 else c
+            for c in _line_xy(line, ic.x0, ic.y0, s))
+    th = np.full_like(s, line[0])
     tp = np.zeros_like(s)
-    traj = Trajectory(s, x, y, th, tp, ic, None, settings, explicit_kind=kind)
-    traj._line_direction = direction
+    traj = Trajectory(s, x, y, th, tp, ic, None, settings, explicit_kind=line[1])
+    traj._line = line
     return traj
 
 
@@ -269,11 +280,9 @@ def integrate(
     """
     settings = settings or OdeSettings()
     if snap and H is None:
-        hit = _snap_line_kind(ic)
-        if hit is not None:
-            kind, theta, direction = hit
-            return _line_trajectory(ic, settings, kind, theta, direction,
-                                    -settings.max_s, settings.max_s)
+        line = _snap_line_kind(ic)
+        if line is not None:
+            return _line_trajectory(ic, settings, line, -settings.max_s, settings.max_s)
     return _trajectory(ic, settings, H, settings.max_s, both_sides=True)
 
 
@@ -305,13 +314,11 @@ def explicit_solution(kind: str, x0: float, y0: float, s: float) -> CurveState:
     line = next((row for row in _LINE_DIRECTIONS if row[1] == kind), None)
     if line is None:
         raise ValueError(f"unknown line kind {kind!r}")
-    theta, _, (dx, dy), slope = line
-    if slope is None:  # the frozen coordinate stays exactly as given
-        return CurveState(s, x0 + s * dx if dx else x0, y0 + s * dy if dy else y0, theta)
-    if y0 != slope * x0:
+    slope = line[3]
+    if slope is not None and y0 != slope * x0:
         raise InvalidInitialCondition(f"kind {kind} requires y0 == {'-' * (slope < 0)}x0")
-    u = x0 + s * dx
-    return CurveState(s, u, slope * u, theta)
+    x, y = _line_xy(line, x0, y0, s)
+    return CurveState(s, x, y, line[0])
 
 
 def circle_flat(r: float, s: float) -> tuple[CurveState, float]:

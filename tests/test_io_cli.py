@@ -362,6 +362,12 @@ def test_cli_mesh_degenerate_grid():
     ["sweep", "--theta0", "0.5", "--theta0-range", "0.3:1:2", "--max-s", "1"],
     ["sweep", "--theta0", "0.3:1:2", "--max-s", "1"],  # no abbreviation either
     ["mesh", "--kind", "circle", "--H", "1", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "circle", "--theta0", "5", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "III", "--max-s", "3", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "circle", "--abs-tol", "1", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "circle", "--rel-tol", "1e-6", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "I", "--max-step", "0.1", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "circle", "--theta0", "0", "--grid=-1:1:-1:1:3:3"],  # even a default
 ])
 def test_cli_refuses_ignored_flags(tmp_path, argv):
     out = tmp_path / "out"
@@ -370,6 +376,24 @@ def test_cli_refuses_ignored_flags(tmp_path, argv):
     except SystemExit as exc:
         code = exc.code
     assert code == 64
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_mesh_integrated_defaults_unchanged(tmp_path):
+    # Integrated meshes still use the common defaults when the options are absent.
+    grid = "--grid=-2:2:-1:1:5:5"
+    implicit, explicit = tmp_path / "implicit.obj", tmp_path / "explicit.obj"
+    assert main(["mesh", "--theta0", "0.3", grid, "--out", str(implicit)]) == 0
+    assert main(["mesh", "--theta0", "0.3", "--max-s", "10", "--abs-tol", "1e-10",
+                 "--rel-tol", "1e-10", "--max-step", "0.01", grid,
+                 "--out", str(explicit)]) == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+
+
+def test_cli_mesh_kind_non_finite_start_is_usage_error(tmp_path):
+    out = tmp_path / "m.obj"
+    assert main(["mesh", "--kind", "III", "--x0", "inf", "--y0", "inf",
+                 "--grid=-1:1:-1:1:3:3", "--out", str(out)]) == 64
     assert os.listdir(tmp_path) == []
 
 

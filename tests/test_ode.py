@@ -137,16 +137,25 @@ def test_explicit_solution_examples():
     assert st.theta == -math.pi / 4
 
 
-@pytest.mark.parametrize("kind,theta0", [("I", 0.0), ("II", math.pi / 2)])
+@pytest.mark.parametrize("kind,theta0", [
+    ("I", 0.0), ("II", math.pi / 2), ("III", math.pi / 4), ("IV", -math.pi / 4)])
 def test_line_routes_agree_on_signed_zero(kind, theta0):
-    # The frozen coordinate keeps the sign of a -0.0 start on both sides.
-    traj = integrate(InitialCondition(-0.0, -0.0, theta0), OdeSettings(max_s=1.0, max_step=0.25))
-    frozen = traj.y if kind == "I" else traj.x
-    assert traj.explicit_kind == kind and np.all(np.signbit(frozen))
-    for s in traj.s.tolist():
-        got, want = traj.state_at(s), explicit_solution(kind, -0.0, -0.0, s)
-        assert (got.x, got.y) == (want.x, want.y)
-        assert np.signbit([got.x, got.y]).tolist() == np.signbit([want.x, want.y]).tolist()
+    settings = OdeSettings(max_s=1.0, max_step=0.25)
+    if kind in ("I", "II"):
+        # The frozen coordinate keeps the sign of a -0.0 start on both sides.
+        traj = integrate(InitialCondition(-0.0, -0.0, theta0), settings)
+        assert np.all(np.signbit(traj.y if kind == "I" else traj.x))
+    # Samples, dense output and the closed form agree bit for bit, signed
+    # zeros included (line IV through the origin has y = -0.0 at s = 0).
+    for x0, y0 in ((-0.0, -0.0), (0.0, 0.0), (0.0, -0.0)):
+        traj = integrate(InitialCondition(x0, y0, theta0), settings)
+        assert traj.explicit_kind == kind
+        for i, s in enumerate(traj.s.tolist()):
+            want = explicit_solution(kind, x0, y0, s)
+            for got in (traj.state_at(s), traj.sample(i)[0]):
+                assert (got.x, got.y) == (want.x, want.y)
+                assert np.signbit([got.x, got.y]).tolist() == \
+                    np.signbit([want.x, want.y]).tolist()
 
 
 def test_explicit_solution_preconditions():
