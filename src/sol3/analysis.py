@@ -28,7 +28,7 @@ from .ode import (  # noqa: F401
     find_event,
     integrate_forward,
 )
-from .surface import CurveState
+from .surface import CurveState, first_form
 
 #: Tail of each trajectory end treated as "settled" data, as a fraction of samples.
 DEFAULT_TAIL_FRACTION = 0.1
@@ -139,7 +139,7 @@ def _require_minimal(traj: Trajectory):
 def _concavity_indicator(traj: Trajectory) -> np.ndarray:
     # F = -x cos + y sin equals cos(theta) * (y y' - x) along a graph, so its
     # zeros are the graph's inflections wherever cos(theta) != 0.
-    return -traj.x * np.cos(traj.theta) + traj.y * np.sin(traj.theta)
+    return first_form(CurveState(traj.s, traj.x, traj.y, traj.theta)).F
 
 
 def inflection_points(traj: Trajectory) -> list[float]:
@@ -153,8 +153,7 @@ def inflection_points(traj: Trajectory) -> list[float]:
         return []
 
     def concavity(s: float) -> float:
-        st = traj.state_at(s)
-        return -st.x * math.cos(st.theta) + st.y * math.sin(st.theta)
+        return first_form(traj.state_at(s)).F
 
     vals = _concavity_indicator(traj)
     s = traj.s

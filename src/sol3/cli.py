@@ -64,6 +64,12 @@ _INTEGRATION_DEFAULTS = {"theta0": 0.0, "max_s": 10.0, "abs_tol": 1e-10,
                          "rel_tol": 1e-10, "max_step": 1e-2}
 
 
+# The mesh options that only some curves read, with their defaults, and the
+# ones each --kind reads (None: an integrated curve; lines read x0 and y0).
+_MESH_DEFAULTS = {"x0": 0.0, "y0": 0.0, "r": 1.0, "H": None, **_INTEGRATION_DEFAULTS}
+_MESH_READS = {"circle": ("r",), None: ("x0", "y0", "H", *_INTEGRATION_DEFAULTS)}
+
+
 def _add_common(sub: argparse.ArgumentParser, ic: tuple[str, ...] = ("x0", "y0", "theta0")):
     for name in ic:
         sub.add_argument(f"--{name}", type=float, default=0.0)
@@ -99,14 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mesh = subs.add_parser("mesh", help="export a swept surface as OBJ")
     _add_common(p_mesh)
-    # None marks "not given", so that --kind can refuse them; cmd_mesh fills
-    # in the defaults for integrated curves.
-    p_mesh.set_defaults(**dict.fromkeys(_INTEGRATION_DEFAULTS))
-    p_mesh.add_argument("--H", type=float, default=None)
+    p_mesh.add_argument("--H", type=float)
     p_mesh.add_argument("--kind", type=str, default=None,
                         choices=["I", "II", "III", "IV", "circle"],
                         help="use a closed-form curve instead of integrating")
-    p_mesh.add_argument("--r", type=float, default=1.0, help="circle radius")
+    p_mesh.add_argument("--r", type=float, help="circle radius (default 1)")
+    # None marks "not given", so that cmd_mesh can refuse the options its
+    # curve does not read; it fills in the defaults afterwards.
+    p_mesh.set_defaults(**dict.fromkeys(_MESH_DEFAULTS))
     p_mesh.add_argument("--grid", type=_parse_grid, required=True,
                         metavar="sMIN:sMAX:tMIN:tMAX:NS:NT")
 
@@ -222,20 +228,21 @@ def cmd_mesh(args: argparse.Namespace) -> int:
         print("mesh: --out PATH is required", file=sys.stderr)
         return EXIT_USAGE
     grid = args.grid
+    reads = _MESH_READS.get(args.kind, ("x0", "y0"))
+    given = [name for name in _MESH_DEFAULTS
+             if name not in reads and getattr(args, name) is not None]
+    if given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        what = f"--kind {args.kind}" if args.kind else "an integrated curve"
+        print(f"mesh: {flags} not used with {what}", file=sys.stderr)
+        return EXIT_USAGE
+    for name, default in _MESH_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.kind is not None:
-        given = [name for name in ("H", *_INTEGRATION_DEFAULTS)
-                 if getattr(args, name) is not None]
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            print(f"mesh: {flags} apply to integrated curves, not to --kind",
-                  file=sys.stderr)
-            return EXIT_USAGE
         ic = InitialCondition(args.x0, args.y0, 0.0)  # checks that x0, y0 are finite
         curve = io.curve_from_kind(args.kind, ic.x0, ic.y0, args.r)
     else:
-        for name, default in _INTEGRATION_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
         settings = _settings(args)
         ic = InitialCondition(args.x0, args.y0, args.theta0)
         span = max(abs(grid.s_min), abs(grid.s_max))

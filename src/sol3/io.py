@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import secrets
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -22,18 +23,9 @@ from .ode import IntegrationError, Trajectory, circle_flat, explicit_solution
 from .surface import CurveState, curvature_report, immersion, unit_normal  # noqa: F401
 
 CSV_HEADER = "s,x,y,theta,theta_prime,H,K"
-_OBJ_CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class CurveRecord:
-    s: float
-    x: float
-    y: float
-    theta: float
-    theta_prime: float
-    H: float
-    K: float
+# One CSV row as `read_curve_csv` returns it: a field per column.
+CurveRecord = namedtuple("CurveRecord", CSV_HEADER)
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,22 +73,28 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         raise
 
 
-def trajectory_records(traj: Trajectory) -> list[CurveRecord]:
-    """One record per accepted step, with curvatures evaluated per sample."""
-    records = []
-    for state, theta_prime in traj.samples:
-        rep = curvature_report(state, theta_prime)
-        records.append(CurveRecord(state.s, state.x, state.y, state.theta,
-                                   theta_prime, rep.H, rep.K))
-    return records
+def trajectory_records(traj: Trajectory) -> np.ndarray:
+    """The (n, 7) CSV table: one row per accepted step, curvatures in one
+    array evaluation of the kernel (the bits of a per-sample evaluation)."""
+    rep = curvature_report(CurveState(traj.s, traj.x, traj.y, traj.theta),
+                           traj.theta_prime)
+    return np.column_stack([traj.s, traj.x, traj.y, traj.theta, traj.theta_prime,
+                            rep.H, rep.K])
 
 
-def format_curve_csv(records: list[CurveRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(repr(v) for v in
-                              (r.s, r.x, r.y, r.theta, r.theta_prime, r.H, r.K)))
-    return "\n".join(lines) + "\n"
+def _chunks(line: str, rows: np.ndarray, shift: int = 0) -> Iterator[str]:
+    """`line` %-formatted with each row plus `shift`, _CHUNK_ROWS rows to a chunk."""
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        block = rows[i:i + _CHUNK_ROWS]
+        if shift:  # per block, so rows is never copied whole (+ 0 would turn -0.0 to 0.0)
+            block = block + shift
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def format_curve_csv(rows: np.ndarray | list[CurveRecord]) -> str:
+    """CSV text of an (n, 7) table, or of a list of `CurveRecord`s."""
+    table = np.asarray(rows, dtype=float).reshape(-1, 7)
+    return "".join([CSV_HEADER + "\n", *_chunks("%r,%r,%r,%r,%r,%r,%r\n", table)])
 
 
 def write_curve_csv(path: str, traj: Trajectory) -> None:
@@ -104,14 +102,13 @@ def write_curve_csv(path: str, traj: Trajectory) -> None:
 
     A non-finite value in any column raises IntegrationError and writes nothing.
     """
-    records = trajectory_records(traj)
-    finite = np.isfinite([traj.s, traj.x, traj.y, traj.theta, traj.theta_prime,
-                          [r.H for r in records], [r.K for r in records]]).all(axis=0)
+    table = trajectory_records(traj)
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise IntegrationError(f"curve sample at s = {records[i].s!r} is not finite",
-                               records[i - 1].s if i else math.nan)
-    atomic_write_text(path, format_curve_csv(records))
+        raise IntegrationError(f"curve sample at s = {float(table[i, 0])!r} is not finite",
+                               float(table[i - 1, 0]) if i else math.nan)
+    atomic_write_text(path, format_curve_csv(table))
 
 
 def read_curve_csv(path: str) -> list[CurveRecord]:
@@ -192,15 +189,11 @@ def format_obj(vertices: np.ndarray, faces: np.ndarray) -> Iterator[str]:
     """OBJ text of the mesh as chunks of whole lines, to be joined or streamed.
 
     Vertices print as `repr` of each float and faces as 1-based indices.  The
-    text is produced lazily, _OBJ_CHUNK_ROWS rows at a time, so a large mesh
+    text is produced lazily, _CHUNK_ROWS rows at a time, so a large mesh
     is never held in memory as one string.
     """
-    for i in range(0, len(vertices), _OBJ_CHUNK_ROWS):
-        rows = vertices[i:i + _OBJ_CHUNK_ROWS]
-        yield ("v %r %r %r\n" * len(rows)) % tuple(rows.ravel().tolist())
-    for i in range(0, len(faces), _OBJ_CHUNK_ROWS):
-        rows = faces[i:i + _OBJ_CHUNK_ROWS] + 1
-        yield ("f %d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist())
+    yield from _chunks("v %r %r %r\n", vertices)
+    yield from _chunks("f %d %d %d\n", faces, shift=1)
 
 
 def write_mesh_obj(path: str, vertices: np.ndarray, faces: np.ndarray) -> None:

@@ -323,8 +323,8 @@ def explicit_solution(kind: str, x0: float, y0: float, s: float) -> CurveState:
 
 def circle_flat(r: float, s: float) -> tuple[CurveState, float]:
     """The flat-surface circle x = r sin(s/r), y = -r cos(s/r), theta = s/r."""
-    if not r > 0.0:
-        raise ValueError("circle radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError("circle radius must be positive and finite")
     u = s / r
     return CurveState(s, r * math.sin(u), -r * math.cos(u), u), 1.0 / r
 

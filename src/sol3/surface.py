@@ -7,14 +7,22 @@ A curve s -> (x(s), y(s), 0) in the plane z = 0 with direction angle theta
 
 under vertical left translations.  All first/second fundamental form
 quantities of psi depend only on the curve state (x, y, theta) and on
-theta'; none depend on t.  Shared shorthand used throughout:
+theta'; none depend on t.  One kernel, `_terms`, spells out once each
+shared subexpression and, from them, H, K_ext, K_sec and K = K_ext + K_sec,
+on floats or along equal-shape arrays (a whole trajectory in one call):
 
     A = x sin(theta) + y cos(theta),      W = 1 + A^2  (metric determinant)
+    F = -x cos(theta) + y sin(theta),     G = 1 + x^2 + y^2
+    radial = x cos(theta) + y sin(theta), D = y^2 - x^2
+    lateral = -x sin(theta) + y cos(theta) + A D
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .core import FrameVector, SolPoint
 
@@ -57,6 +65,41 @@ class CurvatureReport:
     K_sec: float
 
 
+_Terms = namedtuple("_Terms", "sin cos A W root_W F G cos2t radial D lateral H K_ext K_sec K")
+
+
+def _terms(state: CurveState, theta_prime: float = 0.0) -> _Terms:
+    """Every shared subexpression and curvature at one state, or along arrays.
+
+    Float fields are evaluated with `math`; array fields elementwise with
+    numpy, whose sin, cos and sqrt round as `math`'s do, so each array entry
+    has the bits of the float evaluation.  Like float arithmetic, the array
+    route overflows to inf or nan silently.
+    """
+    if isinstance(state.theta, np.ndarray):
+        with np.errstate(all="ignore"):
+            return _spell(np, state.x, state.y, state.theta, theta_prime)
+    return _spell(math, state.x, state.y, state.theta, theta_prime)
+
+
+def _spell(lib, x, y, theta, theta_prime) -> _Terms:
+    sin_t, cos_t = lib.sin(theta), lib.cos(theta)
+    A = x * sin_t + y * cos_t
+    W = 1.0 + A * A
+    root_W = lib.sqrt(W)
+    F = -x * cos_t + y * sin_t
+    G = 1.0 + x * x + y * y
+    cos2t = cos_t * cos_t - sin_t * sin_t
+    radial = x * cos_t + y * sin_t
+    D = y * y - x * x
+    lateral = -x * sin_t + y * cos_t + A * D
+    H = (2.0 * sin_t * cos_t * F - G * theta_prime) / (2.0 * W * root_W)
+    K_ext = -(A * A * radial * radial + (theta_prime + A * cos2t) * lateral) / (W * W)
+    K_sec = (A * A - 1.0) / W
+    return _Terms(sin_t, cos_t, A, W, root_W, F, G, cos2t, radial, D, lateral,
+                  H, K_ext, K_sec, K_ext + K_sec)
+
+
 def immersion(state: CurveState, t: float) -> SolPoint:
     """Surface point psi(s, t) = (e^{-t} x, e^{t} y, t)."""
     return SolPoint(math.exp(-t) * state.x, math.exp(t) * state.y, t)
@@ -65,44 +108,31 @@ def immersion(state: CurveState, t: float) -> SolPoint:
 def surface_tangents(state: CurveState) -> tuple[FrameVector, FrameVector]:
     """The patch tangents psi_s = cos(theta) E1 + sin(theta) E2 and
     psi_t = -x E1 + y E2 + E3, in frame components."""
-    return (
-        FrameVector(math.cos(state.theta), math.sin(state.theta), 0.0),
-        FrameVector(-state.x, state.y, 1.0),
-    )
+    k = _terms(state)
+    return FrameVector(k.cos, k.sin, 0.0), FrameVector(-state.x, state.y, 1.0)
 
 
 def first_form(state: CurveState) -> FundamentalForms:
-    """First fundamental form: E = 1, F = -x cos + y sin, G = 1 + x^2 + y^2."""
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    A = state.x * sin_t + state.y * cos_t
-    return FundamentalForms(
-        E=1.0,
-        F=-state.x * cos_t + state.y * sin_t,
-        G=1.0 + state.x * state.x + state.y * state.y,
-        A=A,
-        W=1.0 + A * A,
-    )
+    """First fundamental form: E = 1, F, G and the shorthand A, W."""
+    k = _terms(state)
+    return FundamentalForms(E=1.0, F=k.F, G=k.G, A=k.A, W=k.W)
 
 
 def unit_normal(state: CurveState) -> FrameVector:
     """Unit normal (sin E1 - cos E2 + A E3)/sqrt(W); the sign is never flipped."""
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    A = state.x * sin_t + state.y * cos_t
-    rw = 1.0 / math.sqrt(1.0 + A * A)
-    return FrameVector(sin_t * rw, -cos_t * rw, A * rw)
+    k = _terms(state)
+    rw = 1.0 / k.root_W
+    return FrameVector(k.sin * rw, -k.cos * rw, k.A * rw)
 
 
 def covariant_derivatives(
     state: CurveState, theta_prime: float
 ) -> tuple[FrameVector, FrameVector, FrameVector]:
     """Ambient covariant derivatives (D_s psi_s, D_s psi_t, D_t psi_t) in the frame."""
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    x, y = state.x, state.y
-    d_ss = FrameVector(-theta_prime * sin_t, theta_prime * cos_t,
-                       -(cos_t * cos_t - sin_t * sin_t))
-    d_st = FrameVector(0.0, 0.0, x * cos_t + y * sin_t)
-    d_tt = FrameVector(-x, -y, y * y - x * x)
-    return d_ss, d_st, d_tt
+    k = _terms(state)
+    return (FrameVector(-theta_prime * k.sin, theta_prime * k.cos, -k.cos2t),
+            FrameVector(0.0, 0.0, k.radial),
+            FrameVector(-state.x, -state.y, k.D))
 
 
 def second_form(state: CurveState, theta_prime: float) -> tuple[float, float, float]:
@@ -114,79 +144,44 @@ def second_form(state: CurveState, theta_prime: float) -> tuple[float, float, fl
 
 def fundamental_forms(state: CurveState, theta_prime: float) -> FundamentalForms:
     """All eight coefficients (E, F, G, A, W, e, f, g) at one state."""
-    first = first_form(state)
     e, f, g = second_form(state, theta_prime)
-    return FundamentalForms(first.E, first.F, first.G, first.A, first.W, e, f, g)
+    return replace(first_form(state), e=e, f=f, g=g)
 
 
 def mean_curvature(state: CurveState, theta_prime: float) -> float:
-    """H = [sin(2 theta)(-x cos + y sin) - (1 + x^2 + y^2) theta'] / (2 W^{3/2})."""
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    x, y = state.x, state.y
-    A = x * sin_t + y * cos_t
-    W = 1.0 + A * A
-    num = 2.0 * sin_t * cos_t * (-x * cos_t + y * sin_t) - (1.0 + x * x + y * y) * theta_prime
-    return num / (2.0 * W * math.sqrt(W))
+    """H = [sin(2 theta) F - G theta'] / (2 W^{3/2})."""
+    return _terms(state, theta_prime).H
 
 
 def sectional_curvature(state: CurveState) -> float:
     """Ambient sectional curvature of the tangent plane: (A^2 - 1)/(1 + A^2)."""
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    A = state.x * sin_t + state.y * cos_t
-    return (A * A - 1.0) / (1.0 + A * A)
-
-
-def _curvature_pieces(state: CurveState, theta_prime: float) -> tuple[float, float, float]:
-    """Shared subexpressions: (K_ext, K_sec, W) computed in one pass."""
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    x, y = state.x, state.y
-    A = x * sin_t + y * cos_t
-    W = 1.0 + A * A
-    cos2t = cos_t * cos_t - sin_t * sin_t
-    radial = x * cos_t + y * sin_t
-    lateral = -x * sin_t + y * cos_t + A * (y * y - x * x)
-    k_ext = -(A * A * radial * radial + (theta_prime + A * cos2t) * lateral) / (W * W)
-    k_sec = (A * A - 1.0) / W
-    return k_ext, k_sec, W
+    return _terms(state).K_sec
 
 
 def extrinsic_curvature(state: CurveState, theta_prime: float) -> float:
-    """Extrinsic curvature det(II)/det(I) in closed form."""
-    k_ext, _, _ = _curvature_pieces(state, theta_prime)
-    return k_ext
+    """Extrinsic curvature det(II)/det(I) in closed form:
+
+    K_ext = -[A^2 radial^2 + (theta' + A cos 2theta) lateral] / W^2
+    """
+    return _terms(state, theta_prime).K_ext
 
 
 def gauss_curvature(state: CurveState, theta_prime: float) -> float:
-    """Gauss curvature of the swept surface in closed form.
-
-    K = [-(theta' + A cos 2theta)(-x sin + y cos + A(y^2 - x^2))
-         - 1 - cos(2 theta)(x^2 - y^2) A^2] / W^2
-    """
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    x, y = state.x, state.y
-    A = x * sin_t + y * cos_t
-    W = 1.0 + A * A
-    cos2t = cos_t * cos_t - sin_t * sin_t
-    lateral = -x * sin_t + y * cos_t + A * (y * y - x * x)
-    num = -(theta_prime + A * cos2t) * lateral - 1.0 - cos2t * (x * x - y * y) * A * A
-    return num / (W * W)
+    """Gauss curvature by the Gauss equation: K = K_ext + K_sec."""
+    return _terms(state, theta_prime).K
 
 
 def flat_residual(state: CurveState, theta_prime: float) -> float:
-    """Left-hand side of the zero-Gauss-curvature equation; 0 iff K = 0."""
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    x, y = state.x, state.y
-    A = x * sin_t + y * cos_t
-    cos2t = cos_t * cos_t - sin_t * sin_t
-    lateral = -x * sin_t + y * cos_t + A * (y * y - x * x)
-    return (theta_prime + A * cos2t) * lateral + 1.0 + cos2t * (x * x - y * y) * A * A
+    """Left-hand side of the zero-Gauss-curvature equation; 0 iff K = 0.
+
+    The closed numerator (theta' + A cos 2theta) lateral + 1 - cos(2 theta) D A^2
+    equals -K W^2 but is not formed from K, so it checks the kernel's K.
+    """
+    k = _terms(state, theta_prime)
+    return (theta_prime + k.A * k.cos2t) * k.lateral + 1.0 - k.cos2t * k.D * k.A * k.A
 
 
 def curvature_report(state: CurveState, theta_prime: float) -> CurvatureReport:
-    """H, K, K_ext, K_sec in a single pass over the shared subexpressions."""
-    k_ext, k_sec, W = _curvature_pieces(state, theta_prime)
-    sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
-    x, y = state.x, state.y
-    num = 2.0 * sin_t * cos_t * (-x * cos_t + y * sin_t) - (1.0 + x * x + y * y) * theta_prime
-    H = num / (2.0 * W * math.sqrt(W))
-    return CurvatureReport(H=H, K=k_ext + k_sec, K_ext=k_ext, K_sec=k_sec)
+    """H, K, K_ext, K_sec from one kernel evaluation, at one state or along arrays."""
+    k = _terms(state, theta_prime)
+    return CurvatureReport(H=k.H, K=k.K, K_ext=k.K_ext, K_sec=k.K_sec)

@@ -11,6 +11,7 @@ from sol3 import (
     InitialCondition,
     OdeSettings,
     circle_flat,
+    curvature_report,
     gauss_curvature,
     immersion,
     integrate,
@@ -72,16 +73,28 @@ def test_csv_byte_determinism(tmp_path):
 
 def test_csv_curvature_columns_minimal_line(tmp_path):
     traj = integrate(InitialCondition(0, 0, 0.0), OdeSettings(max_s=3.0))
-    records = trajectory_records(traj)
-    for r in records:
-        assert r.y == 0.0 and r.theta == 0.0 and r.theta_prime == 0.0
-        assert r.H == 0.0 and r.K == -1.0
+    _, _, y, theta, theta_prime, H, K = trajectory_records(traj).T
+    assert (y == 0.0).all() and (theta == 0.0).all() and (theta_prime == 0.0).all()
+    assert (H == 0.0).all() and (K == -1.0).all()
 
 
 def test_csv_curvature_columns_cmc(tmp_path):
     traj = integrate(InitialCondition(0, 0.6425, 0.0), OdeSettings(max_s=3.0), H=1.0)
-    for r in trajectory_records(traj):
-        assert abs(r.H - 1.0) < 1e-8
+    H = trajectory_records(traj)[:, 5]
+    assert (np.abs(H - 1.0) < 1e-8).all()
+
+
+@pytest.mark.parametrize("ic, H", [((0.0, 0.0, PI8), None), ((0.0, 0.6425, 0.0), 1.0),
+                                   ((0.0, 0.0, -math.pi / 4), None), ((-0.0, 0.0, 0.0), None)])
+def test_csv_table_matches_per_sample_reference(ic, H):
+    # The per-row loop the CSV writer used before it read whole columns.
+    traj = integrate(InitialCondition(*ic), OdeSettings(max_s=2.0), H=H)
+    lines = [CSV_HEADER]
+    for state, tp in traj.samples:
+        rep = curvature_report(state, tp)
+        lines.append(",".join(map(repr, (state.s, state.x, state.y, state.theta, tp,
+                                         rep.H, rep.K))))
+    assert format_curve_csv(trajectory_records(traj)) == "\n".join(lines) + "\n"
 
 
 def test_mesh_grid_validation():
@@ -368,6 +381,12 @@ def test_cli_mesh_degenerate_grid():
     ["mesh", "--kind", "circle", "--rel-tol", "1e-6", "--grid=-1:1:-1:1:3:3"],
     ["mesh", "--kind", "I", "--max-step", "0.1", "--grid=-1:1:-1:1:3:3"],
     ["mesh", "--kind", "circle", "--theta0", "0", "--grid=-1:1:-1:1:3:3"],  # even a default
+    ["mesh", "--kind", "circle", "--x0", "5", "--y0", "2", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "circle", "--y0", "0", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "III", "--r", "5", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "I", "--r", "1", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--theta0", "0.3", "--r", "7", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--r", "1", "--grid=-1:1:-1:1:3:3"],
 ])
 def test_cli_refuses_ignored_flags(tmp_path, argv):
     out = tmp_path / "out"
@@ -394,6 +413,14 @@ def test_cli_mesh_kind_non_finite_start_is_usage_error(tmp_path):
     out = tmp_path / "m.obj"
     assert main(["mesh", "--kind", "III", "--x0", "inf", "--y0", "inf",
                  "--grid=-1:1:-1:1:3:3", "--out", str(out)]) == 64
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("r", ["inf", "nan", "0", "-1"])
+def test_cli_mesh_circle_radius_must_be_finite_and_positive(tmp_path, r):
+    out = tmp_path / "m.obj"
+    assert main(["mesh", "--kind", "circle", "--r", r, "--grid=-1:1:-1:1:3:3",
+                 "--out", str(out)]) == 64
     assert os.listdir(tmp_path) == []
 
 

@@ -177,13 +177,15 @@ def test_gauss_examples():
 
 
 def test_gauss_splits_into_extrinsic_plus_sectional():
+    # The Gauss equation, with K_ext assembled from the fundamental forms.
     rng = np.random.default_rng(5)
     for _ in range(300):
         state = rand_state(rng)
         tp = rng.uniform(-2, 2)
-        total = gauss_curvature(state, tp)
-        split = extrinsic_curvature(state, tp) + sectional_curvature(state)
-        assert total == pytest.approx(split, rel=1e-12, abs=1e-12)
+        ff = fundamental_forms(state, tp)
+        k_ext = (ff.e * ff.g - ff.f ** 2) / (ff.E * ff.G - ff.F ** 2)
+        split = k_ext + sectional_curvature(state)
+        assert gauss_curvature(state, tp) == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 
 def test_curvature_report_consistency():
@@ -195,6 +197,26 @@ def test_curvature_report_consistency():
         assert rep.K == rep.K_ext + rep.K_sec
         assert rep.H == pytest.approx(mean_curvature(state, tp), rel=1e-14, abs=1e-14)
         assert rep.K == pytest.approx(gauss_curvature(state, tp), rel=1e-12, abs=1e-12)
+
+
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@given(st.lists(st.tuples(signed, signed, signed, signed), min_size=1, max_size=12))
+@settings(derandomize=True, max_examples=300)
+def test_array_kernel_matches_scalar_bit_for_bit(rows):
+    # The CSV writer evaluates whole trajectories at once; its columns must
+    # carry the bits, signs of zero included, of a per-sample evaluation.
+    x, y, theta, tp = (np.array(column) for column in zip(*rows))
+    state = CurveState(np.zeros_like(x), x, y, theta)
+    table, F = curvature_report(state, tp), first_form(state).F
+    for i, (xi, yi, ti, tpi) in enumerate(rows):
+        one = CurveState(0.0, xi, yi, ti)
+        rep = curvature_report(one, tpi)
+        pairs = [(table.H[i], rep.H), (table.K[i], rep.K), (table.K_ext[i], rep.K_ext),
+                 (table.K_sec[i], rep.K_sec), (F[i], first_form(one).F)]
+        for a, b in pairs:
+            assert a == b and np.signbit(a) == np.signbit(b)
 
 
 def test_flat_residual_circle_family():
