@@ -72,9 +72,9 @@ def _terms(state: CurveState, theta_prime: float = 0.0) -> _Terms:
     """Every shared subexpression and curvature at one state, or along arrays.
 
     Float fields are evaluated with `math`; array fields elementwise with
-    numpy, whose sin, cos and sqrt round as `math`'s do, so each array entry
-    has the bits of the float evaluation.  Like float arithmetic, the array
-    route overflows to inf or nan silently.
+    numpy, whose sin, cos and sqrt match `math` bit for bit where measured
+    (a hypothesis test in tests/test_surface.py guards it).  Like float
+    arithmetic, the array route overflows to inf or nan silently.
     """
     if isinstance(state.theta, np.ndarray):
         with np.errstate(all="ignore"):
