@@ -70,6 +70,14 @@ class StepBudgetExceeded(RuntimeError):
         self.last_s = last_s
 
 
+class NonFiniteState(RuntimeError):
+    """A stage state overflowed, so the right-hand side raised ValueError."""
+
+    def __init__(self, last_s: float):
+        super().__init__("a stage state is not finite")
+        self.last_s = last_s
+
+
 class DenseSegment:
     """One accepted step's interpolant: y(t0 + u*h) = y0 + h * (K.T @ P) @ [u, u^2, u^3, u^4]."""
 
@@ -102,8 +110,9 @@ def solve_fixed_horizon(
     `stop_event` is given, integration halts at the first accepted step whose
     endpoint changes the sign of the event function (the step itself is kept,
     so the sign change is bracketed by the last two samples).  Raises
-    StepSizeUnderflow when the step collapses and StepBudgetExceeded after
-    MAX_STEPS attempted steps.
+    StepSizeUnderflow when the step collapses, StepBudgetExceeded after
+    MAX_STEPS attempted steps and NonFiniteState when f raises ValueError
+    (math.sin of an infinite angle, for one).
     """
     y = [float(v) for v in y0]
     K = np.empty((7, len(y)))
@@ -119,45 +128,49 @@ def solve_fixed_horizon(
     p_prev = stop_event(0.0, y) if stop_event is not None else None
     budget = MAX_STEPS
 
-    while t < span:
-        if budget == 0:
-            raise StepBudgetExceeded(sign * t, MAX_STEPS)
-        budget -= 1
-        h = min(h, max_step, span - t)
-        if h < 1e-14 * max(1.0, t):
-            raise StepSizeUnderflow(sign * t)
-        hs = sign * h
+    # A try around the loop costs nothing per step while no exception is raised.
+    try:
+        while t < span:
+            if budget == 0:
+                raise StepBudgetExceeded(sign * t, MAX_STEPS)
+            budget -= 1
+            h = min(h, max_step, span - t)
+            if h < 1e-14 * max(1.0, t):
+                raise StepSizeUnderflow(sign * t)
+            hs = sign * h
 
-        for i, (a, Ki) in enumerate(stages, 1):
-            K[i] = f(*[yj + hs * dj for yj, dj in zip(y, a.dot(Ki).tolist())])
-        y_new = [yj + hs * dj for yj, dj in zip(y, _B.dot(K6).tolist())]
-        K[6] = f(*y_new)
+            for i, (a, Ki) in enumerate(stages, 1):
+                K[i] = f(*[yj + hs * dj for yj, dj in zip(y, a.dot(Ki).tolist())])
+            y_new = [yj + hs * dj for yj, dj in zip(y, _B.dot(K6).tolist())]
+            K[6] = f(*y_new)
 
-        # Summed in np.mean's order; r * r overflows to inf where r ** 2 raises.
-        sq = 0.0
-        for yj, zj, ej in zip(y, y_new, _E.dot(K).tolist()):
-            r = hs * ej / (abs_tol + rel_tol * max(abs(yj), abs(zj)))
-            sq += r * r
-        err_norm = math.sqrt(sq / len(y))
+            # Summed in np.mean's order; r * r overflows to inf where r ** 2 raises.
+            sq = 0.0
+            for yj, zj, ej in zip(y, y_new, _E.dot(K).tolist()):
+                r = hs * ej / (abs_tol + rel_tol * max(abs(yj), abs(zj)))
+                sq += r * r
+            err_norm = math.sqrt(sq / len(y))
 
-        if err_norm <= 1.0:
-            segments.append(DenseSegment(sign * t, hs, y, K.copy()))
-            t += h
-            ss.append(sign * t)
-            ys.append(y_new)
-            factor = (_MAX_FACTOR if err_norm == 0.0
-                      else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
-            err_prev = max(err_norm, 1e-4)
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            y = y_new
-            K[0] = K[6]
-            if stop_event is not None:
-                p_new = stop_event(sign * t, y)
-                if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):
-                    event_seen = True
-                    break
-                p_prev = p_new
-        else:
-            h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-_EXP1)))
+            if err_norm <= 1.0:
+                segments.append(DenseSegment(sign * t, hs, y, K.copy()))
+                t += h
+                ss.append(sign * t)
+                ys.append(y_new)
+                factor = (_MAX_FACTOR if err_norm == 0.0
+                          else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
+                err_prev = max(err_norm, 1e-4)
+                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                y = y_new
+                K[0] = K[6]
+                if stop_event is not None:
+                    p_new = stop_event(sign * t, y)
+                    if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):
+                        event_seen = True
+                        break
+                    p_prev = p_new
+            else:
+                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-_EXP1)))
+    except ValueError as exc:
+        raise NonFiniteState(sign * t) from exc
 
     return np.array(ss), np.array(ys), segments, event_seen

@@ -178,6 +178,14 @@ def inflection_points(traj: Trajectory) -> list[float]:
     return roots
 
 
+def check_tail_settings(tail_fraction: float, settle_threshold: float) -> None:
+    """ValueError unless 0 < tail_fraction <= 1 and 0 < settle_threshold < 1."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError(f"tail fraction must lie in (0, 1], got {tail_fraction!r}")
+    if not 0.0 < settle_threshold < 1.0:
+        raise ValueError(f"settle threshold must lie in (0, 1), got {settle_threshold!r}")
+
+
 def _tail_slice(traj: Trajectory, end: str, tail_fraction: float) -> slice:
     n = max(2, int(math.ceil(tail_fraction * len(traj))))
     return slice(0, n) if end == "backward" else slice(len(traj) - n, len(traj))
@@ -209,6 +217,7 @@ def asymptote_estimate(
     are tail means and carry the tail standard deviation as uncertainty.
     """
     _require_minimal(traj)
+    check_tail_settings(tail_fraction, settle_threshold)
     if traj.explicit_kind is not None:
         ic, kind = traj.ic, traj.explicit_kind
         if kind == "I":
@@ -236,6 +245,7 @@ def classify_minimal(
     (typically a too-short horizon) is undetermined.
     """
     _require_minimal(traj)
+    check_tail_settings(tail_fraction, settle_threshold)
     if traj.explicit_kind is not None:
         kind = CurveClass(f"line-{traj.explicit_kind}")
         asym: list[Line] = []
@@ -327,32 +337,28 @@ def first_return(traj: Trajectory) -> Optional[tuple[float, CurveState]]:
 
 
 def _shoot_once(H: float, y0: float, settings: OdeSettings,
-                horizon: float) -> Optional[tuple[float, CurveState, Trajectory]]:
+                horizon: float) -> Optional[tuple[float, CurveState]]:
     target = -math.copysign(2.0 * math.pi, H)
-    traj = integrate_forward(
+    return first_return(integrate_forward(
         InitialCondition(0.0, y0, 0.0), settings, H=H,
-        stop_event=lambda s, yv: yv[2] - target, horizon=horizon)
-    hit = first_return(traj)
-    if hit is None:
-        return None
-    s1, state = hit
-    return s1, state, traj
+        stop_event=lambda s, yv: yv[2] - target, horizon=horizon))
 
 
-class ScannedBracket(tuple):
-    """`(lo, hi)` from `scan_bracket`, carrying the first returns at both ends.
-
-    `hits` holds the `(s1, state)` first return from lo and from hi, valid
-    only for the `(H, settings, horizon)` in `computed_for`.
-    `closed_curve_search` reuses them when its own arguments match and
-    integrates both ends again otherwise.
-    """
-
-    def __new__(cls, bounds: tuple[float, float], hits: Optional[tuple] = None,
-                computed_for: Optional[tuple] = None):
-        bracket = super().__new__(cls, bounds)
-        bracket.hits, bracket.computed_for = hits, computed_for
-        return bracket
+def _scan(H: float, settings: OdeSettings, horizon: float, y_lo: float = 1.0 / 16.0,
+          y_hi: float = 4.0) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
+    """`(lo, hit_lo), (hi, hit_hi)`: the first adjacent pair of a geometric y0
+    grid whose first returns `hit = (s1, state)` differ in the sign of x."""
+    grid = [y_lo]
+    while grid[-1] < y_hi:
+        grid.append(min(grid[-1] * 2.0, y_hi))
+    prev: Optional[tuple[float, tuple]] = None
+    for y0 in grid:
+        hit = _shoot_once(H, y0, settings, horizon)
+        if hit is not None and prev is not None and prev[1][1].x * hit[1].x < 0.0:
+            return prev, (y0, hit)
+        prev = None if hit is None else (y0, hit)
+    raise BracketError(
+        f"no sign change of x(s1; y0) on the scan grid [{y_lo}, {y_hi}] for H = {H}")
 
 
 def scan_bracket(
@@ -361,35 +367,20 @@ def scan_bracket(
     y_lo: float = 1.0 / 16.0,
     y_hi: float = 4.0,
     horizon: float = 40.0,
-) -> ScannedBracket:
-    """Scan a geometric y0 grid for a sign change of x(s1; y0).
+) -> tuple[float, float]:
+    """Scan a geometric y0 grid for a sign change of x(s1; y0), as `(lo, hi)`.
 
-    The result unpacks as `(lo, hi)` and carries both ends' first returns,
-    so `closed_curve_search` need not integrate them again.  Raises
-    BracketError when no sign change shows up; closure of the generating
-    curve away from the exhibited cases is conjectural, so a failed scan is
-    reported data, not a crash.
+    Raises BracketError when no sign change shows up; closure of the
+    generating curve away from the exhibited cases is conjectural, so a
+    failed scan is reported data, not a crash.
     """
-    settings = settings or OdeSettings()
-    grid = [y_lo]
-    while grid[-1] < y_hi:
-        grid.append(min(grid[-1] * 2.0, y_hi))
-    prev: Optional[tuple[float, tuple[float, CurveState]]] = None
-    for y0 in grid:
-        hit = _shoot_once(H, y0, settings, horizon)
-        if hit is None:
-            prev = None
-            continue
-        if prev is not None and prev[1][1].x * hit[1].x < 0.0:
-            return ScannedBracket((prev[0], y0), (prev[1], hit[:2]), (H, settings, horizon))
-        prev = (y0, hit[:2])
-    raise BracketError(
-        f"no sign change of x(s1; y0) on the scan grid [{y_lo}, {y_hi}] for H = {H}")
+    (lo, _), (hi, _) = _scan(H, settings or OdeSettings(), horizon, y_lo, y_hi)
+    return lo, hi
 
 
 def closed_curve_search(
     H: float,
-    bracket: tuple[float, float],
+    bracket: Optional[tuple[float, float]] = None,
     settings: Optional[OdeSettings] = None,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     closure_tol: float = DEFAULT_CLOSURE_TOL,
@@ -402,9 +393,9 @@ def closed_curve_search(
     by bisection with secant acceleration; the second residual y(s1) - y0 is
     then an independent closure certificate, never part of the control.  A
     certificate failure raises ClosureError: simultaneous closure is
-    observed, not guaranteed, and must be reported rather than assumed.  A
-    `ScannedBracket` computed for the same H, settings and horizon supplies
-    the residuals at both ends without integrating them again.
+    observed, not guaranteed, and must be reported rather than assumed.
+    Without a bracket, the `scan_bracket` grid is scanned first and its two
+    end integrations serve as the bracket's residuals.
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")
@@ -415,15 +406,15 @@ def closed_curve_search(
         if hit is None:
             raise BracketError(
                 f"no angular return within horizon {horizon} from y0 = {y0!r}")
-        s1, state = hit[:2]
+        s1, state = hit
         return state.x, state.y - y0, s1
 
-    lo, hi = bracket
-    hits = (None, None)
-    if getattr(bracket, "computed_for", None) == (H, settings, horizon):
-        hits = bracket.hits
-    rx_lo, ry_lo, s1_lo = residual(lo, hits[0])
-    rx_hi, ry_hi, s1_hi = residual(hi, hits[1])
+    if bracket is None:
+        (lo, hit_lo), (hi, hit_hi) = _scan(H, settings, horizon)
+    else:
+        (lo, hi), hit_lo, hit_hi = bracket, None, None
+    rx_lo, ry_lo, s1_lo = residual(lo, hit_lo)
+    rx_hi, ry_hi, s1_hi = residual(hi, hit_hi)
     if rx_lo == 0.0:
         y0, rx, ry, s1, iterations = lo, rx_lo, ry_lo, s1_lo, 0
     elif rx_hi == 0.0:

@@ -157,21 +157,14 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     if args.out is None:
         print("integrate: --out PATH is required", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        io.write_curve_csv(args.out, integrate(ic, settings, H=args.H, snap=not args.no_snap))
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+    io.write_curve_csv(args.out, integrate(ic, settings, H=args.H, snap=not args.no_snap))
     return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    try:
-        traj = integrate(InitialCondition(args.x0, args.y0, args.theta0), settings, H=None)
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+    analysis.check_tail_settings(args.tail_fraction, args.settle_threshold)
+    traj = integrate(InitialCondition(args.x0, args.y0, args.theta0), settings, H=None)
     result = analysis.classify_minimal(traj, args.tail_fraction, args.settle_threshold)
     _emit(_classification_dict(result), args.out)
     return EXIT_OK
@@ -191,15 +184,9 @@ def _classification_dict(result: analysis.Classification) -> dict:
 
 def cmd_shoot(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    if args.H == 0.0:
-        print("shoot: --H must be nonzero", file=sys.stderr)
-        return EXIT_USAGE
     horizon = max(settings.max_s, 40.0)
     try:
-        bracket = args.bracket
-        if bracket is None:
-            bracket = analysis.scan_bracket(args.H, settings, horizon=horizon)
-        result = analysis.closed_curve_search(args.H, bracket, settings, horizon=horizon)
+        result = analysis.closed_curve_search(args.H, args.bracket, settings, horizon=horizon)
     except analysis.BracketError as exc:
         _emit({"error": "bracket", "message": str(exc),
                "residual_lo": exc.residual_lo, "residual_hi": exc.residual_hi},
@@ -209,9 +196,6 @@ def cmd_shoot(args: argparse.Namespace) -> int:
         _emit({"error": "closure", "message": str(exc), "y0_star": exc.y0_star,
                "s1": exc.s1, "residual_y": exc.residual_y}, args.out)
         return EXIT_CLOSURE
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
     _emit({
         "H": args.H,
         "y0_star": result.y0_star,
@@ -247,12 +231,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
         ic = InitialCondition(args.x0, args.y0, args.theta0)
         span = max(abs(grid.s_min), abs(grid.s_max))
         settings = dataclasses.replace(settings, max_s=max(span, 1e-6))
-        try:
-            traj = integrate(ic, settings, H=args.H)
-        except IntegrationError as exc:
-            print(f"integration failed: {exc}", file=sys.stderr)
-            return EXIT_INTEGRATION
-        curve = traj.state_at
+        curve = integrate(ic, settings, H=args.H).state_at
     vertices, faces = io.surface_mesh(curve, grid)
     io.write_mesh_obj(args.out, vertices, faces)
     return EXIT_OK
@@ -280,6 +259,7 @@ def _sweep_task(task: tuple) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _settings(args)
+    analysis.check_tail_settings(args.tail_fraction, args.settle_threshold)
     start, stop, count = args.theta0_range
     if count < 1:
         print("sweep: COUNT must be >= 1", file=sys.stderr)
@@ -319,6 +299,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATION
     except ValueError as exc:
         print(f"sol3 {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

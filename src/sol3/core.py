@@ -183,27 +183,18 @@ def isometry_push(iso: IsometryDescriptor, v: TangentVector) -> TangentVector:
 def isometry_compose(outer: IsometryDescriptor, inner: IsometryDescriptor) -> IsometryDescriptor:
     """Descriptor of the composition outer o inner (apply inner first).
 
-    Both families are closed under composition; a flip composed with a flip
-    is a translation-type map.
+    An outer translation keeps the inner map's family and an outer flip
+    switches it, so a flip composed with a flip is a translation-type map.
     """
     em, ep = math.exp(-outer.c), math.exp(outer.c)
     T, F = IsometryFamily.TRANSLATION, IsometryFamily.FLIP
-    if outer.family is T and inner.family is T:
-        return IsometryDescriptor(T, outer.sx * inner.sx, outer.sy * inner.sy,
+    if outer.family is T:
+        return IsometryDescriptor(inner.family, outer.sx * inner.sx, outer.sy * inner.sy,
                                   outer.sx * em * inner.a + outer.a,
                                   outer.sy * ep * inner.b + outer.b,
                                   outer.c + inner.c)
-    if outer.family is T and inner.family is F:
-        return IsometryDescriptor(F, outer.sx * inner.sx, outer.sy * inner.sy,
-                                  outer.sx * em * inner.a + outer.a,
-                                  outer.sy * ep * inner.b + outer.b,
-                                  outer.c + inner.c)
-    if outer.family is F and inner.family is T:
-        return IsometryDescriptor(F, outer.sx * inner.sy, outer.sy * inner.sx,
-                                  outer.sx * em * inner.b + outer.a,
-                                  outer.sy * ep * inner.a + outer.b,
-                                  outer.c - inner.c)
-    return IsometryDescriptor(T, outer.sx * inner.sy, outer.sy * inner.sx,
+    return IsometryDescriptor(F if inner.family is T else T,
+                              outer.sx * inner.sy, outer.sy * inner.sx,
                               outer.sx * em * inner.b + outer.a,
                               outer.sy * ep * inner.a + outer.b,
                               outer.c - inner.c)

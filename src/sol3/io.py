@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import secrets
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -26,6 +27,7 @@ CSV_HEADER = "s,x,y,theta,theta_prime,H,K"
 # One CSV row as `read_curve_csv` returns it: a field per column.
 CurveRecord = namedtuple("CurveRecord", CSV_HEADER)
 _CHUNK_ROWS = 4096
+_MAX_EXP_ARG = math.log(sys.float_info.max)  # e^t is finite for t up to this
 
 
 @dataclass(frozen=True)
@@ -42,10 +44,13 @@ class MeshGrid:
     def __post_init__(self):
         if self.n_s < 2 or self.n_t < 2:
             raise ValueError("mesh grid needs at least 2 samples per direction")
-        if not all(map(math.isfinite, (self.s_min, self.s_max, self.t_min, self.t_max))):
-            raise ValueError("mesh grid extents must be finite")
+        if not all(map(math.isfinite, (self.s_min, self.s_max, self.t_min, self.t_max,
+                                       self.s_max - self.s_min))):
+            raise ValueError("mesh grid extents and their span must be finite")
         if not (self.s_max > self.s_min and self.t_max > self.t_min):
             raise ValueError("mesh grid extents must be increasing")
+        if max(-self.t_min, self.t_max) > _MAX_EXP_ARG:
+            raise ValueError(f"mesh grid |t| must not exceed {_MAX_EXP_ARG!r}")
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
@@ -148,19 +153,27 @@ def surface_mesh(
     The vertex columns are the products e^{-t} x and e^{t} y of `immersion`,
     formed by broadcasting; the factors come from `math.exp` (not `np.exp`,
     which may differ in the last bit), so every vertex is bitwise the point
-    `immersion(state, t)` returns.
+    `immersion(state, t)` returns.  A vertex that is not finite raises
+    IntegrationError naming it.
     """
     svals = np.linspace(grid.s_min, grid.s_max, grid.n_s)
     tvals = np.linspace(grid.t_min, grid.t_max, grid.n_t)
     states = [curve(float(s)) for s in svals]
     tlist = tvals.tolist()
     vertices = np.empty((grid.n_s, grid.n_t, 3))
-    vertices[:, :, 0] = (np.array([st.x for st in states])[:, None]
-                         * np.array([math.exp(-t) for t in tlist]))
-    vertices[:, :, 1] = (np.array([st.y for st in states])[:, None]
-                         * np.array([math.exp(t) for t in tlist]))
+    with np.errstate(over="ignore"):
+        vertices[:, :, 0] = (np.array([st.x for st in states])[:, None]
+                             * np.array([math.exp(-t) for t in tlist]))
+        vertices[:, :, 1] = (np.array([st.y for st in states])[:, None]
+                             * np.array([math.exp(t) for t in tlist]))
     vertices[:, :, 2] = tvals
     vertices = vertices.reshape(-1, 3)
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), grid.n_t)
+        raise IntegrationError(
+            f"mesh vertex at s = {float(svals[i])!r}, t = {tlist[j]!r} is not finite",
+            float(svals[i - 1]) if i else math.nan)
 
     # Quad (i, j) has corners a = i*n_t + j, b = a + n_t, c = b + 1, d = a + 1
     # and is split into the triangles (a, b, c) and (a, c, d).
@@ -174,7 +187,7 @@ def surface_mesh(
 
 
 def _center_alignment(states, svals, tvals, vertices, faces, grid) -> float:
-    """Sign of (Euclidean face normal) . (surface normal in coordinates) at center."""
+    """Sign of (Euclidean face normal) . (surface normal in coordinates) at center, or nan."""
     ic, jc = (grid.n_s - 1) // 2, (grid.n_t - 1) // 2
     state, t = states[ic], float(tvals[jc])
     n_frame = unit_normal(state)
@@ -182,7 +195,8 @@ def _center_alignment(states, svals, tvals, vertices, faces, grid) -> float:
     n_coords = np.array([n_frame.a1 * math.exp(-z), n_frame.a2 * math.exp(z), n_frame.a3])
     face = faces[2 * (ic * (grid.n_t - 1) + jc)]
     v0, v1, v2 = vertices[face[0]], vertices[face[1]], vertices[face[2]]
-    return float(np.cross(v1 - v0, v2 - v0) @ n_coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.cross(v1 - v0, v2 - v0) @ n_coords)
 
 
 def format_obj(vertices: np.ndarray, faces: np.ndarray) -> Iterator[str]:

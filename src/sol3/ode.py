@@ -20,7 +20,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ._rk import DenseSegment, StepBudgetExceeded, StepSizeUnderflow, solve_fixed_horizon
+from ._rk import (DenseSegment, NonFiniteState, StepBudgetExceeded, StepSizeUnderflow,
+                  solve_fixed_horizon)
 from .surface import CurveState
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -236,6 +237,8 @@ def _trajectory(
     stop_event: Optional[Callable[[float, list], float]] = None, both_sides: bool = False,
 ) -> Trajectory:
     """Trajectory over [0, horizon], or over [-horizon, horizon] with both_sides."""
+    if H is not None and not math.isfinite(H):
+        raise ValueError("H must be finite")
     raw = _raw_rhs(H)
 
     def side(s_end: float):
@@ -245,7 +248,7 @@ def _trajectory(
                 settings.abs_tol, settings.rel_tol, settings.max_step, stop_event)
         except StepSizeUnderflow as exc:
             raise IntegrationError("generating-curve integration failed", exc.last_s) from exc
-        except StepBudgetExceeded as exc:
+        except (StepBudgetExceeded, NonFiniteState) as exc:
             raise IntegrationError(f"generating-curve integration failed: {exc}",
                                    exc.last_s) from exc
         # theta' is already stored: each segment's first stage is f at its
@@ -326,6 +329,8 @@ def circle_flat(r: float, s: float) -> tuple[CurveState, float]:
     if not 0.0 < r < math.inf:
         raise ValueError("circle radius must be positive and finite")
     u = s / r
+    if not math.isfinite(u):
+        raise ValueError(f"circle radius {r!r} is too small for arc length s = {s!r}")
     return CurveState(s, r * math.sin(u), -r * math.cos(u), u), 1.0 / r
 
 

@@ -130,6 +130,26 @@ def test_asymptote_not_settled_names_end():
     assert err.value.end in ("forward", "backward")
 
 
+@pytest.mark.parametrize("tail_fraction,settle_threshold", [
+    (0.0, 1e-4), (-1.0, 1e-4), (5.0, 1e-4), (math.nan, 1e-4),
+    (0.1, 0.0), (0.1, -1.0), (0.1, 1.0), (0.1, math.inf), (0.1, math.nan),
+])
+def test_tail_settings_out_of_range_are_refused(tail_fraction, settle_threshold):
+    line = minimal(1, 2, 0.0, OdeSettings())
+    curve = minimal(0, 0, PI8, OdeSettings(max_s=5.0))
+    for traj in (line, curve):
+        with pytest.raises(ValueError, match="must lie in"):
+            classify_minimal(traj, tail_fraction, settle_threshold)
+    with pytest.raises(ValueError, match="must lie in"):
+        asymptote_estimate(curve, tail_fraction, settle_threshold)
+
+
+def test_tail_settings_at_their_bounds_are_accepted():
+    # A whole-curve tail at a loose threshold is meaningful, if coarse.
+    traj = minimal(0, 0, PI8, OdeSettings(max_s=5.0))
+    assert len(asymptote_estimate(traj, 1.0, 0.5)) == 2
+
+
 def test_slab_width_examples():
     a = Line(Axis.PARALLEL_TO_X, 0.736872)
     b = Line(Axis.PARALLEL_TO_X, -0.736872)
@@ -294,7 +314,7 @@ def _count_integrations(monkeypatch):
     calls, solve = [], ode.solve_fixed_horizon
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append((args[2], args[5]))  # (s_end, max_step)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(ode, "solve_fixed_horizon", counted)
@@ -306,14 +326,17 @@ def _fields(res):
 
 
 def test_scanned_bracket_spares_integrating_its_ends(monkeypatch):
-    bracket = scan_bracket(2.0)
-    lo, hi = bracket  # still a (lo, hi) pair
     calls = _count_integrations(monkeypatch)
-    carried = closed_curve_search(2.0, bracket)
-    n_carried = len(calls)
-    plain = closed_curve_search(2.0, tuple(bracket))
-    assert _fields(carried) == _fields(plain)
-    assert len(calls) - n_carried == n_carried + 2
+    bracket = scan_bracket(2.0)
+    assert type(bracket) is tuple
+    n_scan = len(calls)
+    given = closed_curve_search(2.0, bracket)
+    del calls[:]
+    scanned = closed_curve_search(2.0)
+    assert _fields(scanned) == _fields(given)
+    # The scan's two end integrations serve the search; only the iterations
+    # and the final orbit are integrated on top of the scan.
+    assert len(calls) == n_scan + scanned.iterations + 1
 
 
 @pytest.mark.parametrize("settings,horizon", [
@@ -322,13 +345,17 @@ def test_scanned_bracket_spares_integrating_its_ends(monkeypatch):
 ])
 def test_bracket_scanned_for_other_arguments_is_integrated_again(
         monkeypatch, settings, horizon):
-    bracket = scan_bracket(2.0)
+    # Without a bracket, the scan runs with the search's own settings and
+    # horizon, never with the defaults.
     calls = _count_integrations(monkeypatch)
-    reused = closed_curve_search(2.0, bracket, settings, horizon=horizon)
-    n_reused = len(calls)
-    plain = closed_curve_search(2.0, tuple(bracket), settings, horizon=horizon)
-    assert _fields(reused) == _fields(plain)
-    assert n_reused > 2 and len(calls) == 2 * n_reused
+    bracket = scan_bracket(2.0, settings, horizon=horizon)
+    n_scan = len(calls)
+    given = closed_curve_search(2.0, bracket, settings, horizon=horizon)
+    del calls[:]
+    scanned = closed_curve_search(2.0, None, settings, horizon=horizon)
+    assert _fields(scanned) == _fields(given)
+    assert len(calls) == n_scan + scanned.iterations + 1
+    assert set(calls) == {(horizon, settings.max_step), (scanned.s1, settings.max_step)}
 
 
 def test_closed_curve_search_bad_bracket():

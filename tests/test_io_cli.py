@@ -1,11 +1,16 @@
 """CSV/OBJ round-trips, mesh invariants, CLI exit codes and determinism."""
+import contextlib
 import hashlib
 import json
 import math
 import os
+import re
+import tempfile
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sol3 import (
     InitialCondition,
@@ -18,6 +23,7 @@ from sol3 import (
     run_verification,
     unit_normal,
 )
+from sol3 import cli
 from sol3.cli import main
 from sol3.io import (
     CSV_HEADER,
@@ -594,3 +600,130 @@ def test_cli_sweep_caps_workers(tmp_path, monkeypatch, count, cpus, expected):
     # With an unknown CPU count the sweep runs serially, without a pool.
     assert recorded == ([] if expected is None else [expected])
     assert len(json.loads(out.read_text())["curves"]) == count
+
+
+def test_cli_mesh_non_finite_vertex_exits_1(tmp_path, capsys):
+    # e^{3} * 1e308 overflows: no file, and the message names the vertex.
+    out = tmp_path / "m.obj"
+    assert main(["mesh", "--kind", "I", "--x0", "1e308", "--y0", "1e308",
+                 "--grid=-1:1:-3:3:3:3", "--out", str(out)]) == 1
+    assert "mesh vertex at s = -1.0, t = -3.0 is not finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_mesh_winding_test_near_the_float_limit_is_silent(tmp_path):
+    # Every vertex is finite, but the center cross product overflows.
+    out = tmp_path / "m.obj"
+    assert main(["mesh", "--kind", "circle", "--r", "1e308",
+                 "--grid=-8e307:8e307:-0.5:0.5:3:3", "--out", str(out)]) == 0
+    assert np.isfinite(read_obj(str(out))[0]).all()
+
+
+@pytest.mark.parametrize("grid", ["--grid=-1e308:1e308:-1:1:3:3",
+                                  "--grid=-1:1:-710:1:3:3", "--grid=-1:1:0:710:3:3"])
+def test_cli_mesh_grid_beyond_float_range_is_usage_error(tmp_path, grid):
+    # An s span that overflows, or e^{|t|} that does, cannot give finite vertices.
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "--kind", "II", grid, "--out", str(tmp_path / "m.obj")])
+    assert exc.value.code == 64
+    assert os.listdir(tmp_path) == []
+
+
+CURVE_COMMANDS = [["integrate", "--max-s", "1"], ["shoot", "--bracket", "0.125:0.75"],
+                  ["shoot"], ["mesh", "--grid=-1:1:-1:1:3:3"]]
+
+
+@pytest.mark.parametrize("H", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("argv", CURVE_COMMANDS)
+def test_cli_non_finite_h_is_usage_error(tmp_path, capsys, argv, H):
+    assert main(argv + [f"--H={H}", "--out", str(tmp_path / "out")]) == 64
+    assert "H must be finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", CURVE_COMMANDS)
+def test_cli_overflowing_h_exits_1(tmp_path, capsys, argv):
+    # 2 H W^{3/2} overflows at the first stage; no math domain error leaks out.
+    assert main(argv + ["--H=1e308", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "a stage state is not finite (last good s = 0.0)" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_circle_radius_too_small_for_grid(tmp_path, capsys):
+    assert main(["mesh", "--kind", "circle", "--r", "1e-320", "--grid=-1:1:-1:1:3:3",
+                 "--out", str(tmp_path / "m.obj")]) == 64
+    assert "radius 1e-320 is too small for arc length s = -1.0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--tail-fraction", "5"), ("--tail-fraction", "-1"), ("--tail-fraction", "0"),
+    ("--tail-fraction", "nan"), ("--settle-threshold", "-1"),
+    ("--settle-threshold", "nan"), ("--settle-threshold", "inf"),
+])
+def test_cli_meaningless_tail_settings_are_usage_errors(tmp_path, monkeypatch, option, value):
+    integrated = []
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kw: integrated.append(args))
+    common = ["--max-s", "50", "--max-step", "0.5", option, value]
+    assert main(["classify", "--theta0", "0.3", *common,
+                 "--out", str(tmp_path / "c.json")]) == 64
+    assert main(["sweep", "--theta0-range", "0.3:1.0:2", *common,
+                 "--out", str(tmp_path / "s.json"),
+                 "--out-dir", str(tmp_path / "curves")]) == 64
+    assert integrated == [] and os.listdir(tmp_path) == []
+
+
+FUZZ_VALUES = st.sampled_from(["0.0", "-0.0", "5e-324", "1e-320", "1e308", "-1e308", "inf",
+                               "-inf", "nan", "0.5", "1.0", "-2.0"])
+FUZZ_GRID = "--grid=-1:1:-1:1:3:3"
+FUZZ_ARGV = st.one_of(
+    st.builds(lambda kind, x0, y0: ["mesh", "--kind", kind, f"--x0={x0}", f"--y0={y0}",
+                                    FUZZ_GRID],
+              st.sampled_from(["I", "II", "III", "IV"]), FUZZ_VALUES, FUZZ_VALUES),
+    st.builds(lambda r: ["mesh", "--kind", "circle", f"--r={r}", FUZZ_GRID], FUZZ_VALUES),
+    st.builds(lambda H: ["integrate", f"--H={H}", "--max-s", "1"], FUZZ_VALUES),
+    # A bracket is always given: tiny |H| would otherwise scan to horizon 40.
+    st.builds(lambda H: ["shoot", f"--H={H}", "--bracket", "0.125:0.75"], FUZZ_VALUES),
+    st.builds(lambda tail, settle: ["classify", "--theta0", "0.3", "--max-s", "2",
+                                    f"--tail-fraction={tail}", f"--settle-threshold={settle}"],
+              FUZZ_VALUES, FUZZ_VALUES),
+)
+SUFFIX = {"mesh": ".obj", "integrate": ".csv", "shoot": ".json", "classify": ".json"}
+
+
+def _numbers(text: str) -> list[float]:
+    numbers = []
+    for token in re.split(r"[\s,:\[\]{}\"]+", text):
+        with contextlib.suppress(ValueError):
+            numbers.append(float(token))
+    return numbers
+
+
+@given(argv=FUZZ_ARGV)
+@example(argv=["mesh", "--kind", "I", "--x0=1e308", "--y0=1e308", FUZZ_GRID])
+@example(argv=["mesh", "--kind", "circle", "--r=1e-320", FUZZ_GRID])
+@example(argv=["integrate", "--H=1e308", "--max-s", "1"])
+@example(argv=["shoot", "--H=inf", "--bracket", "0.125:0.75"])
+@example(argv=["classify", "--theta0", "0.3", "--max-s", "2", "--tail-fraction=nan"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_cli_fuzz_numeric_arguments(argv):
+    # Every run ends in a documented exit code, prints no traceback, leaves no
+    # temp file, and writes either finite numbers or (CSV/OBJ) no file at all.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out" + SUFFIX[argv[0]])
+        err = StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+            try:
+                code = main(argv + ["--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {0, 1, 2, 3, 64}
+        assert "Traceback" not in err.getvalue()
+        assert "math domain error" not in err.getvalue()
+        assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")]
+        if code == 0:
+            with open(out) as handle:
+                assert all(map(math.isfinite, _numbers(handle.read())))
+        elif argv[0] in ("mesh", "integrate"):
+            assert not os.path.exists(out)

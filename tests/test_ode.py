@@ -229,6 +229,33 @@ def test_step_budget_ends_in_integration_error(monkeypatch):
         integrate(InitialCondition(0, 0, 0.3), OdeSettings(max_s=1.0))
 
 
+@pytest.mark.parametrize("H", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("run", [integrate, integrate_forward])
+def test_non_finite_h_is_refused(run, H):
+    with pytest.raises(ValueError, match="H must be finite"):
+        run(InitialCondition(0.0, 0.5, 0.0), OdeSettings(max_s=1.0), H=H)
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_forward])
+def test_overflowing_h_ends_in_integration_error(run):
+    # 2 H W^{3/2} overflows, the first stage angle is -inf and math.sin raises;
+    # the integration ends at its start, the last good s.
+    with pytest.raises(IntegrationError, match="not finite") as err:
+        run(InitialCondition(0.0, 0.5, 0.0), OdeSettings(max_s=1.0), H=1e308)
+    assert err.value.last_s == 0.0
+
+
+def test_non_finite_stage_names_the_last_accepted_s():
+    from sol3._rk import NonFiniteState, solve_fixed_horizon
+
+    def f(x):  # finite until x passes 0.5, then math.sin of inf raises
+        return (math.sin(x * math.inf if x > 0.5 else x) + 1.0,)
+
+    with pytest.raises(NonFiniteState) as err:
+        solve_fixed_horizon(f, (0.0,), 2.0, 1e-10, 1e-10, 0.01)
+    assert 0.0 < err.value.last_s <= 0.5
+
+
 @pytest.mark.parametrize("make", [
     lambda: integrate(InitialCondition(0.2, -0.1, PI8), OdeSettings(max_s=3.0)),
     lambda: integrate(InitialCondition(0.0, 0.6, 0.0), OdeSettings(max_s=3.0), H=1.0),
@@ -382,6 +409,12 @@ def test_circle_flat_examples():
         assert gauss_curvature(st, tp) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         circle_flat(0.0, 1.0)
+
+
+def test_circle_flat_radius_too_small_for_arc_length():
+    # s / r overflows, so the angle is not a float: the radius is named.
+    with pytest.raises(ValueError, match="radius 1e-320 is too small for arc length s = 1.0"):
+        circle_flat(1e-320, 1.0)
 
 
 def test_graph_residual_examples():
