@@ -102,17 +102,18 @@ def solve_fixed_horizon(
     rel_tol: float,
     max_step: float,
     stop_event: Optional[Callable[[float, list], float]] = None,
-) -> tuple[np.ndarray, np.ndarray, list[DenseSegment], bool]:
+) -> tuple[np.ndarray, np.ndarray, list[DenseSegment]]:
     """Integrate y' = f(*y) from s = 0 to s_end; s_end < 0 steps backward.
 
-    Returns (s samples, state samples, dense segments, event_seen), samples
-    ordered from s = 0 outward.  A backward segment has a negative `h`.  When
+    Returns (s samples, state samples, dense segments), samples ordered from
+    s = 0 outward.  A backward segment has a negative `h`.  When
     `stop_event` is given, integration halts at the first accepted step whose
     endpoint changes the sign of the event function (the step itself is kept,
-    so the sign change is bracketed by the last two samples).  Raises
-    StepSizeUnderflow when the step collapses, StepBudgetExceeded after
-    MAX_STEPS attempted steps and NonFiniteState when f raises ValueError
-    (math.sin of an infinite angle, for one).
+    so the sign change is bracketed by the last two samples).  A last step
+    that lands within rounding of s_end (t + h an ulp short of it) reaches
+    s_end.  Raises StepSizeUnderflow when the step collapses,
+    StepBudgetExceeded after MAX_STEPS attempted steps and NonFiniteState
+    when f raises ValueError (math.sin of an infinite angle, for one).
     """
     y = [float(v) for v in y0]
     K = np.empty((7, len(y)))
@@ -124,7 +125,7 @@ def solve_fixed_horizon(
     h = min(max_step, 1e-3, span)
     t, ss, ys = 0.0, [0.0], [y]
     segments: list[DenseSegment] = []
-    err_prev, event_seen = 1e-4, False
+    err_prev = 1e-4
     p_prev = stop_event(0.0, y) if stop_event is not None else None
     budget = MAX_STEPS
 
@@ -134,8 +135,11 @@ def solve_fixed_horizon(
             if budget == 0:
                 raise StepBudgetExceeded(sign * t, MAX_STEPS)
             budget -= 1
+            h_ctrl = h
             h = min(h, max_step, span - t)
             if h < 1e-14 * max(1.0, t):
+                if min(h_ctrl, max_step) >= 1e-14 * max(1.0, t):
+                    break  # only the rounding remainder of the horizon is left
                 raise StepSizeUnderflow(sign * t)
             hs = sign * h
 
@@ -165,7 +169,6 @@ def solve_fixed_horizon(
                 if stop_event is not None:
                     p_new = stop_event(sign * t, y)
                     if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):
-                        event_seen = True
                         break
                     p_prev = p_new
             else:
@@ -173,4 +176,4 @@ def solve_fixed_horizon(
     except ValueError as exc:
         raise NonFiniteState(sign * t) from exc
 
-    return np.array(ss), np.array(ys), segments, event_seen
+    return np.array(ss), np.array(ys), segments

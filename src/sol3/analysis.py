@@ -39,6 +39,10 @@ DEFAULT_SETTLE_THRESHOLD = 1e-4
 DEFAULT_RESIDUAL_TOL = 1e-10
 #: ...and then |y(s1) - y0| must independently fall below this.
 DEFAULT_CLOSURE_TOL = 1e-6
+#: Secant/bisection iterations allowed before shooting gives up.
+_MAX_SHOOT_ITER = 200
+#: The y0 values scanned for a bracket when none is given, in order.
+_SCAN_GRID = (1 / 16, 1 / 8, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 class Axis(Enum):
@@ -306,11 +310,16 @@ def theorem_checks(traj: Trajectory) -> TheoremReport:
     return TheoremReport(monotone=monotone, concave=concave, below_diagonal=below)
 
 
-def origin_symmetry_deviation(traj: Trajectory, probes: int = 101) -> float:
-    """Max deviation of (x, y, theta)(-s) from (-x(s), -y(s), theta(s))."""
+def origin_symmetry_deviation(traj: Trajectory) -> float:
+    """Max deviation of (x, y, theta)(-s) from (-x(s), -y(s), theta(s)) at 101 probes.
+
+    Raises ValueError for a trajectory without an s < 0 side (integrate_forward's).
+    """
+    if not traj.s[0] < 0.0:
+        raise ValueError("origin symmetry needs a trajectory with an s < 0 side")
     span = min(abs(float(traj.s[0])), float(traj.s[-1]))
     worst = 0.0
-    for s in np.linspace(0.0, span, probes):
+    for s in np.linspace(0.0, span, 101):
         a = traj.state_at(float(s))
         b = traj.state_at(float(-s))
         worst = max(worst, abs(b.x + a.x), abs(b.y + a.y), abs(b.theta - a.theta))
@@ -336,45 +345,39 @@ def first_return(traj: Trajectory) -> Optional[tuple[float, CurveState]]:
     return s1, traj.state_at(s1)
 
 
-def _shoot_once(H: float, y0: float, settings: OdeSettings,
-                horizon: float) -> Optional[tuple[float, CurveState]]:
+def _shooting_horizon(settings: OdeSettings) -> float:
+    """Arc length each shot may run to find its first return: max_s, at least 40."""
+    return max(settings.max_s, 40.0)
+
+
+def _shoot_once(H: float, y0: float, settings: OdeSettings) -> Optional[tuple[float, CurveState]]:
     target = -math.copysign(2.0 * math.pi, H)
     return first_return(integrate_forward(
         InitialCondition(0.0, y0, 0.0), settings, H=H,
-        stop_event=lambda s, yv: yv[2] - target, horizon=horizon))
+        stop_event=lambda s, yv: yv[2] - target, horizon=_shooting_horizon(settings)))
 
 
-def _scan(H: float, settings: OdeSettings, horizon: float, y_lo: float = 1.0 / 16.0,
-          y_hi: float = 4.0) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
-    """`(lo, hit_lo), (hi, hit_hi)`: the first adjacent pair of a geometric y0
-    grid whose first returns `hit = (s1, state)` differ in the sign of x."""
-    grid = [y_lo]
-    while grid[-1] < y_hi:
-        grid.append(min(grid[-1] * 2.0, y_hi))
+def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
+    """`(lo, hit_lo), (hi, hit_hi)`: the first adjacent pair of _SCAN_GRID
+    whose first returns `hit = (s1, state)` differ in the sign of x."""
     prev: Optional[tuple[float, tuple]] = None
-    for y0 in grid:
-        hit = _shoot_once(H, y0, settings, horizon)
+    for y0 in _SCAN_GRID:
+        hit = _shoot_once(H, y0, settings)
         if hit is not None and prev is not None and prev[1][1].x * hit[1].x < 0.0:
             return prev, (y0, hit)
         prev = None if hit is None else (y0, hit)
-    raise BracketError(
-        f"no sign change of x(s1; y0) on the scan grid [{y_lo}, {y_hi}] for H = {H}")
+    raise BracketError(f"no sign change of x(s1; y0) on the scan grid "
+                       f"[{_SCAN_GRID[0]}, {_SCAN_GRID[-1]}] for H = {H}")
 
 
-def scan_bracket(
-    H: float,
-    settings: Optional[OdeSettings] = None,
-    y_lo: float = 1.0 / 16.0,
-    y_hi: float = 4.0,
-    horizon: float = 40.0,
-) -> tuple[float, float]:
-    """Scan a geometric y0 grid for a sign change of x(s1; y0), as `(lo, hi)`.
+def scan_bracket(H: float, settings: Optional[OdeSettings] = None) -> tuple[float, float]:
+    """Scan y0 = 1/16, 1/8, ..., 4 for a sign change of x(s1; y0), as `(lo, hi)`.
 
     Raises BracketError when no sign change shows up; closure of the
     generating curve away from the exhibited cases is conjectural, so a
     failed scan is reported data, not a crash.
     """
-    (lo, _), (hi, _) = _scan(H, settings or OdeSettings(), horizon, y_lo, y_hi)
+    (lo, _), (hi, _) = _scan(H, settings or OdeSettings())
     return lo, hi
 
 
@@ -382,43 +385,40 @@ def closed_curve_search(
     H: float,
     bracket: Optional[tuple[float, float]] = None,
     settings: Optional[OdeSettings] = None,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    closure_tol: float = DEFAULT_CLOSURE_TOL,
-    horizon: float = 40.0,
-    max_iter: int = 200,
 ) -> ShootingResult:
     """Shooting search for the closed constant-mean-curvature generating curve.
 
-    The control is the scalar residual x(s1; y0), driven to |.| < residual_tol
-    by bisection with secant acceleration; the second residual y(s1) - y0 is
-    then an independent closure certificate, never part of the control.  A
-    certificate failure raises ClosureError: simultaneous closure is
-    observed, not guaranteed, and must be reported rather than assumed.
-    Without a bracket, the `scan_bracket` grid is scanned first and its two
-    end integrations serve as the bracket's residuals.
+    The control is the scalar residual x(s1; y0), driven below
+    DEFAULT_RESIDUAL_TOL by bisection with secant acceleration; the second
+    residual y(s1) - y0 is then an independent closure certificate (below
+    DEFAULT_CLOSURE_TOL), never part of the control.  A certificate failure
+    raises ClosureError: simultaneous closure is observed, not guaranteed,
+    and must be reported rather than assumed.  Each shot runs to arc length
+    max(settings.max_s, 40).  Without a bracket, the `scan_bracket` grid is
+    scanned first and its two end integrations serve as the bracket's residuals.
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")
     settings = settings or OdeSettings()
 
     def residual(y0: float, hit: Optional[tuple] = None) -> tuple[float, float, float]:
-        hit = hit or _shoot_once(H, y0, settings, horizon)
+        hit = hit or _shoot_once(H, y0, settings)
         if hit is None:
-            raise BracketError(
-                f"no angular return within horizon {horizon} from y0 = {y0!r}")
+            raise BracketError(f"no angular return within horizon "
+                               f"{_shooting_horizon(settings)} from y0 = {y0!r}")
         s1, state = hit
         return state.x, state.y - y0, s1
 
     if bracket is None:
-        (lo, hit_lo), (hi, hit_hi) = _scan(H, settings, horizon)
+        (lo, hit_lo), (hi, hit_hi) = _scan(H, settings)
     else:
         (lo, hi), hit_lo, hit_hi = bracket, None, None
-    rx_lo, ry_lo, s1_lo = residual(lo, hit_lo)
-    rx_hi, ry_hi, s1_hi = residual(hi, hit_hi)
+    end_lo, end_hi = residual(lo, hit_lo), residual(hi, hit_hi)
+    rx_lo, rx_hi = end_lo[0], end_hi[0]
     if rx_lo == 0.0:
-        y0, rx, ry, s1, iterations = lo, rx_lo, ry_lo, s1_lo, 0
+        y0, (rx, ry, s1), iterations = lo, end_lo, 0
     elif rx_hi == 0.0:
-        y0, rx, ry, s1, iterations = hi, rx_hi, ry_hi, s1_hi, 0
+        y0, (rx, ry, s1), iterations = hi, end_hi, 0
     elif (rx_lo > 0.0) == (rx_hi > 0.0):
         raise BracketError(
             f"x(s1; y0) does not change sign on [{lo}, {hi}]: "
@@ -427,16 +427,16 @@ def closed_curve_search(
         iterations = 0
         while True:
             iterations += 1
-            if iterations > max_iter:
+            if iterations > _MAX_SHOOT_ITER:
                 raise BracketError(
-                    f"shooting did not reach |x(s1)| < {residual_tol} "
-                    f"in {max_iter} iterations")
+                    f"shooting did not reach |x(s1)| < {DEFAULT_RESIDUAL_TOL} "
+                    f"in {_MAX_SHOOT_ITER} iterations")
             # Secant proposal, midpoint fallback when it leaves the bracket.
             y0 = hi - rx_hi * (hi - lo) / (rx_hi - rx_lo)
             if not lo < y0 < hi:
                 y0 = 0.5 * (lo + hi)
             rx, ry, s1 = residual(y0)
-            if abs(rx) < residual_tol:
+            if abs(rx) < DEFAULT_RESIDUAL_TOL:
                 break
             if (rx > 0.0) == (rx_hi > 0.0):
                 hi, rx_hi = y0, rx
@@ -445,9 +445,9 @@ def closed_curve_search(
             if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
                 raise BracketError(
                     f"bracket collapsed at y0 = {y0!r} with |x(s1)| = {abs(rx):.3e} "
-                    f"above the requested {residual_tol}")
+                    f"above the requested {DEFAULT_RESIDUAL_TOL}")
 
-    if abs(ry) >= closure_tol:
+    if abs(ry) >= DEFAULT_CLOSURE_TOL:
         raise ClosureError(y0, s1, ry)
 
     orbit = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H, horizon=s1)

@@ -59,23 +59,22 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-# Defaults of the options that only matter when a curve is integrated.
-_INTEGRATION_DEFAULTS = {"theta0": 0.0, "max_s": 10.0, "abs_tol": 1e-10,
-                         "rel_tol": 1e-10, "max_step": 1e-2}
-
+# The OdeSettings fields the CLI sets; an option not given (None) keeps the
+# OdeSettings default.
+_SETTINGS_OPTIONS = ("max_s", "abs_tol", "rel_tol", "max_step")
 
 # The mesh options that only some curves read, with their defaults, and the
 # ones each --kind reads (None: an integrated curve; lines read x0 and y0).
-_MESH_DEFAULTS = {"x0": 0.0, "y0": 0.0, "r": 1.0, "H": None, **_INTEGRATION_DEFAULTS}
-_MESH_READS = {"circle": ("r",), None: ("x0", "y0", "H", *_INTEGRATION_DEFAULTS)}
+_MESH_DEFAULTS = {"x0": 0.0, "y0": 0.0, "r": 1.0, "H": None, "theta0": 0.0,
+                  **dict.fromkeys(_SETTINGS_OPTIONS)}
+_MESH_READS = {"circle": ("r",), None: ("x0", "y0", "H", "theta0", *_SETTINGS_OPTIONS)}
 
 
 def _add_common(sub: argparse.ArgumentParser, ic: tuple[str, ...] = ("x0", "y0", "theta0")):
     for name in ic:
         sub.add_argument(f"--{name}", type=float, default=0.0)
-    for name in ("max_s", "abs_tol", "rel_tol", "max_step"):
-        sub.add_argument(f"--{name.replace('_', '-')}", type=float,
-                         default=_INTEGRATION_DEFAULTS[name])
+    for name in _SETTINGS_OPTIONS:
+        sub.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     sub.add_argument("--out", type=str, default=None)
 
 
@@ -87,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_int)
     p_int.add_argument("--H", type=float, default=None,
                        help="constant mean curvature target (omit for minimal)")
-    p_int.add_argument("--no-snap", action="store_true",
-                       help="disable exact-line routing of constant-angle starts")
 
     p_cls = subs.add_parser("classify", help="classify a minimal generating curve")
     _add_common(p_cls)
@@ -139,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _settings(args: argparse.Namespace) -> OdeSettings:
-    return OdeSettings(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                       max_step=args.max_step, max_s=args.max_s)
+    given = {name: getattr(args, name) for name in _SETTINGS_OPTIONS}
+    return OdeSettings(**{name: v for name, v in given.items() if v is not None})
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -157,7 +154,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     if args.out is None:
         print("integrate: --out PATH is required", file=sys.stderr)
         return EXIT_USAGE
-    io.write_curve_csv(args.out, integrate(ic, settings, H=args.H, snap=not args.no_snap))
+    io.write_curve_csv(args.out, integrate(ic, settings, H=args.H))
     return EXIT_OK
 
 
@@ -183,10 +180,8 @@ def _classification_dict(result: analysis.Classification) -> dict:
 
 
 def cmd_shoot(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    horizon = max(settings.max_s, 40.0)
     try:
-        result = analysis.closed_curve_search(args.H, args.bracket, settings, horizon=horizon)
+        result = analysis.closed_curve_search(args.H, args.bracket, _settings(args))
     except analysis.BracketError as exc:
         _emit({"error": "bracket", "message": str(exc),
                "residual_lo": exc.residual_lo, "residual_hi": exc.residual_hi},

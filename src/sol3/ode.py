@@ -28,6 +28,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 _SNAP_TOL = 1e-14
+# From this |theta0| on, an ulp of theta0 is over twice the default tolerance.
+_MAX_ABS_THETA0 = 2.0 ** 20
 
 
 class IntegrationError(RuntimeError):
@@ -69,6 +71,9 @@ class InitialCondition:
         for name in ("x0", "y0", "theta0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if abs(self.theta0) > _MAX_ABS_THETA0:
+            raise ValueError(f"|theta0| must be at most 2**20 = {_MAX_ABS_THETA0:.0f}; "
+                             "reduce it modulo 2 pi")
 
 
 def _minimal_raw(x: float, y: float, theta: float) -> tuple[float, float, float]:
@@ -121,7 +126,7 @@ class Trajectory:
         H_target: Optional[float],
         settings: OdeSettings,
         segments: Optional[list[DenseSegment]] = None,
-        explicit_kind: Optional[str] = None,
+        line: Optional[tuple] = None,
     ):
         for arr in (s, x, y, theta, theta_prime):
             arr.flags.writeable = False
@@ -133,8 +138,8 @@ class Trajectory:
         self.ic = ic
         self.H_target = H_target
         self.settings = settings
-        self.explicit_kind = explicit_kind
-        self._line: Optional[tuple] = None  # the _LINE_DIRECTIONS row of a snapped line
+        self._line = line  # the _LINE_DIRECTIONS row of a snapped line
+        self.explicit_kind: Optional[str] = None if line is None else line[1]
         self._segments = segments or []
         # Backward segments have h < 0 and end at t0 + h, below their start.
         self._seg_his = [max(seg.t0, seg.t0 + seg.h) for seg in self._segments]
@@ -227,9 +232,7 @@ def _line_trajectory(
             for c in _line_xy(line, ic.x0, ic.y0, s))
     th = np.full_like(s, line[0])
     tp = np.zeros_like(s)
-    traj = Trajectory(s, x, y, th, tp, ic, None, settings, explicit_kind=line[1])
-    traj._line = line
-    return traj
+    return Trajectory(s, x, y, th, tp, ic, None, settings, line=line)
 
 
 def _trajectory(
@@ -243,7 +246,7 @@ def _trajectory(
 
     def side(s_end: float):
         try:
-            s, states, segments, _ = solve_fixed_horizon(
+            s, states, segments = solve_fixed_horizon(
                 raw, (ic.x0, ic.y0, ic.theta0), s_end,
                 settings.abs_tol, settings.rel_tol, settings.max_step, stop_event)
         except StepSizeUnderflow as exc:

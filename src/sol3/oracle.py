@@ -11,9 +11,9 @@ module must never import from `surface`.
 First derivatives use step 1e-5; second-derivative stencils use 2e-4, where
 truncation and round-off balance for double precision.
 
-The numerical Riemann tensor depends only on the height z and the step h, so
-it is built once per (z, h) and kept in a small memo of nested tuples (shared
-but immutable).  Stencils, the cross product and the Christoffel terms run on
+The numerical Riemann tensor depends only on the height z, so it is built
+once per z and kept in a small memo of nested tuples (shared but
+immutable).  Stencils, the cross product and the Christoffel terms run on
 Python floats; every metric inner product p.g.q stays on numpy's BLAS dot,
 whose fused multiply-adds a plain float sum would not reproduce bit for bit.
 """
@@ -50,7 +50,7 @@ def coord_christoffel(z: float) -> np.ndarray:
     return gam
 
 
-def coord_christoffel_fd(z: float, h: float = FD_STEP_FIRST) -> np.ndarray:
+def coord_christoffel_fd(z: float) -> np.ndarray:
     """Christoffels recomputed from finite differences of the metric (test anchor)."""
 
     def g_at(dz: float) -> np.ndarray:
@@ -60,7 +60,7 @@ def coord_christoffel_fd(z: float, h: float = FD_STEP_FIRST) -> np.ndarray:
     g_inv = np.linalg.inv(g)
     # dg[l, i, j] = d g_{ij} / d x^l ; only the z-derivative is nonzero.
     dg = np.zeros((3, 3, 3))
-    dg[2] = (g_at(h) - g_at(-h)) / (2.0 * h)
+    dg[2] = (g_at(FD_STEP_FIRST) - g_at(-FD_STEP_FIRST)) / (2.0 * FD_STEP_FIRST)
     gam = np.zeros((3, 3, 3))
     for k in range(3):
         for i in range(3):
@@ -73,15 +73,16 @@ def coord_christoffel_fd(z: float, h: float = FD_STEP_FIRST) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _riemann_tensor(z: float, h: float) -> tuple:
+def _riemann_tensor(z: float) -> tuple:
     """R[l][i][j][k] = R^l_{ijk} at height z as nested tuples of floats.
 
     R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
               + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik},
-    with dGamma/dz taken by central differences of step h.  Every sample of a
-    swept patch sits at the same height, so the tensor is built once per
-    (z, h) and memoised; tuples keep the memo immutable.
+    with dGamma/dz taken by central differences of step FD_STEP_FIRST.  Every
+    sample of a swept patch sits at the same height, so the tensor is built
+    once per z and memoised; tuples keep the memo immutable.
     """
+    h = FD_STEP_FIRST
     gam = coord_christoffel(z)
     dgam = np.zeros((3, 3, 3, 3))  # dgam[l, k, i, j] = d_l Gamma^k_{ij}
     dgam[2] = (coord_christoffel(z + h) - coord_christoffel(z - h)) / (2.0 * h)
@@ -98,12 +99,11 @@ def _riemann_tensor(z: float, h: float) -> tuple:
                        for i in axis) for l in axis)
 
 
-def riemann_apply(z: float, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                  h: float = FD_STEP_FIRST) -> np.ndarray:
+def riemann_apply(z: float, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """R(u, v)w in coordinates, with dGamma/dz taken by central differences."""
     u, v, w = (np.asarray(a, dtype=float).tolist() for a in (u, v, w))
     out = []
-    for rl in _riemann_tensor(z, h):
+    for rl in _riemann_tensor(z):
         acc = 0.0  # summed in (i, j, k) order
         for rli, ui in zip(rl, u):
             for rlij, vj in zip(rli, v):
@@ -166,9 +166,9 @@ class OracleReport:
     K_sec: float
 
 
-def curvatures_fd(state, theta_prime: float,
-                  h1: float = FD_STEP_FIRST, h2: float = FD_STEP_SECOND) -> OracleReport:
+def curvatures_fd(state, theta_prime: float) -> OracleReport:
     """Shape-operator curvatures via finite differences of the swept patch."""
+    h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
     curve = local_curve(state, theta_prime)
 
     def psi(ds: float, t: float) -> tuple[float, float, float]:

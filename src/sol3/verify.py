@@ -9,7 +9,6 @@ report: the origin line state (H = 0, K = -1) and the unit flat circle
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -20,13 +19,12 @@ from .surface import CurveState, curvature_report
 DEFAULT_TOLERANCE = 1e-6
 
 
-def random_states(samples: int, seed: int,
-                  box: float = 2.0) -> list[tuple[CurveState, float]]:
-    """Seeded random (state, theta') pairs with coordinates in [-box, box]."""
+def random_states(samples: int, seed: int) -> list[tuple[CurveState, float]]:
+    """Seeded random (state, theta') pairs with x and y in [-2, 2]."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(samples):
-        x, y = rng.uniform(-box, box, size=2)
+        x, y = rng.uniform(-2.0, 2.0, size=2)
         theta = rng.uniform(-math.pi, math.pi)
         theta_prime = rng.uniform(-2.0, 2.0)
         out.append((CurveState(0.0, float(x), float(y), float(theta)),
@@ -34,12 +32,11 @@ def random_states(samples: int, seed: int,
     return out
 
 
-def run_verification(samples: int = 100, seed: int = 42,
-                     tolerance: Optional[float] = None) -> dict:
-    """Compare both curvature routes on seeded states; return a flat report."""
+def run_verification(samples: int = 100, seed: int = 42) -> dict:
+    """Compare both curvature routes on seeded states to DEFAULT_TOLERANCE; flat report."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
+    tol = DEFAULT_TOLERANCE
     max_dev_h = 0.0
     max_dev_k = 0.0
     for state, theta_prime in random_states(samples, seed):

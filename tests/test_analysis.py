@@ -192,6 +192,12 @@ def test_theorem_checks_pass_on_grid():
         assert origin_symmetry_deviation(traj) < 1e-8
 
 
+def test_origin_symmetry_refuses_one_sided_trajectory():
+    # A forward-only trajectory has only s = 0 to compare, which proves nothing.
+    with pytest.raises(ValueError, match="s < 0 side"):
+        origin_symmetry_deviation(integrate_forward(InitialCondition(0, 0, 0.3)))
+
+
 def test_theorem_checks_preconditions():
     with pytest.raises(ValueError):
         theorem_checks(minimal(0, 0, math.pi / 4, OdeSettings(max_s=2.0)))
@@ -341,18 +347,18 @@ def test_scanned_bracket_spares_integrating_its_ends(monkeypatch):
 
 @pytest.mark.parametrize("settings,horizon", [
     (OdeSettings(max_step=5e-3), 40.0),
-    (OdeSettings(), 30.0),
+    (OdeSettings(max_s=60.0), 60.0),
 ])
 def test_bracket_scanned_for_other_arguments_is_integrated_again(
         monkeypatch, settings, horizon):
-    # Without a bracket, the scan runs with the search's own settings and
-    # horizon, never with the defaults.
+    # Without a bracket, the scan runs with the search's own settings, never
+    # with the defaults; each shot runs to max(max_s, 40).
     calls = _count_integrations(monkeypatch)
-    bracket = scan_bracket(2.0, settings, horizon=horizon)
+    bracket = scan_bracket(2.0, settings)
     n_scan = len(calls)
-    given = closed_curve_search(2.0, bracket, settings, horizon=horizon)
+    given = closed_curve_search(2.0, bracket, settings)
     del calls[:]
-    scanned = closed_curve_search(2.0, None, settings, horizon=horizon)
+    scanned = closed_curve_search(2.0, None, settings)
     assert _fields(scanned) == _fields(given)
     assert len(calls) == n_scan + scanned.iterations + 1
     assert set(calls) == {(horizon, settings.max_step), (scanned.s1, settings.max_step)}

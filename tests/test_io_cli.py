@@ -440,6 +440,26 @@ def test_cli_integrate_step_budget_exits_1(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_integrate_reaches_horizon_within_rounding(tmp_path):
+    # The last forward step's t + h lands one ulp short of --max-s.
+    out = tmp_path / "c.csv"
+    max_s = 0.05758781706271127
+    assert main(["integrate", "--theta0", "0.46115644479097556", "--max-s", repr(max_s),
+                 "--max-step", "10", "--abs-tol", "1e-6", "--rel-tol", "1e-6",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    for row in (rows[1], rows[-1]):
+        assert abs(abs(float(row.split(",")[0])) - max_s) <= math.ulp(max_s)
+
+
+@pytest.mark.parametrize("theta0", ["1e308", "-1048577"])
+def test_cli_integrate_refuses_huge_launch_angle(tmp_path, capsys, theta0):
+    assert main(["integrate", f"--theta0={theta0}", "--max-s", "1",
+                 "--out", str(tmp_path / "c.csv")]) == 64
+    assert "|theta0| must be at most 2**20 = 1048576" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_verify(tmp_path):
     out = str(tmp_path / "verify.json")
     assert main(["verify", "--samples", "25", "--seed", "11", "--out", out]) == 0
@@ -683,6 +703,7 @@ FUZZ_ARGV = st.one_of(
               st.sampled_from(["I", "II", "III", "IV"]), FUZZ_VALUES, FUZZ_VALUES),
     st.builds(lambda r: ["mesh", "--kind", "circle", f"--r={r}", FUZZ_GRID], FUZZ_VALUES),
     st.builds(lambda H: ["integrate", f"--H={H}", "--max-s", "1"], FUZZ_VALUES),
+    st.builds(lambda theta0: ["integrate", f"--theta0={theta0}", "--max-s", "1"], FUZZ_VALUES),
     # A bracket is always given: tiny |H| would otherwise scan to horizon 40.
     st.builds(lambda H: ["shoot", f"--H={H}", "--bracket", "0.125:0.75"], FUZZ_VALUES),
     st.builds(lambda tail, settle: ["classify", "--theta0", "0.3", "--max-s", "2",
@@ -704,6 +725,7 @@ def _numbers(text: str) -> list[float]:
 @example(argv=["mesh", "--kind", "I", "--x0=1e308", "--y0=1e308", FUZZ_GRID])
 @example(argv=["mesh", "--kind", "circle", "--r=1e-320", FUZZ_GRID])
 @example(argv=["integrate", "--H=1e308", "--max-s", "1"])
+@example(argv=["integrate", "--theta0=1e308", "--max-s", "1"])
 @example(argv=["shoot", "--H=inf", "--bracket", "0.125:0.75"])
 @example(argv=["classify", "--theta0", "0.3", "--max-s", "2", "--tail-fraction=nan"])
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -56,6 +56,16 @@ def test_settings_reject_non_finite(field, value):
         OdeSettings(**{field: value})
 
 
+@pytest.mark.parametrize("theta0", [2.0 ** 20 + 1.0, -1e308, 1e308])
+def test_initial_condition_refuses_huge_launch_angle(theta0):
+    # From 2**20 on, an ulp of theta0 outweighs the default tolerance and a
+    # step's h * theta' no longer moves theta0.
+    with pytest.raises(ValueError, match=r"2\*\*20 = 1048576"):
+        InitialCondition(0.0, 0.0, theta0)
+    bound = math.copysign(2.0 ** 20, theta0)
+    assert InitialCondition(0.0, 0.0, bound).theta0 == bound
+
+
 def test_rhs_minimal_constant_angle_starts():
     assert rhs_minimal(CurveState(0, 1.3, -0.2, 0.0)) == (1.0, 0.0, 0.0)
     dx, dy, dth = rhs_minimal(CurveState(0, 0.9, 0.9, math.pi / 4))
@@ -203,6 +213,23 @@ def test_step_size_underflow_raises():
     assert 0.0 < err.value.last_s < 2.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_horizon_within_rounding_is_reached(sign):
+    # Line I grows its step tenfold per step; the clipped last step's t + h
+    # lands one ulp short of the horizon, and that remainder is not stepped.
+    from sol3._rk import StepSizeUnderflow, solve_fixed_horizon
+
+    f = lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th))
+    span = 3.6365642928673023
+    ss, _, segments = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
+                                          1e-10, 1e-10, 1000.0)
+    assert abs(abs(ss[-1]) - span) <= math.ulp(span)
+    assert len(segments) == len(ss) - 1 == 5
+    # A horizon below step resolution from s = 0 is still an underflow.
+    with pytest.raises(StepSizeUnderflow):
+        solve_fixed_horizon(f, (0.0, 0.0, 0.3), sign * 1e-15, 1e-10, 1e-10, 0.01)
+
+
 def test_tiny_tolerances_reject_steps_without_overflow():
     # The scaled error overflows to inf: every step is rejected until the step
     # size underflows, and no OverflowError escapes the float arithmetic.
@@ -220,7 +247,7 @@ def test_step_budget_ends_in_integration_error(monkeypatch):
 
     f = lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th))
     monkeypatch.setattr(_rk, "MAX_STEPS", 50)
-    ss, _, _, _ = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)
+    ss, _, _ = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)
     assert ss[-1] == 0.4  # 41 steps, none rejected, fit the budget
     with pytest.raises(_rk.StepBudgetExceeded) as err:
         _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), -1.0, 1e-10, 1e-10, 0.01)
@@ -282,9 +309,9 @@ def test_stop_event_sees_accepted_states():
         return yv[2] + 0.5  # theta passes -0.5 on this CMC field
 
     f = lambda x, y, th: rhs_cmc(CurveState(0.0, x, y, th), 1.0)
-    ss, ys, segments, hit = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
-                                                1e-10, 1e-10, 0.01, stop)
-    assert hit and len(segments) == len(ss) - 1
+    ss, ys, segments = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
+                                           1e-10, 1e-10, 0.01, stop)
+    assert ss[-1] < 10.0 and len(segments) == len(ss) - 1
     assert seen == [(s, row) for s, row in zip(ss.tolist(), ys.tolist())]
     assert ys[-2, 2] > -0.5 >= ys[-1, 2]
 
