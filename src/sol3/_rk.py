@@ -9,12 +9,13 @@ multiply-adds (FMA), which float arithmetic cannot reproduce, and that keeps
 output bytes unchanged.  They are written `a.dot(K)` rather than `a @ K`:
 both reach the same BLAS routine and give the same bits, but `ndarray.dot`
 skips matmul's ufunc dispatch and costs about half as much per call on
-these tiny operands.  Each accepted step keeps its stage matrix K, whose
-first row is f at the step's start (the FSAL stage of the step before); the
-interpolant Q = K.T P is formed lazily, as few steps are ever evaluated.
+these tiny operands.  Each accepted step keeps its stage matrix K for its
+interpolant Q = K.T P, formed lazily, as few steps are ever evaluated; the
+slope f at each sample is its FSAL stage, returned as it came from f.
 A backward run takes negative steps; since rounding is sign-symmetric, it
 gives exactly the negated-arc-length samples of a forward run of -f.
 A call attempts at most MAX_STEPS steps, so no horizon runs unbounded.
+Every failure is an IntegrationError naming the last accepted s.
 """
 from __future__ import annotations
 
@@ -54,28 +55,15 @@ _EXP1 = 0.2 - 0.75 * _BETA
 MAX_STEPS = 1_000_000
 
 
-class StepSizeUnderflow(RuntimeError):
-    """Step size collapsed below floating-point resolution."""
+class IntegrationError(RuntimeError):
+    """Integration could not reach the requested horizon."""
 
-    def __init__(self, last_s: float):
-        super().__init__(f"step size underflow at s = {last_s!r}")
+    def __init__(self, message: str, last_s: float):
+        super().__init__(f"{message} (last good s = {last_s!r})")
         self.last_s = last_s
 
 
-class StepBudgetExceeded(RuntimeError):
-    """More than MAX_STEPS steps were attempted before reaching the horizon."""
-
-    def __init__(self, last_s: float, steps: int):
-        super().__init__(f"horizon not reached in {steps} attempted steps")
-        self.last_s = last_s
-
-
-class NonFiniteState(RuntimeError):
-    """A stage state overflowed, so the right-hand side raised ValueError."""
-
-    def __init__(self, last_s: float):
-        super().__init__("a stage state is not finite")
-        self.last_s = last_s
+_FAILED = "generating-curve integration failed"
 
 
 class DenseSegment:
@@ -102,28 +90,29 @@ def solve_fixed_horizon(
     rel_tol: float,
     max_step: float,
     stop_event: Optional[Callable[[float, list], float]] = None,
-) -> tuple[np.ndarray, np.ndarray, list[DenseSegment]]:
+) -> tuple[np.ndarray, np.ndarray, list[DenseSegment], np.ndarray]:
     """Integrate y' = f(*y) from s = 0 to s_end; s_end < 0 steps backward.
 
-    Returns (s samples, state samples, dense segments), samples ordered from
-    s = 0 outward.  A backward segment has a negative `h`.  When
+    Returns (s samples, state samples, dense segments, slopes), samples
+    ordered from s = 0 outward.  Segment i spans the samples i and i + 1, and
+    slopes[i] is f at state sample i, bit for bit.  When
     `stop_event` is given, integration halts at the first accepted step whose
     endpoint changes the sign of the event function (the step itself is kept,
     so the sign change is bracketed by the last two samples).  A last step
     that lands within rounding of s_end (t + h an ulp short of it) reaches
-    s_end.  Raises StepSizeUnderflow when the step collapses,
-    StepBudgetExceeded after MAX_STEPS attempted steps and NonFiniteState
-    when f raises ValueError (math.sin of an infinite angle, for one).
+    s_end.  Raises IntegrationError when the step collapses, after MAX_STEPS
+    attempted steps, and when f raises ValueError (math.sin of an infinite
+    angle, for one).
     """
     y = [float(v) for v in y0]
     K = np.empty((7, len(y)))
-    K[0] = f(*y)
+    K[0] = f_y = f(*y)
     stages = [(a, K[: a.size]) for a in _A]
     K6 = K[:6]
     # t is the distance from s = 0; the signed position is sign * t.
     sign, span = math.copysign(1.0, s_end), abs(s_end)
     h = min(max_step, 1e-3, span)
-    t, ss, ys = 0.0, [0.0], [y]
+    t, ss, ys, slopes = 0.0, [0.0], [y], [f_y]
     segments: list[DenseSegment] = []
     err_prev = 1e-4
     p_prev = stop_event(0.0, y) if stop_event is not None else None
@@ -133,20 +122,21 @@ def solve_fixed_horizon(
     try:
         while t < span:
             if budget == 0:
-                raise StepBudgetExceeded(sign * t, MAX_STEPS)
+                raise IntegrationError(
+                    f"{_FAILED}: horizon not reached in {MAX_STEPS} attempted steps", sign * t)
             budget -= 1
             h_ctrl = h
             h = min(h, max_step, span - t)
             if h < 1e-14 * max(1.0, t):
                 if min(h_ctrl, max_step) >= 1e-14 * max(1.0, t):
                     break  # only the rounding remainder of the horizon is left
-                raise StepSizeUnderflow(sign * t)
+                raise IntegrationError(_FAILED, sign * t)
             hs = sign * h
 
             for i, (a, Ki) in enumerate(stages, 1):
                 K[i] = f(*[yj + hs * dj for yj, dj in zip(y, a.dot(Ki).tolist())])
             y_new = [yj + hs * dj for yj, dj in zip(y, _B.dot(K6).tolist())]
-            K[6] = f(*y_new)
+            K[6] = f_y = f(*y_new)
 
             # Summed in np.mean's order; r * r overflows to inf where r ** 2 raises.
             sq = 0.0
@@ -160,6 +150,7 @@ def solve_fixed_horizon(
                 t += h
                 ss.append(sign * t)
                 ys.append(y_new)
+                slopes.append(f_y)
                 factor = (_MAX_FACTOR if err_norm == 0.0
                           else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
                 err_prev = max(err_norm, 1e-4)
@@ -174,6 +165,6 @@ def solve_fixed_horizon(
             else:
                 h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-_EXP1)))
     except ValueError as exc:
-        raise NonFiniteState(sign * t) from exc
+        raise IntegrationError(f"{_FAILED}: a stage state is not finite", sign * t) from exc
 
-    return np.array(ss), np.array(ys), segments
+    return np.array(ss), np.array(ys), segments, np.array(slopes)

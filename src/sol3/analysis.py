@@ -318,12 +318,11 @@ def origin_symmetry_deviation(traj: Trajectory) -> float:
     if not traj.s[0] < 0.0:
         raise ValueError("origin symmetry needs a trajectory with an s < 0 side")
     span = min(abs(float(traj.s[0])), float(traj.s[-1]))
-    worst = 0.0
-    for s in np.linspace(0.0, span, 101):
-        a = traj.state_at(float(s))
-        b = traj.state_at(float(-s))
-        worst = max(worst, abs(b.x + a.x), abs(b.y + a.y), abs(b.theta - a.theta))
-    return worst
+    devs = []
+    for s in np.linspace(0.0, span, 101).tolist():
+        a, b = traj.state_at(s), traj.state_at(-s)
+        devs += (abs(b.x + a.x), abs(b.y + a.y), abs(b.theta - a.theta))
+    return float(np.max(devs))  # NaN if any deviation is NaN
 
 
 def first_return(traj: Trajectory) -> Optional[tuple[float, CurveState]]:

@@ -52,6 +52,12 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -64,10 +70,12 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 _SETTINGS_OPTIONS = ("max_s", "abs_tol", "rel_tol", "max_step")
 
 # The mesh options that only some curves read, with their defaults, and the
-# ones each --kind reads (None: an integrated curve; lines read x0 and y0).
+# ones each --kind reads (None: an integrated curve, whose horizon is the
+# grid's s span; lines read x0 and y0).
 _MESH_DEFAULTS = {"x0": 0.0, "y0": 0.0, "r": 1.0, "H": None, "theta0": 0.0,
                   **dict.fromkeys(_SETTINGS_OPTIONS)}
-_MESH_READS = {"circle": ("r",), None: ("x0", "y0", "H", "theta0", *_SETTINGS_OPTIONS)}
+_MESH_READS = {"circle": ("r",),
+               None: ("x0", "y0", "H", "theta0", "abs_tol", "rel_tol", "max_step")}
 
 
 def _add_common(sub: argparse.ArgumentParser, ic: tuple[str, ...] = ("x0", "y0", "theta0")):
@@ -75,7 +83,7 @@ def _add_common(sub: argparse.ArgumentParser, ic: tuple[str, ...] = ("x0", "y0",
         sub.add_argument(f"--{name}", type=float, default=0.0)
     for name in _SETTINGS_OPTIONS:
         sub.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
-    sub.add_argument("--out", type=str, default=None)
+    sub.add_argument("--out", type=_path, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = subs.add_parser("verify", help="frame-vs-oracle curvature verification")
     p_ver.add_argument("--samples", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--out", type=str, default=None)
+    p_ver.add_argument("--out", type=_path, default=None)
 
     # No abbreviations: "--theta0" must not silently mean "--theta0-range".
     p_sweep = subs.add_parser("sweep", help="classify over a theta0 range in parallel",
@@ -125,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--theta0-range", type=_parse_range, required=True,
                          metavar="START:STOP:COUNT")
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--out-dir", type=str, default=None,
+    p_sweep.add_argument("--out-dir", type=_path, default=None,
                          help="directory for per-curve CSV files")
     p_sweep.add_argument("--tail-fraction", type=float,
                          default=analysis.DEFAULT_TAIL_FRACTION)
@@ -258,6 +266,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     start, stop, count = args.theta0_range
     if count < 1:
         print("sweep: COUNT must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.workers < 1:
+        print("sweep: --workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     thetas = [start + (stop - start) * i / max(count - 1, 1) for i in range(count)]
     tasks = []

@@ -6,10 +6,13 @@ The arc-length system is always integrated:
     theta' = [sin(2 theta)(-x cos + y sin) - 2 H (1 + A^2)^{3/2}] / (1 + x^2 + y^2)
 
 with H = 0 for minimal surfaces.  The backward half of a curve is the same
-stepper run with negative steps.  theta is kept unwrapped so closure events
-(theta returning to theta0 - 2 pi) reduce to a plain sign test.  Initial
-angles within 1e-14 of the constant-angle solutions are snapped and routed to
-the exact lines, where nearby numerics would look spuriously stiff.
+stepper run with negative steps.  The stepper (`_rk`) hands back each side's
+samples, slopes and dense segments, theta' being the third slope column, and
+raises IntegrationError itself; this module re-exports it.  theta is kept
+unwrapped so closure events (theta returning to theta0 - 2 pi) reduce to a
+plain sign test.  Initial angles within 1e-14 of the constant-angle solutions
+are snapped and routed to the exact lines, where nearby numerics would look
+spuriously stiff.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ._rk import (DenseSegment, NonFiniteState, StepBudgetExceeded, StepSizeUnderflow,
-                  solve_fixed_horizon)
+# IntegrationError is re-exported: callers catch it as sol3.ode.IntegrationError.
+from ._rk import DenseSegment, IntegrationError, solve_fixed_horizon  # noqa: F401
 from .surface import CurveState
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -30,14 +33,6 @@ _QUARTER_PI = math.pi / 4.0
 _SNAP_TOL = 1e-14
 # From this |theta0| on, an ulp of theta0 is over twice the default tolerance.
 _MAX_ABS_THETA0 = 2.0 ** 20
-
-
-class IntegrationError(RuntimeError):
-    """Integration could not reach the requested horizon."""
-
-    def __init__(self, message: str, last_s: float):
-        super().__init__(f"{message} (last good s = {last_s!r})")
-        self.last_s = last_s
 
 
 class InvalidInitialCondition(ValueError):
@@ -141,8 +136,8 @@ class Trajectory:
         self._line = line  # the _LINE_DIRECTIONS row of a snapped line
         self.explicit_kind: Optional[str] = None if line is None else line[1]
         self._segments = segments or []
-        # Backward segments have h < 0 and end at t0 + h, below their start.
-        self._seg_his = [max(seg.t0, seg.t0 + seg.h) for seg in self._segments]
+        # Segment i spans [s[i], s[i + 1]]; a snapped line has no segments.
+        self._seg_his = s[1:].tolist() if self._segments else []
         self._raw = _raw_rhs(H_target)
 
     def __len__(self) -> int:
@@ -175,12 +170,10 @@ class Trajectory:
         return state, self._raw(state.x, state.y, state.theta)[2]
 
     def max_ode_residual(self) -> float:
-        """Max |theta'_stored - theta'(state)| over all samples, re-evaluated."""
-        worst = 0.0
-        for i in range(len(self)):
-            d = self._raw(float(self.x[i]), float(self.y[i]), float(self.theta[i]))[2]
-            worst = max(worst, abs(d - float(self.theta_prime[i])))
-        return worst
+        """Max |theta'_stored - theta'(state)| over all samples, re-evaluated; NaN if any is."""
+        rows = zip(self.x.tolist(), self.y.tolist(), self.theta.tolist(),
+                   self.theta_prime.tolist())
+        return float(np.max([abs(self._raw(x, y, th)[2] - tp) for x, y, th, tp in rows]))
 
 
 # Constant-angle solutions: exact angle, exact direction components (so the
@@ -245,29 +238,17 @@ def _trajectory(
     raw = _raw_rhs(H)
 
     def side(s_end: float):
-        try:
-            s, states, segments = solve_fixed_horizon(
-                raw, (ic.x0, ic.y0, ic.theta0), s_end,
-                settings.abs_tol, settings.rel_tol, settings.max_step, stop_event)
-        except StepSizeUnderflow as exc:
-            raise IntegrationError("generating-curve integration failed", exc.last_s) from exc
-        except (StepBudgetExceeded, NonFiniteState) as exc:
-            raise IntegrationError(f"generating-curve integration failed: {exc}",
-                                   exc.last_s) from exc
-        # theta' is already stored: each segment's first stage is f at its
-        # start sample, and the last segment's FSAL stage is f at the end.
-        tp = [seg.K[0, 2] for seg in segments]
-        tp.append(segments[-1].K[6, 2] if segments else raw(*states[0].tolist())[2])
-        return s, states, np.array(tp), segments
+        return solve_fixed_horizon(raw, (ic.x0, ic.y0, ic.theta0), s_end, settings.abs_tol,
+                                   settings.rel_tol, settings.max_step, stop_event)
 
-    s, states, theta_prime, segments = side(horizon)
+    s, states, segments, slopes = side(horizon)
     if both_sides:
-        bs, bstates, btp, bsegs = side(-horizon)
+        bs, bstates, bsegs, bslopes = side(-horizon)
         s = np.concatenate([bs[::-1][:-1], s])
         states = np.concatenate([bstates[::-1][:-1], states])
-        theta_prime = np.concatenate([btp[::-1][:-1], theta_prime])
+        slopes = np.concatenate([bslopes[::-1][:-1], slopes])
         segments = bsegs[::-1] + segments
-    return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], theta_prime,
+    return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], slopes[:, 2],
                       ic, H, settings, segments=segments)
 
 

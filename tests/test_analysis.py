@@ -9,6 +9,7 @@ from sol3 import (
     Axis,
     BracketError,
     CurveClass,
+    CurveState,
     InitialCondition,
     Line,
     NotSettledError,
@@ -196,6 +197,14 @@ def test_origin_symmetry_refuses_one_sided_trajectory():
     # A forward-only trajectory has only s = 0 to compare, which proves nothing.
     with pytest.raises(ValueError, match="s < 0 side"):
         origin_symmetry_deviation(integrate_forward(InitialCondition(0, 0, 0.3)))
+
+
+def test_origin_symmetry_keeps_a_nan(monkeypatch):
+    traj = integrate(InitialCondition(0, 0, 0.3), OdeSettings(max_s=2.0))
+    state_at = traj.state_at
+    nan_state = CurveState(0.0, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(traj, "state_at", lambda s: state_at(s) if s >= 0.0 else nan_state)
+    assert math.isnan(origin_symmetry_deviation(traj))
 
 
 def test_theorem_checks_preconditions():

@@ -393,6 +393,7 @@ def test_cli_mesh_degenerate_grid():
     ["mesh", "--kind", "I", "--r", "1", "--grid=-1:1:-1:1:3:3"],
     ["mesh", "--theta0", "0.3", "--r", "7", "--grid=-1:1:-1:1:3:3"],
     ["mesh", "--r", "1", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--theta0", "0.3", "--max-s", "1", "--grid=-3:3:-1:1:5:3"],  # grid sets it
 ])
 def test_cli_refuses_ignored_flags(tmp_path, argv):
     out = tmp_path / "out"
@@ -409,7 +410,7 @@ def test_cli_mesh_integrated_defaults_unchanged(tmp_path):
     grid = "--grid=-2:2:-1:1:5:5"
     implicit, explicit = tmp_path / "implicit.obj", tmp_path / "explicit.obj"
     assert main(["mesh", "--theta0", "0.3", grid, "--out", str(implicit)]) == 0
-    assert main(["mesh", "--theta0", "0.3", "--max-s", "10", "--abs-tol", "1e-10",
+    assert main(["mesh", "--theta0", "0.3", "--abs-tol", "1e-10",
                  "--rel-tol", "1e-10", "--max-step", "0.01", grid,
                  "--out", str(explicit)]) == 0
     assert implicit.read_bytes() == explicit.read_bytes()
@@ -437,6 +438,24 @@ def test_cli_integrate_step_budget_exits_1(tmp_path, monkeypatch, capsys):
     out = tmp_path / "c.csv"
     assert main(["integrate", "--theta0", "0.3", "--max-s", "10", "--out", str(out)]) == 1
     assert "100 attempted steps" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["--theta0", "0.3", "--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-s", "1"],
+     "generating-curve integration failed (last good s = 0.0)"),
+    (["--theta0", "0.3", "--max-s", "10"],  # with a budget of 100 steps
+     "generating-curve integration failed: horizon not reached in 100 attempted steps"
+     " (last good s = 0.9910000000000007)"),
+    (["--H=1e308", "--max-s", "1"],
+     "generating-curve integration failed: a stage state is not finite (last good s = 0.0)"),
+])
+def test_cli_integration_failures_print_one_line(tmp_path, monkeypatch, capsys, argv, err):
+    from sol3 import _rk
+
+    monkeypatch.setattr(_rk, "MAX_STEPS", 100)
+    assert main(["integrate", *argv, "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr() == ("", f"integration failed: {err}\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -582,6 +601,22 @@ def test_cli_verify_disagreement_exits_1(tmp_path, monkeypatch):
     assert data["tolerance"] == 0.0
 
 
+def test_cli_verify_nan_deviation_fails(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from sol3 import oracle
+
+    monkeypatch.setattr(oracle, "curvatures_fd",
+                        lambda state, tp: SimpleNamespace(H=math.nan, K=math.nan))
+    report = run_verification(5, 1)
+    assert math.isnan(report["max_dev_H"]) and math.isnan(report["max_dev_K"])
+    assert report["passed"] is False
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--samples", "5", "--seed", "1", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert math.isnan(data["max_dev_H"]) and data["passed"] is False
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_cli_verify_without_samples_is_usage_error(tmp_path, samples):
     out = tmp_path / "verify.json"
@@ -589,6 +624,26 @@ def test_cli_verify_without_samples_is_usage_error(tmp_path, samples):
     assert os.listdir(tmp_path) == []
     with pytest.raises(ValueError, match="samples"):
         run_verification(int(samples))
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--theta0", "0.3", "--max-s", "1", "--out", ""],
+    ["verify", "--samples", "5", "--out", ""],
+    ["sweep", "--theta0-range", "0.3:1:2", "--max-s", "1", "--out-dir", ""],
+    ["sweep", "--theta0-range", "0.3:1:2", "--max-s", "1", "--workers", "0"],
+    ["sweep", "--theta0-range", "0.3:1:2", "--max-s", "1", "--workers", "-3"],
+])
+def test_cli_refuses_empty_paths_and_no_workers(tmp_path, monkeypatch, capsys, argv):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 64
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
 
 
 @pytest.mark.parametrize("count,cpus,expected", [(3, 8, 3), (3, 2, 2), (3, None, None)])

@@ -187,6 +187,16 @@ def test_trajectory_shape_and_monotone_samples():
     assert traj.max_ode_residual() == 0.0
 
 
+def test_max_ode_residual_keeps_a_nan():
+    from sol3.ode import Trajectory
+
+    traj = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=1.0))
+    tp = traj.theta_prime.copy()
+    tp[len(tp) // 2] = math.nan
+    broken = Trajectory(traj.s, traj.x, traj.y, traj.theta, tp, traj.ic, None, traj.settings)
+    assert math.isnan(broken.max_ode_residual())
+
+
 def test_trajectory_immutable():
     traj = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=1.0))
     with pytest.raises(ValueError):
@@ -205,9 +215,9 @@ def test_dense_output_matches_nodes():
 
 def test_step_size_underflow_raises():
     # A field with a finite-time pole collapses the step size.
-    from sol3._rk import StepSizeUnderflow, solve_fixed_horizon
+    from sol3._rk import solve_fixed_horizon
 
-    with pytest.raises(StepSizeUnderflow) as err:
+    with pytest.raises(IntegrationError, match=r"integration failed \(last good s") as err:
         solve_fixed_horizon(lambda y: (1.0 + y * y,), (1.0,), 2.0,
                             1e-10, 1e-10, 0.1)
     assert 0.0 < err.value.last_s < 2.0
@@ -217,25 +227,25 @@ def test_step_size_underflow_raises():
 def test_horizon_within_rounding_is_reached(sign):
     # Line I grows its step tenfold per step; the clipped last step's t + h
     # lands one ulp short of the horizon, and that remainder is not stepped.
-    from sol3._rk import StepSizeUnderflow, solve_fixed_horizon
+    from sol3._rk import solve_fixed_horizon
 
     f = lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th))
     span = 3.6365642928673023
-    ss, _, segments = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
-                                          1e-10, 1e-10, 1000.0)
+    ss, _, segments, _ = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
+                                             1e-10, 1e-10, 1000.0)
     assert abs(abs(ss[-1]) - span) <= math.ulp(span)
     assert len(segments) == len(ss) - 1 == 5
     # A horizon below step resolution from s = 0 is still an underflow.
-    with pytest.raises(StepSizeUnderflow):
+    with pytest.raises(IntegrationError, match=r"integration failed \(last good s = -?0\.0\)"):
         solve_fixed_horizon(f, (0.0, 0.0, 0.3), sign * 1e-15, 1e-10, 1e-10, 0.01)
 
 
 def test_tiny_tolerances_reject_steps_without_overflow():
     # The scaled error overflows to inf: every step is rejected until the step
     # size underflows, and no OverflowError escapes the float arithmetic.
-    from sol3._rk import StepSizeUnderflow, solve_fixed_horizon
+    from sol3._rk import solve_fixed_horizon
 
-    with pytest.raises(StepSizeUnderflow):
+    with pytest.raises(IntegrationError, match=r"integration failed \(last good s"):
         solve_fixed_horizon(lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th)),
                             (0.0, 0.0, 0.3), 1.0, 1e-300, 1e-300, 0.01)
     with pytest.raises(IntegrationError):
@@ -247,13 +257,21 @@ def test_step_budget_ends_in_integration_error(monkeypatch):
 
     f = lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th))
     monkeypatch.setattr(_rk, "MAX_STEPS", 50)
-    ss, _, _ = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)
+    ss, _, _, _ = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)
     assert ss[-1] == 0.4  # 41 steps, none rejected, fit the budget
-    with pytest.raises(_rk.StepBudgetExceeded) as err:
+    budget = "horizon not reached in 50 attempted steps"
+    with pytest.raises(IntegrationError, match=budget) as err:
         _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), -1.0, 1e-10, 1e-10, 0.01)
     assert -1.0 < err.value.last_s < 0.0
     with pytest.raises(IntegrationError, match="50 attempted steps"):
         integrate(InitialCondition(0, 0, 0.3), OdeSettings(max_s=1.0))
+
+
+def test_integration_error_is_one_class():
+    import sol3
+    from sol3 import _rk, ode
+
+    assert sol3.IntegrationError is ode.IntegrationError is _rk.IntegrationError
 
 
 @pytest.mark.parametrize("H", [math.inf, -math.inf, math.nan])
@@ -273,12 +291,12 @@ def test_overflowing_h_ends_in_integration_error(run):
 
 
 def test_non_finite_stage_names_the_last_accepted_s():
-    from sol3._rk import NonFiniteState, solve_fixed_horizon
+    from sol3._rk import solve_fixed_horizon
 
     def f(x):  # finite until x passes 0.5, then math.sin of inf raises
         return (math.sin(x * math.inf if x > 0.5 else x) + 1.0,)
 
-    with pytest.raises(NonFiniteState) as err:
+    with pytest.raises(IntegrationError, match="a stage state is not finite") as err:
         solve_fixed_horizon(f, (0.0,), 2.0, 1e-10, 1e-10, 0.01)
     assert 0.0 < err.value.last_s <= 0.5
 
@@ -309,10 +327,11 @@ def test_stop_event_sees_accepted_states():
         return yv[2] + 0.5  # theta passes -0.5 on this CMC field
 
     f = lambda x, y, th: rhs_cmc(CurveState(0.0, x, y, th), 1.0)
-    ss, ys, segments = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
-                                           1e-10, 1e-10, 0.01, stop)
+    ss, ys, segments, slopes = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
+                                                   1e-10, 1e-10, 0.01, stop)
     assert ss[-1] < 10.0 and len(segments) == len(ss) - 1
     assert seen == [(s, row) for s, row in zip(ss.tolist(), ys.tolist())]
+    assert slopes.tolist() == [list(f(*row)) for row in ys.tolist()]
     assert ys[-2, 2] > -0.5 >= ys[-1, 2]
 
 
@@ -327,6 +346,7 @@ def test_dense_segment_ends_reproduce_samples():
         for t in (seg.t0, seg.t0 + seg.h):
             assert np.max(np.abs(np.array(seg.eval(t)) - rows[index[t]])) < 1e-12
     assert step_signs == {-1.0, 1.0}
+    assert traj._seg_his == [max(seg.t0, seg.t0 + seg.h) for seg in traj._segments]
 
 
 def test_determinism_bitwise():

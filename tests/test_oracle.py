@@ -151,3 +151,16 @@ def test_oracle_never_imports_surface():
             continue
         for name in names:
             assert "surface" not in name.split("."), f"oracle imports {name}"
+
+
+def test_stage_layout_stays_in_the_stepper():
+    # Only _rk knows a dense segment's start t0, its signed step h and its
+    # stage rows K[...]; a plain `.K` is the curvature field of a report.
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        if path.name == "_rk.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("t0", "h"), f"{path.name} reads .{node.attr}"
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+                assert node.value.attr != "K", f"{path.name} subscripts .K"
