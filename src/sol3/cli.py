@@ -314,6 +314,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"sol3 {args.command}: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
+    except MemoryError as exc:
+        print(f"sol3 {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INTEGRATION
 
 
 if __name__ == "__main__":

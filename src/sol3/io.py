@@ -204,9 +204,18 @@ def format_obj(vertices: np.ndarray, faces: np.ndarray) -> Iterator[str]:
 
     Vertices print as `repr` of each float and faces as 1-based indices.  The
     text is produced lazily, _CHUNK_ROWS rows at a time, so a large mesh
-    is never held in memory as one string.
+    is never held in memory as one string.  A mesh's z column repeats a few
+    values (one per t sample), so each chunk formats every distinct z once.
     """
-    yield from _chunks("v %r %r %r\n", vertices)
+    for i in range(0, len(vertices), _CHUNK_ROWS):
+        block = np.asarray(vertices[i:i + _CHUNK_ROWS], dtype=np.float64)
+        # Keyed on the bit pattern: a float key would merge -0.0 with 0.0.
+        keys, inverse = np.unique(block[:, 2].view(np.int64), return_inverse=True)
+        z_text = np.array([repr(z) for z in keys.view(np.float64).tolist()], dtype=object)
+        fields = [None] * (3 * len(block))
+        fields[0::3], fields[1::3] = block[:, 0].tolist(), block[:, 1].tolist()
+        fields[2::3] = z_text[inverse].tolist()
+        yield ("v %r %r %s\n" * len(block)) % tuple(fields)
     yield from _chunks("f %d %d %d\n", faces, shift=1)
 
 

@@ -11,6 +11,7 @@ from io import StringIO
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sol3 import (
     InitialCondition,
@@ -26,6 +27,7 @@ from sol3 import (
 from sol3 import cli
 from sol3.cli import main
 from sol3.io import (
+    _CHUNK_ROWS,
     CSV_HEADER,
     MeshGrid,
     atomic_write_text,
@@ -214,6 +216,38 @@ def test_mesh_matches_scalar_reference(curve, grid, flipped):
     assert "".join(format_obj(vertices, faces)) == _reference_obj_text(vertices, faces)
 
 
+# z values whose repr is easy to get wrong once shared: both zeros (a float
+# key would merge them), the least subnormal and floats near 2**53.
+_Z_POOL = [0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 4095, 4096, 4097, 8193]), flip=st.booleans())
+def test_format_obj_matches_reference_text(data, n, flip):
+    xy = data.draw(hnp.arrays(np.float64, (n, 2),
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    z = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from(_Z_POOL)))
+    faces = data.draw(hnp.arrays(np.int64, st.tuples(st.integers(0, 5), st.just(3)),
+                                 elements=st.integers(0, n - 1)))
+    if flip:
+        faces = faces[:, ::-1]
+    vertices = np.column_stack([xy, z])
+    text = "".join(format_obj(vertices, faces))
+    # Compared as lines, so a failure reports the first bad line, not a text diff.
+    assert text.splitlines() == _reference_obj_text(vertices, faces).splitlines()
+    assert text.endswith("\n")
+
+
+def test_format_obj_yields_bounded_chunks_of_whole_lines():
+    # 5151 vertices and 10000 faces: 2 + 3 chunks, none longer than _CHUNK_ROWS lines.
+    vertices, faces = surface_mesh(curve_from_kind("circle", r=1.0),
+                                   MeshGrid(-3.0, 3.0, -1.0, 1.0, 101, 51))
+    chunks = list(format_obj(vertices, faces))
+    assert len(chunks) == 5
+    for chunk in chunks:
+        assert chunk.endswith("\n") and chunk.count("\n") <= _CHUNK_ROWS
+
+
 @pytest.mark.parametrize("kind, digest", [
     ("circle", "02d7223778d460c92f2a16c51d39709cfd899b6dcbba1f7f321b0c9ac3ad3e4f"),
     ("III", "db8aee870a2f7b899327bfc1d129e60f09d32c15174b7f5826961f416f54d0f5"),
@@ -243,6 +277,19 @@ def test_cli_mesh_golden_digest(tmp_path, kind, digest):
 def test_cli_integrated_golden_digest(tmp_path, argv, digest):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Meshes longer than one OBJ chunk (5151 vertices), recorded before the
+# vertex text was formatted with one repr per distinct z.  The integrated
+# curve's digest depends on the BLAS build, as the digests above do.
+@pytest.mark.parametrize("argv, digest", [
+    (["--kind", "circle"], "a489cfbedf1df9e2b7786814bcd4ebba5d455e6d7430390adc702d17bbe89752"),
+    (["--theta0", str(PI8)], "6643061c6c912a9939d127279e5f802835f6d5e283a1782f871d5ec04e19363d"),
+])
+def test_cli_multi_chunk_mesh_golden_digest(tmp_path, argv, digest):
+    out = tmp_path / "m.obj"
+    assert main(["mesh", *argv, "--grid=-3:3:-1:1:101:51", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -683,6 +730,22 @@ def test_cli_mesh_non_finite_vertex_exits_1(tmp_path, capsys):
     assert main(["mesh", "--kind", "I", "--x0", "1e308", "--y0", "1e308",
                  "--grid=-1:1:-3:3:3:3", "--out", str(out)]) == 1
     assert "mesh vertex at s = -1.0, t = -3.0 is not finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("message, err", [
+    ("", "out of memory"),
+    ("Unable to allocate 8 TiB", "Unable to allocate 8 TiB"),  # numpy's allocation failure
+])
+def test_cli_out_of_memory_prints_one_line(tmp_path, monkeypatch, capsys, message, err):
+    # Raised, not provoked: a real huge allocation could wake the OOM killer.
+    def no_memory(curve, grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.io, "surface_mesh", no_memory)
+    out = tmp_path / "m.obj"
+    assert main(["mesh", "--kind", "circle", "--grid=-1:1:-1:1:2:3", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"sol3 mesh: {err}\n")
     assert os.listdir(tmp_path) == []
 
 
