@@ -1,21 +1,25 @@
 """Adaptive embedded Runge-Kutta 5(4) stepper with quartic dense output.
 
-Dormand-Prince pair: six fresh right-hand-side evaluations per step (FSAL),
-fifth-order propagation, fourth-order error estimate, proportional-integral
-step-size control.  State, stage arguments, error norm and step control are
-lists of Python floats, since numpy's per-call overhead dominates on a
-3-vector.  The stage sums stay in numpy: the BLAS kernel fuses their
-multiply-adds (FMA), which float arithmetic cannot reproduce, and that keeps
-output bytes unchanged.  They are written `a.dot(K)` rather than `a @ K`:
-both reach the same BLAS routine and give the same bits, but `ndarray.dot`
-skips matmul's ufunc dispatch and costs about half as much per call on
-these tiny operands.  Each accepted step keeps its stage matrix K for its
-interpolant Q = K.T P, formed lazily, as few steps are ever evaluated; the
-slope f at each sample is its FSAL stage, returned as it came from f.
-A backward run takes negative steps; since rounding is sign-symmetric, it
-gives exactly the negated-arc-length samples of a forward run of -f.
-A call attempts at most MAX_STEPS steps, so no horizon runs unbounded.
-Every failure is an IntegrationError naming the last accepted s.
+Dormand-Prince pair: six fresh right-hand-side evaluations per step (FSAL:
+the last stage of a step is the first of the next), fifth-order propagation,
+fourth-order error estimate, proportional-integral step-size control.  The
+state is the generating curve's three floats (x, y, theta), held as three
+Python locals: numpy's per-call overhead dominates on a 3-vector, so stage
+arguments, error norm and step control are float arithmetic, the norm summed
+in np.mean's order.  The stage sums stay in numpy: the BLAS kernel fuses
+their multiply-adds (FMA), which float arithmetic cannot reproduce, and that
+keeps output bytes unchanged.  Each is `a.dot(K, out)` into one preallocated
+buffer, read back as floats through a memoryview: the same BLAS routine and
+bits as `a @ K`, without matmul's ufunc dispatch or a fresh array per call.
+Stage rows are written into K through one flat memoryview, several times
+cheaper than assigning a tuple to a row of K.  Each accepted step keeps a
+copy of its stage matrix K for its interpolant Q = K.T P, formed lazily, as
+few steps are ever evaluated; the slope f at each sample is its FSAL stage,
+returned as it came from f.  A backward run takes negative steps; since
+rounding is sign-symmetric, it gives exactly the negated-arc-length samples
+of a forward run of -f.  A call attempts at most MAX_STEPS steps, so no
+horizon runs unbounded.  Every failure is an IntegrationError naming the
+last accepted s.
 """
 from __future__ import annotations
 
@@ -91,7 +95,9 @@ def solve_fixed_horizon(
     max_step: float,
     stop_event: Optional[Callable[[float, list], float]] = None,
 ) -> tuple[np.ndarray, np.ndarray, list[DenseSegment], np.ndarray]:
-    """Integrate y' = f(*y) from s = 0 to s_end; s_end < 0 steps backward.
+    """Integrate (x, y, theta)' = f(x, y, theta) from y0 at s = 0 to s_end.
+
+    s_end < 0 steps backward.  f returns three floats; y0 holds three.
 
     Returns (s samples, state samples, dense segments, slopes), samples
     ordered from s = 0 outward.  Segment i spans the samples i and i + 1, and
@@ -104,18 +110,22 @@ def solve_fixed_horizon(
     attempted steps, and when f raises ValueError (math.sin of an infinite
     angle, for one).
     """
-    y = [float(v) for v in y0]
-    K = np.empty((7, len(y)))
-    K[0] = f_y = f(*y)
-    stages = [(a, K[: a.size]) for a in _A]
+    x, y, th = (float(v) for v in y0)
+    K = np.empty((7, 3))
+    Kf = memoryview(K.reshape(-1))  # flat view: stage i is Kf[3i:3i + 3]
+    out = np.empty(3)  # every stage sum lands here; o reads it back as floats
+    o = memoryview(out)
+    Kf[0], Kf[1], Kf[2] = f_y = f(x, y, th)
+    stages = [(a, K[: a.size], 3 * i) for i, a in enumerate(_A, 1)]
     K6 = K[:6]
     # t is the distance from s = 0; the signed position is sign * t.
     sign, span = math.copysign(1.0, s_end), abs(s_end)
     h = min(max_step, 1e-3, span)
-    t, ss, ys, slopes = 0.0, [0.0], [y], [f_y]
+    state = [x, y, th]
+    t, ss, ys, slopes = 0.0, [0.0], [state], [f_y]
     segments: list[DenseSegment] = []
     err_prev = 1e-4
-    p_prev = stop_event(0.0, y) if stop_event is not None else None
+    p_prev = stop_event(0.0, state) if stop_event is not None else None
     budget = MAX_STEPS
 
     # A try around the loop costs nothing per step while no exception is raised.
@@ -133,32 +143,38 @@ def solve_fixed_horizon(
                 raise IntegrationError(_FAILED, sign * t)
             hs = sign * h
 
-            for i, (a, Ki) in enumerate(stages, 1):
-                K[i] = f(*[yj + hs * dj for yj, dj in zip(y, a.dot(Ki).tolist())])
-            y_new = [yj + hs * dj for yj, dj in zip(y, _B.dot(K6).tolist())]
-            K[6] = f_y = f(*y_new)
+            for a, Ki, j in stages:
+                a.dot(Ki, out)
+                d0, d1, d2 = o
+                Kf[j], Kf[j + 1], Kf[j + 2] = f(x + hs * d0, y + hs * d1, th + hs * d2)
+            _B.dot(K6, out)
+            d0, d1, d2 = o
+            xn, yn, thn = x + hs * d0, y + hs * d1, th + hs * d2
+            Kf[18], Kf[19], Kf[20] = f_y = f(xn, yn, thn)
 
             # Summed in np.mean's order; r * r overflows to inf where r ** 2 raises.
-            sq = 0.0
-            for yj, zj, ej in zip(y, y_new, _E.dot(K).tolist()):
-                r = hs * ej / (abs_tol + rel_tol * max(abs(yj), abs(zj)))
-                sq += r * r
-            err_norm = math.sqrt(sq / len(y))
+            _E.dot(K, out)
+            e0, e1, e2 = o
+            r0 = hs * e0 / (abs_tol + rel_tol * max(abs(x), abs(xn)))
+            r1 = hs * e1 / (abs_tol + rel_tol * max(abs(y), abs(yn)))
+            r2 = hs * e2 / (abs_tol + rel_tol * max(abs(th), abs(thn)))
+            err_norm = math.sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3)
 
             if err_norm <= 1.0:
-                segments.append(DenseSegment(sign * t, hs, y, K.copy()))
+                segments.append(DenseSegment(sign * t, hs, state, K.copy()))
                 t += h
+                state = [xn, yn, thn]
                 ss.append(sign * t)
-                ys.append(y_new)
+                ys.append(state)
                 slopes.append(f_y)
                 factor = (_MAX_FACTOR if err_norm == 0.0
                           else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
                 err_prev = max(err_norm, 1e-4)
                 h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                y = y_new
-                K[0] = K[6]
+                x, y, th = xn, yn, thn
+                Kf[0:3] = Kf[18:21]
                 if stop_event is not None:
-                    p_new = stop_event(sign * t, y)
+                    p_new = stop_event(sign * t, state)
                     if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):
                         break
                     p_prev = p_new

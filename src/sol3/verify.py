@@ -36,6 +36,8 @@ def run_verification(samples: int = 100, seed: int = 42) -> dict:
     """Compare both curvature routes on seeded states to DEFAULT_TOLERANCE; flat report."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     tol = DEFAULT_TOLERANCE
     dev_h, dev_k = [], []
     for state, theta_prime in random_states(samples, seed):

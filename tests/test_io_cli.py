@@ -673,6 +673,15 @@ def test_cli_verify_without_samples_is_usage_error(tmp_path, samples):
         run_verification(int(samples))
 
 
+def test_cli_verify_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--samples", "5", "--seed", "-1", "--out", str(out)]) == 64
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().err == "sol3 verify: seed must be non-negative\n"
+    with pytest.raises(ValueError, match="seed"):
+        run_verification(5, -1)
+
+
 @pytest.mark.parametrize("argv", [
     ["integrate", "--theta0", "0.3", "--max-s", "1", "--out", ""],
     ["verify", "--samples", "5", "--out", ""],

@@ -23,6 +23,7 @@ from sol3 import (
     rhs_cmc,
     rhs_minimal,
 )
+from sol3 import ode
 
 PI8 = math.pi / 8
 
@@ -218,7 +219,7 @@ def test_step_size_underflow_raises():
     from sol3._rk import solve_fixed_horizon
 
     with pytest.raises(IntegrationError, match=r"integration failed \(last good s") as err:
-        solve_fixed_horizon(lambda y: (1.0 + y * y,), (1.0,), 2.0,
+        solve_fixed_horizon(lambda x, y, th: (1.0 + x * x, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
                             1e-10, 1e-10, 0.1)
     assert 0.0 < err.value.last_s < 2.0
 
@@ -293,11 +294,11 @@ def test_overflowing_h_ends_in_integration_error(run):
 def test_non_finite_stage_names_the_last_accepted_s():
     from sol3._rk import solve_fixed_horizon
 
-    def f(x):  # finite until x passes 0.5, then math.sin of inf raises
-        return (math.sin(x * math.inf if x > 0.5 else x) + 1.0,)
+    def f(x, y, th):  # finite until x passes 0.5, then math.sin of inf raises
+        return (math.sin(x * math.inf if x > 0.5 else x) + 1.0, 0.0, 0.0)
 
     with pytest.raises(IntegrationError, match="a stage state is not finite") as err:
-        solve_fixed_horizon(f, (0.0,), 2.0, 1e-10, 1e-10, 0.01)
+        solve_fixed_horizon(f, (0.0, 0.0, 0.0), 2.0, 1e-10, 1e-10, 0.01)
     assert 0.0 < err.value.last_s <= 0.5
 
 
@@ -333,6 +334,151 @@ def test_stop_event_sees_accepted_states():
     assert seen == [(s, row) for s, row in zip(ss.tolist(), ys.tolist())]
     assert slopes.tolist() == [list(f(*row)) for row in ys.tolist()]
     assert ys[-2, 2] > -0.5 >= ys[-1, 2]
+
+
+def reference_solve(f, y0, s_end, abs_tol, rel_tol, max_step, stop_event=None):
+    """The stepper on a list-of-floats state of any length: `_rk` before it was
+    specialised to three floats, kept to pin the specialised loop bit for bit."""
+    from sol3._rk import (_A, _B, _BETA, _E, _EXP1, _FAILED, _MAX_FACTOR, _MIN_FACTOR,
+                          _SAFETY, MAX_STEPS, DenseSegment)
+
+    y = [float(v) for v in y0]
+    K = np.empty((7, len(y)))
+    K[0] = f_y = f(*y)
+    stages = [(a, K[: a.size]) for a in _A]
+    K6 = K[:6]
+    sign, span = math.copysign(1.0, s_end), abs(s_end)
+    h = min(max_step, 1e-3, span)
+    t, ss, ys, slopes = 0.0, [0.0], [y], [f_y]
+    segments = []
+    err_prev = 1e-4
+    p_prev = stop_event(0.0, y) if stop_event is not None else None
+    budget = MAX_STEPS
+    try:
+        while t < span:
+            if budget == 0:
+                raise IntegrationError(
+                    f"{_FAILED}: horizon not reached in {MAX_STEPS} attempted steps", sign * t)
+            budget -= 1
+            h_ctrl = h
+            h = min(h, max_step, span - t)
+            if h < 1e-14 * max(1.0, t):
+                if min(h_ctrl, max_step) >= 1e-14 * max(1.0, t):
+                    break
+                raise IntegrationError(_FAILED, sign * t)
+            hs = sign * h
+
+            for i, (a, Ki) in enumerate(stages, 1):
+                K[i] = f(*[yj + hs * dj for yj, dj in zip(y, a.dot(Ki).tolist())])
+            y_new = [yj + hs * dj for yj, dj in zip(y, _B.dot(K6).tolist())]
+            K[6] = f_y = f(*y_new)
+
+            sq = 0.0
+            for yj, zj, ej in zip(y, y_new, _E.dot(K).tolist()):
+                r = hs * ej / (abs_tol + rel_tol * max(abs(yj), abs(zj)))
+                sq += r * r
+            err_norm = math.sqrt(sq / len(y))
+
+            if err_norm <= 1.0:
+                segments.append(DenseSegment(sign * t, hs, y, K.copy()))
+                t += h
+                ss.append(sign * t)
+                ys.append(y_new)
+                slopes.append(f_y)
+                factor = (_MAX_FACTOR if err_norm == 0.0
+                          else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
+                err_prev = max(err_norm, 1e-4)
+                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                y = y_new
+                K[0] = K[6]
+                if stop_event is not None:
+                    p_new = stop_event(sign * t, y)
+                    if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):
+                        break
+                    p_prev = p_new
+            else:
+                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-_EXP1)))
+    except ValueError as exc:
+        raise IntegrationError(f"{_FAILED}: a stage state is not finite", sign * t) from exc
+
+    return np.array(ss), np.array(ys), segments, np.array(slopes)
+
+
+def run_or_error(solve, *args):
+    """solve(*args), or the IntegrationError it raised, as comparable bytes."""
+    try:
+        ss, ys, segments, slopes = solve(*args)
+    except IntegrationError as exc:
+        return str(exc), exc.last_s
+    return ss.tobytes(), ys.tobytes(), slopes.tobytes(), [segment_bytes(g) for g in segments]
+
+
+def segment_bytes(seg):
+    return np.array([seg.t0, seg.h]).tobytes(), np.array(seg.y0).tobytes(), seg.K.tobytes()
+
+
+H_VALUES = st.one_of(st.none(), st.floats(-3.0, 3.0).filter(lambda v: v != 0.0))
+STEP_CAPS = st.sampled_from([0.01, 0.1, 0.5])
+
+
+@given(H=H_VALUES, x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
+       theta0=st.floats(-math.pi, math.pi), span=st.floats(0.5, 4.0),
+       sign=st.sampled_from([1.0, -1.0]), max_step=STEP_CAPS,
+       event=st.one_of(st.none(), st.floats(-0.5, 0.5)))
+@hsettings(derandomize=True, max_examples=100, deadline=None)
+def test_stepper_matches_reference_loop_bit_for_bit(H, x0, y0, theta0, span, sign, max_step,
+                                                    event):
+    # tobytes, not ==, so that a -0.0 where the reference has 0.0 fails too.
+    from sol3._rk import solve_fixed_horizon
+
+    stop = None if event is None else (lambda s, yv: yv[2] - (theta0 + event))
+    args = (ode._raw_rhs(H), (x0, y0, theta0), sign * span, 1e-10, 1e-10, max_step, stop)
+    assert run_or_error(solve_fixed_horizon, *args) == run_or_error(reference_solve, *args)
+
+
+@given(H=H_VALUES, x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
+       theta0=st.floats(-math.pi, math.pi), a=st.floats(0.2, 3.0),
+       extra=st.floats(1e-6, 3.0), sign=st.sampled_from([1.0, -1.0]), max_step=STEP_CAPS)
+@hsettings(derandomize=True, max_examples=100, deadline=None)
+def test_shorter_horizon_is_a_bitwise_prefix(H, x0, y0, theta0, a, extra, sign, max_step):
+    # Up to the run to a's last step, which is clipped to land on a, both runs
+    # take the same steps: the horizon only ever shortens the last one.
+    from sol3._rk import solve_fixed_horizon
+
+    f, start = ode._raw_rhs(H), (x0, y0, theta0)
+    ss_a, ys_a, segs_a, slopes_a = solve_fixed_horizon(f, start, sign * a, 1e-10, 1e-10, max_step)
+    ss_b, ys_b, segs_b, slopes_b = solve_fixed_horizon(f, start, sign * (a + extra),
+                                                       1e-10, 1e-10, max_step)
+    n = len(ss_a) - 1
+    assert len(ss_b) > n
+    assert ss_a[:n].tobytes() == ss_b[:n].tobytes()
+    assert ys_a[:n].tobytes() == ys_b[:n].tobytes()
+    assert slopes_a[:n].tobytes() == slopes_b[:n].tobytes()
+    assert [segment_bytes(g) for g in segs_a[:n - 1]] == [segment_bytes(g) for g in segs_b[:n - 1]]
+
+
+def first_difference(a: np.ndarray, b: np.ndarray):
+    """(index, a row, b row) of the first rows of a and b that are not ==, or None."""
+    rows = np.flatnonzero(~(a == b).reshape(len(a), -1).all(axis=1))
+    return None if rows.size == 0 else (int(rows[0]), a[rows[0]].tolist(), b[rows[0]].tolist())
+
+
+@given(H=st.one_of(st.none(), st.floats(-3.0, 3.0)), y0=st.floats(-2.0, 2.0),
+       s_end=st.floats(0.5, 6.0), max_step=STEP_CAPS)
+@hsettings(derandomize=True, max_examples=100, deadline=None)
+def test_backward_run_is_the_reflected_forward_run(H, y0, s_end, max_step):
+    # R(x, y, theta) = (-x, y, -theta) fixes the start (0, y0, 0) and the field
+    # obeys f(R u) = -R f(u), so the backward run is R of the forward run at -s,
+    # bit for bit up to the sign of zeros (R turns 0.0 into -0.0, hence ==).
+    from sol3._rk import solve_fixed_horizon
+
+    f, start = ode._raw_rhs(H), (0.0, y0, 0.0)
+    ss_f, ys_f, _, slopes_f = solve_fixed_horizon(f, start, s_end, 1e-10, 1e-10, max_step)
+    ss_b, ys_b, _, slopes_b = solve_fixed_horizon(f, start, -s_end, 1e-10, 1e-10, max_step)
+    flip = np.array([-1.0, 1.0, -1.0])
+    assert first_difference(ss_b, -ss_f) is None
+    assert first_difference(ys_b, ys_f * flip) is None
+    assert first_difference(slopes_b, -slopes_f * flip) is None
 
 
 def test_dense_segment_ends_reproduce_samples():
