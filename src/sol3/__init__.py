@@ -36,50 +36,33 @@ from .core import (
     IsometryFamily,
     SolPoint,
     TangentVector,
-    connection_coeff,
-    frame_at,
     group_mul,
     inverse,
     isometry_apply,
-    isometry_compose,
-    isometry_differential,
-    isometry_push,
     left_translate,
     metric_eval,
-    ricci_frame_origin,
-    vertical_translation,
 )
 from .ode import (
     InitialCondition,
     IntegrationError,
-    InvalidInitialCondition,
     OdeSettings,
     Trajectory,
     circle_flat,
     explicit_solution,
     find_event,
-    graph_residual,
     integrate,
     integrate_forward,
-    rhs_cmc,
-    rhs_minimal,
 )
 from .surface import (
     CurvatureReport,
     CurveState,
     FundamentalForms,
-    covariant_derivatives,
     curvature_report,
-    extrinsic_curvature,
     first_form,
     flat_residual,
-    fundamental_forms,
     gauss_curvature,
     immersion,
     mean_curvature,
-    second_form,
-    sectional_curvature,
-    surface_tangents,
     unit_normal,
 )
 from .verify import run_verification

@@ -394,7 +394,8 @@ def closed_curve_search(
     raises ClosureError: simultaneous closure is observed, not guaranteed,
     and must be reported rather than assumed.  Each shot runs to arc length
     max(settings.max_s, 40).  Without a bracket, the `scan_bracket` grid is
-    scanned first and its two end integrations serve as the bracket's residuals.
+    scanned first and its two end integrations serve as the bracket's residuals;
+    a given bracket (lo, hi) must be finite with lo < hi (else ValueError).
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")
@@ -412,6 +413,8 @@ def closed_curve_search(
         (lo, hit_lo), (hi, hit_hi) = _scan(H, settings)
     else:
         (lo, hi), hit_lo, hit_hi = bracket, None, None
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"bracket {bracket!r} must be finite with lo < hi")
     end_lo, end_hi = residual(lo, hit_lo), residual(hi, hit_hi)
     rx_lo, rx_hi = end_lo[0], end_hi[0]
     if rx_lo == 0.0:

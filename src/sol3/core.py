@@ -1,4 +1,4 @@
-"""Sol3 ambient space: group law, metric, orthonormal frame, and isometries.
+"""Sol3 ambient space: group law, metric, frame components, and isometries.
 
 The model is R^3 carrying the left-invariant metric
 
@@ -43,9 +43,6 @@ class FrameVector:
     def dot(self, other: "FrameVector") -> float:
         return self.a1 * other.a1 + self.a2 * other.a2 + self.a3 * other.a3
 
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
     def __iter__(self):
         yield self.a1
         yield self.a2
@@ -71,11 +68,7 @@ class IsometryFamily(Enum):
 
 @dataclass(frozen=True)
 class IsometryDescriptor:
-    """One isometry of Sol3, encoded by family, sign pair and parameters (a, b, c).
-
-    Descriptors (rather than closures) make composition and conjugation
-    identities testable on the parameters themselves.
-    """
+    """One isometry of Sol3, encoded by family, sign pair and parameters (a, b, c)."""
 
     family: IsometryFamily
     sx: int = 1
@@ -91,11 +84,6 @@ class IsometryDescriptor:
 
 #: The orientation-reversing swap (x, y, z) -> (y, x, -z).
 AXIS_SWAP_FLIP = IsometryDescriptor(IsometryFamily.FLIP)
-
-
-def vertical_translation(t: float) -> IsometryDescriptor:
-    """Descriptor of the left translation by (0, 0, t)."""
-    return IsometryDescriptor(IsometryFamily.TRANSLATION, c=t)
 
 
 def group_mul(p: SolPoint, q: SolPoint) -> SolPoint:
@@ -125,88 +113,9 @@ def metric_eval(u: TangentVector, v: TangentVector) -> float:
     )
 
 
-def frame_at(p: SolPoint) -> tuple[TangentVector, TangentVector, TangentVector]:
-    """Coordinate components of E1 = e^{-z} d/dx, E2 = e^{z} d/dy, E3 = d/dz at p."""
-    return (
-        TangentVector(p, math.exp(-p.z), 0.0, 0.0),
-        TangentVector(p, 0.0, math.exp(p.z), 0.0),
-        TangentVector(p, 0.0, 0.0, 1.0),
-    )
-
-
-# Connection table nabla_{E_i} E_j in frame components, keyed by (i, j).
-_CONNECTION = {
-    (1, 1): FrameVector(0.0, 0.0, -1.0),
-    (1, 2): FrameVector(0.0, 0.0, 0.0),
-    (1, 3): FrameVector(1.0, 0.0, 0.0),
-    (2, 1): FrameVector(0.0, 0.0, 0.0),
-    (2, 2): FrameVector(0.0, 0.0, 1.0),
-    (2, 3): FrameVector(0.0, -1.0, 0.0),
-    (3, 1): FrameVector(0.0, 0.0, 0.0),
-    (3, 2): FrameVector(0.0, 0.0, 0.0),
-    (3, 3): FrameVector(0.0, 0.0, 0.0),
-}
-
-
-def connection_coeff(i: int, j: int) -> FrameVector:
-    """Riemannian connection nabla_{E_i} E_j of Sol3 in the orthonormal frame."""
-    try:
-        return _CONNECTION[(i, j)]
-    except KeyError:
-        raise ValueError(f"frame indices must lie in 1..3, got ({i}, {j})") from None
-
-
 def isometry_apply(iso: IsometryDescriptor, p: SolPoint) -> SolPoint:
     """Apply the isometry described by `iso` to the point p."""
     em, ep = math.exp(-iso.c), math.exp(iso.c)
     if iso.family is IsometryFamily.TRANSLATION:
         return SolPoint(iso.sx * em * p.x + iso.a, iso.sy * ep * p.y + iso.b, p.z + iso.c)
     return SolPoint(iso.sx * em * p.y + iso.a, iso.sy * ep * p.x + iso.b, -p.z + iso.c)
-
-
-def isometry_differential(iso: IsometryDescriptor) -> tuple[tuple[float, float, float], ...]:
-    """Jacobian of the isometry in coordinates (constant: the maps are affine)."""
-    em, ep = math.exp(-iso.c), math.exp(iso.c)
-    if iso.family is IsometryFamily.TRANSLATION:
-        return ((iso.sx * em, 0.0, 0.0), (0.0, iso.sy * ep, 0.0), (0.0, 0.0, 1.0))
-    return ((0.0, iso.sx * em, 0.0), (iso.sy * ep, 0.0, 0.0), (0.0, 0.0, -1.0))
-
-
-def isometry_push(iso: IsometryDescriptor, v: TangentVector) -> TangentVector:
-    """Push a tangent vector forward through the isometry."""
-    jac = isometry_differential(iso)
-    comps = (v.vx, v.vy, v.vz)
-    out = [sum(jac[r][k] * comps[k] for k in range(3)) for r in range(3)]
-    return TangentVector(isometry_apply(iso, v.base), out[0], out[1], out[2])
-
-
-def isometry_compose(outer: IsometryDescriptor, inner: IsometryDescriptor) -> IsometryDescriptor:
-    """Descriptor of the composition outer o inner (apply inner first).
-
-    An outer translation keeps the inner map's family and an outer flip
-    switches it, so a flip composed with a flip is a translation-type map.
-    """
-    em, ep = math.exp(-outer.c), math.exp(outer.c)
-    T, F = IsometryFamily.TRANSLATION, IsometryFamily.FLIP
-    if outer.family is T:
-        return IsometryDescriptor(inner.family, outer.sx * inner.sx, outer.sy * inner.sy,
-                                  outer.sx * em * inner.a + outer.a,
-                                  outer.sy * ep * inner.b + outer.b,
-                                  outer.c + inner.c)
-    return IsometryDescriptor(F if inner.family is T else T,
-                              outer.sx * inner.sy, outer.sy * inner.sx,
-                              outer.sx * em * inner.b + outer.a,
-                              outer.sy * ep * inner.a + outer.b,
-                              outer.c - inner.c)
-
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def ricci_frame_origin() -> tuple[FrameVector, FrameVector, FrameVector]:
-    """The frame basis diagonalizing the Ricci tensor at the origin."""
-    return (
-        FrameVector(_INV_SQRT2, _INV_SQRT2, 0.0),
-        FrameVector(_INV_SQRT2, -_INV_SQRT2, 0.0),
-        FrameVector(0.0, 0.0, 1.0),
-    )

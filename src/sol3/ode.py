@@ -35,10 +35,6 @@ _SNAP_TOL = 1e-14
 _MAX_ABS_THETA0 = 2.0 ** 20
 
 
-class InvalidInitialCondition(ValueError):
-    """Initial condition violates a constant-angle line's constraint."""
-
-
 @dataclass(frozen=True)
 class OdeSettings:
     """Integrator tolerances and horizons; all entries must be finite and positive."""
@@ -92,16 +88,6 @@ def _raw_rhs(H: Optional[float]) -> Callable[[float, float, float], tuple[float,
     return _minimal_raw if H is None else _cmc_raw(H)
 
 
-def rhs_minimal(state: CurveState) -> tuple[float, float, float]:
-    """(x', y', theta') of the minimal-surface system at one state."""
-    return _minimal_raw(state.x, state.y, state.theta)
-
-
-def rhs_cmc(state: CurveState, H: float) -> tuple[float, float, float]:
-    """(x', y', theta') of the constant-mean-curvature system; H = 0 is minimal."""
-    return _cmc_raw(H)(state.x, state.y, state.theta)
-
-
 class Trajectory:
     """Dense, ordered solution samples of one generating-curve integration.
 
@@ -153,14 +139,14 @@ class Trajectory:
 
     def state_at(self, s: float) -> CurveState:
         """Dense-output state at arc length s (s within the sampled range)."""
+        lo, hi = float(self.s[0]), float(self.s[-1])
+        if not lo - 1e-12 <= s <= hi + 1e-12:
+            raise ValueError(f"s = {s!r} outside sampled range [{lo}, {hi}]")
         if self.explicit_kind is not None:
             x, y = _line_xy(self._line, self.ic.x0, self.ic.y0, s)
             return CurveState(s, x, y, float(self.theta[0]))
         if not self._segments:
             raise ValueError("trajectory has no dense segments")
-        lo, hi = float(self.s[0]), float(self.s[-1])
-        if s < lo - 1e-12 or s > hi + 1e-12:
-            raise ValueError(f"s = {s!r} outside sampled range [{lo}, {hi}]")
         i = min(bisect.bisect_left(self._seg_his, s), len(self._segments) - 1)
         x, y, theta = self._segments[i].eval(s)
         return CurveState(s, x, y, theta)
@@ -303,7 +289,7 @@ def explicit_solution(kind: str, x0: float, y0: float, s: float) -> CurveState:
         raise ValueError(f"unknown line kind {kind!r}")
     slope = line[3]
     if slope is not None and y0 != slope * x0:
-        raise InvalidInitialCondition(f"kind {kind} requires y0 == {'-' * (slope < 0)}x0")
+        raise ValueError(f"kind {kind} requires y0 == {'-' * (slope < 0)}x0")
     x, y = _line_xy(line, x0, y0, s)
     return CurveState(s, x, y, line[0])
 
@@ -316,15 +302,6 @@ def circle_flat(r: float, s: float) -> tuple[CurveState, float]:
     if not math.isfinite(u):
         raise ValueError(f"circle radius {r!r} is too small for arc length s = {s!r}")
     return CurveState(s, r * math.sin(u), -r * math.cos(u), u), 1.0 / r
-
-
-def graph_residual(x: float, y: float, yp: float, ypp: float) -> float:
-    """Residual of the graph form y'' = 2 y'(y y' - x)/(1 + x^2 + y^2).
-
-    Verification only; the arc-length system is what gets integrated,
-    because graphs degenerate near vertical tangents.
-    """
-    return ypp - 2.0 * yp * (y * yp - x) / (1.0 + x * x + y * y)
 
 
 def find_event(

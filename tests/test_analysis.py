@@ -380,6 +380,17 @@ def test_closed_curve_search_bad_bracket():
     assert err.value.residual_hi is not None and err.value.residual_hi > 0
 
 
+@pytest.mark.parametrize("bracket", [(0.75, 0.125), (0.5, 0.5), (math.nan, 0.75),
+                                     (0.125, math.inf), (-math.inf, 0.75)])
+def test_closed_curve_search_refuses_a_malformed_bracket(monkeypatch, bracket):
+    # Refused before any shot: a reversed bracket used to be integrated at both
+    # ends and then reported as a collapsed bracket.
+    calls = _count_integrations(monkeypatch)
+    with pytest.raises(ValueError, match=r"bracket \(.*\) must be finite with lo < hi"):
+        closed_curve_search(1.0, bracket)
+    assert calls == []
+
+
 def test_closed_curve_search_rejects_zero_h():
     with pytest.raises(ValueError):
         closed_curve_search(0.0, (0.1, 1.0))

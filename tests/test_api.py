@@ -1,0 +1,58 @@
+"""The package exports only what the pipeline, its demos, the benchmark or the
+README read, so the public API does not grow back helpers that only their own
+tests call."""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sol3"
+
+# Exported although no other reader names them:
+KEPT = {
+    # result and exception types that callers receive
+    "Axis", "CurveClass", "Line", "NotSettledError", "ShootingResult", "TheoremReport",
+    "CurvatureReport", "FundamentalForms", "BasePointMismatch",
+    # acceptance criterion 8, the group and isometry algebra, and the types
+    # its isometries are described by
+    "group_mul", "inverse", "metric_eval", "TangentVector", "left_translate",
+    "isometry_apply", "AXIS_SWAP_FLIP", "IsometryDescriptor", "IsometryFamily",
+}
+
+
+def _exports() -> dict[str, str]:
+    """Each name imported in sol3/__init__.py, with the module it comes from."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name: node.module
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def _names_read(path: Path) -> set[str]:
+    """Identifiers a Python file reads: names, attributes, imported names and
+    identifier-shaped strings (as in setattr(owner, "attr", ...))."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_reader():
+    readers = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        readers |= _names_read(path)
+    unused = []
+    for name, module in _exports().items():
+        others = [p for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", module)]
+        if name not in KEPT and name not in readers \
+                and not any(name in _names_read(p) for p in others):
+            unused.append(f"{module}.{name}")
+    assert not unused, f"exported but read only by tests: {unused}"

@@ -10,18 +10,14 @@ from sol3 import (
     CurveState,
     InitialCondition,
     IntegrationError,
-    InvalidInitialCondition,
     OdeSettings,
     circle_flat,
     explicit_solution,
     find_event,
     gauss_curvature,
-    graph_residual,
     integrate,
     integrate_forward,
     mean_curvature,
-    rhs_cmc,
-    rhs_minimal,
 )
 from sol3 import ode
 
@@ -31,11 +27,8 @@ PI8 = math.pi / 8
 def scipy_reference(ic, s_end, H=None):
     """Independent trajectory endpoint at tight tolerance."""
 
-    def f(_s, u):
-        state = CurveState(0.0, u[0], u[1], u[2])
-        return rhs_minimal(state) if H is None else rhs_cmc(state, H)
-
-    sol = solve_ivp(f, (0.0, s_end), [ic.x0, ic.y0, ic.theta0],
+    rhs = ode._raw_rhs(H)
+    sol = solve_ivp(lambda _s, u: rhs(*u), (0.0, s_end), [ic.x0, ic.y0, ic.theta0],
                     rtol=1e-12, atol=1e-12, dense_output=True)
     return sol.y[:, -1]
 
@@ -68,12 +61,13 @@ def test_initial_condition_refuses_huge_launch_angle(theta0):
 
 
 def test_rhs_minimal_constant_angle_starts():
-    assert rhs_minimal(CurveState(0, 1.3, -0.2, 0.0)) == (1.0, 0.0, 0.0)
-    dx, dy, dth = rhs_minimal(CurveState(0, 0.9, 0.9, math.pi / 4))
+    rhs_minimal = ode._raw_rhs(None)
+    assert rhs_minimal(1.3, -0.2, 0.0) == (1.0, 0.0, 0.0)
+    dx, dy, dth = rhs_minimal(0.9, 0.9, math.pi / 4)
     assert dx == pytest.approx(math.cos(math.pi / 4))
     assert dy == pytest.approx(math.sin(math.pi / 4))
     assert dth == pytest.approx(0.0, abs=1e-16)
-    dx, dy, dth = rhs_minimal(CurveState(0, 0.4, -2.0, math.pi / 2))
+    dx, dy, dth = rhs_minimal(0.4, -2.0, math.pi / 2)
     assert dx == pytest.approx(0.0, abs=1e-16)
     assert dy == pytest.approx(1.0)
     assert dth == pytest.approx(0.0, abs=1e-15)
@@ -82,18 +76,18 @@ def test_rhs_minimal_constant_angle_starts():
 def test_rhs_cmc_reduces_to_minimal():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        state = CurveState(0.0, *rng.uniform(-2, 2, size=2), rng.uniform(-3, 3))
-        assert rhs_cmc(state, 0.0) == rhs_minimal(state)
+        x, y, theta = *rng.uniform(-2, 2, size=2), rng.uniform(-3, 3)
+        assert ode._raw_rhs(0.0)(x, y, theta) == ode._raw_rhs(None)(x, y, theta)
 
 
 def test_rhs_cmc_example_and_inversion():
-    assert rhs_cmc(CurveState(0, 0, 0, 0), 1.0)[2] == -2.0
+    assert ode._raw_rhs(1.0)(0.0, 0.0, 0.0)[2] == -2.0
     # theta' produced by the field plugs back into H exactly.
     rng = np.random.default_rng(1)
     for _ in range(1000):
         state = CurveState(0.0, *rng.uniform(-2, 2, size=2), rng.uniform(-3, 3))
         H = rng.uniform(-2, 2)
-        dtheta = rhs_cmc(state, H)[2]
+        dtheta = ode._raw_rhs(H)(state.x, state.y, state.theta)[2]
         assert mean_curvature(state, dtheta) == pytest.approx(H, rel=1e-12, abs=1e-12)
 
 
@@ -170,9 +164,9 @@ def test_line_routes_agree_on_signed_zero(kind, theta0):
 
 
 def test_explicit_solution_preconditions():
-    with pytest.raises(InvalidInitialCondition):
+    with pytest.raises(ValueError, match="kind III requires y0 == x0"):
         explicit_solution("III", 1.0, 2.0, 0.0)
-    with pytest.raises(InvalidInitialCondition):
+    with pytest.raises(ValueError, match="kind IV requires y0 == -x0"):
         explicit_solution("IV", 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         explicit_solution("V", 0.0, 0.0, 0.0)
@@ -184,7 +178,7 @@ def test_trajectory_shape_and_monotone_samples():
     assert traj.s[0] == -5.0 and traj.s[-1] == 5.0
     state0, tp0 = traj.sample(int(np.searchsorted(traj.s, 0.0)))
     assert (state0.x, state0.y, state0.theta) == (0.0, 0.0, PI8)
-    assert tp0 == rhs_minimal(state0)[2]
+    assert tp0 == ode._raw_rhs(None)(state0.x, state0.y, state0.theta)[2]
     assert traj.max_ode_residual() == 0.0
 
 
@@ -202,6 +196,19 @@ def test_trajectory_immutable():
     traj = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=1.0))
     with pytest.raises(ValueError):
         traj.s[0] = 0.0
+
+
+def test_state_at_refuses_arc_length_outside_the_samples():
+    # A snapped line and an integrated curve alike: beyond the sampled range
+    # (or at NaN) there is no state to give.
+    settings = OdeSettings(max_s=2.0)
+    for theta0, kind in ((0.0, "I"), (PI8, None)):
+        traj = integrate(InitialCondition(0.0, 1.0, theta0), settings)
+        assert traj.explicit_kind == kind
+        assert traj.state_at(2.0).s == 2.0
+        for s in (1e9, -2.5, math.nan):
+            with pytest.raises(ValueError, match="outside sampled range"):
+                traj.state_at(s)
 
 
 def test_dense_output_matches_nodes():
@@ -230,7 +237,7 @@ def test_horizon_within_rounding_is_reached(sign):
     # lands one ulp short of the horizon, and that remainder is not stepped.
     from sol3._rk import solve_fixed_horizon
 
-    f = lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th))
+    f = ode._raw_rhs(None)
     span = 3.6365642928673023
     ss, _, segments, _ = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
                                              1e-10, 1e-10, 1000.0)
@@ -247,8 +254,7 @@ def test_tiny_tolerances_reject_steps_without_overflow():
     from sol3._rk import solve_fixed_horizon
 
     with pytest.raises(IntegrationError, match=r"integration failed \(last good s"):
-        solve_fixed_horizon(lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th)),
-                            (0.0, 0.0, 0.3), 1.0, 1e-300, 1e-300, 0.01)
+        solve_fixed_horizon(ode._raw_rhs(None), (0.0, 0.0, 0.3), 1.0, 1e-300, 1e-300, 0.01)
     with pytest.raises(IntegrationError):
         integrate(InitialCondition(0, 0, 0.3), OdeSettings(abs_tol=1e-300, rel_tol=1e-300))
 
@@ -256,7 +262,7 @@ def test_tiny_tolerances_reject_steps_without_overflow():
 def test_step_budget_ends_in_integration_error(monkeypatch):
     from sol3 import _rk
 
-    f = lambda x, y, th: rhs_minimal(CurveState(0.0, x, y, th))
+    f = ode._raw_rhs(None)
     monkeypatch.setattr(_rk, "MAX_STEPS", 50)
     ss, _, _, _ = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)
     assert ss[-1] == 0.4  # 41 steps, none rejected, fit the budget
@@ -311,9 +317,8 @@ def test_non_finite_stage_names_the_last_accepted_s():
 ])
 def test_theta_prime_is_the_rhs_at_every_sample(make):
     traj = make()
-    H = traj.H_target
-    rhs = rhs_minimal if H is None else lambda state: rhs_cmc(state, H)
-    raw = [rhs(CurveState(0.0, x, y, th))[2]
+    rhs = ode._raw_rhs(traj.H_target)
+    raw = [rhs(x, y, th)[2]
            for x, y, th in zip(traj.x.tolist(), traj.y.tolist(), traj.theta.tolist())]
     assert np.array_equal(traj.theta_prime, np.array(raw))
 
@@ -327,7 +332,7 @@ def test_stop_event_sees_accepted_states():
         seen.append((s, list(yv)))
         return yv[2] + 0.5  # theta passes -0.5 on this CMC field
 
-    f = lambda x, y, th: rhs_cmc(CurveState(0.0, x, y, th), 1.0)
+    f = ode._raw_rhs(1.0)
     ss, ys, segments, slopes = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
                                                    1e-10, 1e-10, 0.01, stop)
     assert ss[-1] < 10.0 and len(segments) == len(ss) - 1
@@ -567,11 +572,20 @@ def test_origin_symmetry_is_exact(theta0, max_step):
     assert np.array_equal(traj.theta[::-1], traj.theta)
 
 
-def test_flip_covariance_of_trajectories():
-    ic = InitialCondition(0.4, -0.3, 0.5)
-    settings = OdeSettings(max_s=8.0, max_step=0.1)
-    traj = integrate(ic, settings)
-    flipped = integrate(InitialCondition(ic.y0, ic.x0, math.pi / 2 - ic.theta0), settings)
+@given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0), theta0=st.floats(-math.pi, math.pi),
+       H=st.one_of(st.none(), st.floats(-2.0, -0.25), st.floats(0.25, 2.0)))
+@hsettings(derandomize=True, max_examples=40, deadline=None)
+def test_flip_covariance_of_trajectories(x0, y0, theta0, H):
+    # (x, y, theta) -> (y, x, pi/2 - theta) flips the sign of F and keeps A, W
+    # and G, so it maps minimal curves onto minimal curves and CMC curves of
+    # mean curvature H onto CMC curves of mean curvature -H.  The two runs take
+    # different steps, so they differ by their global error: at the default
+    # tolerances CMC curves that wind past 10 rad reach 1.3e-8; at 1e-12 the
+    # worst draw is 1.3e-10, well inside the bound.
+    settings = OdeSettings(abs_tol=1e-12, rel_tol=1e-12, max_s=8.0, max_step=0.1)
+    traj = integrate(InitialCondition(x0, y0, theta0), settings, H=H)
+    flipped = integrate(InitialCondition(y0, x0, math.pi / 2 - theta0), settings,
+                        H=None if H is None else -H)
     for s in np.linspace(-8, 8, 81):
         a = traj.state_at(float(s))
         b = flipped.state_at(float(s))
@@ -608,6 +622,13 @@ def test_circle_flat_radius_too_small_for_arc_length():
     # s / r overflows, so the angle is not a float: the radius is named.
     with pytest.raises(ValueError, match="radius 1e-320 is too small for arc length s = 1.0"):
         circle_flat(1e-320, 1.0)
+
+
+def graph_residual(x, y, yp, ypp):
+    """Residual of the graph form y'' = 2 y'(y y' - x)/(1 + x^2 + y^2) of the
+    minimal equation; the arc-length system is what gets integrated, because
+    graphs degenerate near vertical tangents."""
+    return ypp - 2.0 * yp * (y * yp - x) / (1.0 + x * x + y * y)
 
 
 def test_graph_residual_examples():

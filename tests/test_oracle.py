@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sol3 import CurveState, circle_flat, curvature_report, second_form
+from sol3 import CurveState, circle_flat, curvature_report
 from sol3 import oracle
 from sol3.verify import random_states, run_verification
 
@@ -67,18 +67,6 @@ def test_oracle_offset_line_value():
     assert rep.K == pytest.approx(-0.5, abs=1e-7)
     assert rep.K_ext == pytest.approx(-0.5, abs=1e-7)
     assert rep.K_sec == pytest.approx(0.0, abs=1e-7)
-
-
-def test_second_form_agrees_with_oracle():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        state = CurveState(0.0, *rng.uniform(-2, 2, size=2), rng.uniform(-math.pi, math.pi))
-        tp = rng.uniform(-2, 2)
-        e, f, g = second_form(state, tp)
-        rep = oracle.curvatures_fd(state, tp)
-        assert abs(e - rep.e) < 1e-6
-        assert abs(f - rep.f) < 1e-6
-        assert abs(g - rep.g) < 1e-6
 
 
 def test_curvatures_agree_with_oracle():

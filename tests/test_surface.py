@@ -7,20 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from sol3 import (
     CurveState,
+    FrameVector,
     circle_flat,
-    covariant_derivatives,
     curvature_report,
-    extrinsic_curvature,
     first_form,
     flat_residual,
-    fundamental_forms,
     gauss_curvature,
     immersion,
     left_translate,
     mean_curvature,
-    second_form,
-    sectional_curvature,
-    surface_tangents,
     unit_normal,
 )
 
@@ -32,6 +27,13 @@ def rand_state(rng, box=2.0):
     x, y = rng.uniform(-box, box, size=2)
     theta = rng.uniform(-math.pi, math.pi)
     return CurveState(0.0, float(x), float(y), float(theta))
+
+
+def tangents(state):
+    """psi_s = cos(theta) E1 + sin(theta) E2 and psi_t = -x E1 + y E2 + E3 in
+    frame components (checked against the immersion in tests/test_core.py)."""
+    return (FrameVector(math.cos(state.theta), math.sin(state.theta), 0.0),
+            FrameVector(-state.x, state.y, 1.0))
 
 
 def test_immersion_examples():
@@ -73,7 +75,7 @@ def test_first_form_against_metric_of_tangents():
     for _ in range(100):
         state = rand_state(rng)
         ff = first_form(state)
-        ps, pt = surface_tangents(state)
+        ps, pt = tangents(state)
         assert ff.E == pytest.approx(ps.dot(ps), abs=1e-14)
         assert ff.F == pytest.approx(ps.dot(pt), abs=1e-13)
         assert ff.G == pytest.approx(pt.dot(pt), abs=1e-13)
@@ -102,24 +104,10 @@ def test_unit_normal_orthogonality():
     for _ in range(200):
         state = rand_state(rng)
         n = unit_normal(state)
-        ps, pt = surface_tangents(state)
+        ps, pt = tangents(state)
         assert n.dot(ps) == pytest.approx(0.0, abs=1e-13)
         assert n.dot(pt) == pytest.approx(0.0, abs=1e-13)
         assert n.dot(n) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_second_form_origin():
-    e, f, g = second_form(CurveState(0, 0, 0, 0), 0.0)
-    assert (e, f, g) == (0.0, 0.0, 0.0)
-
-
-def test_second_form_ruled_diagonal():
-    # Along the diagonal line the s-curves are geodesics, so e vanishes
-    # (cos(pi/2) evaluates to ~1.8e-16, hence the sub-eps allowance).
-    e, _, _ = second_form(CurveState(0, 1, 1, math.pi / 4), 0.0)
-    assert e == pytest.approx(0.0, abs=1e-15)
-    d_ss, _, _ = covariant_derivatives(CurveState(0, 1, 1, math.pi / 4), 0.0)
-    assert max(abs(d_ss.a1), abs(d_ss.a2), abs(d_ss.a3)) < 1e-15
 
 
 def test_mean_curvature_examples():
@@ -128,43 +116,24 @@ def test_mean_curvature_examples():
     assert mean_curvature(CurveState(0, 0, 0, 0), -2.0) == 1.0
 
 
-def test_mean_curvature_matches_assembled_forms():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        state = rand_state(rng)
-        tp = rng.uniform(-2, 2)
-        ff = fundamental_forms(state, tp)
-        assembled = (ff.e * ff.G - 2 * ff.f * ff.F + ff.g * ff.E) / (2 * (ff.E * ff.G - ff.F ** 2))
-        assert mean_curvature(state, tp) == pytest.approx(assembled, rel=1e-12, abs=1e-12)
-
-
 def test_sectional_examples():
-    assert sectional_curvature(CurveState(0, 0, 0, 0)) == -1.0
-    assert sectional_curvature(CurveState(0, 0, 1, 0)) == 0.0  # A = 1
+    assert curvature_report(CurveState(0, 0, 0, 0), 0.0).K_sec == -1.0
+    assert curvature_report(CurveState(0, 0, 1, 0), 0.0).K_sec == 0.0  # A = 1
     # A = 10 via x = 10, theta = pi/2
-    assert sectional_curvature(CurveState(0, 10, 0, math.pi / 2)) == pytest.approx(99 / 101, rel=1e-12)
+    assert curvature_report(CurveState(0, 10, 0, math.pi / 2), 0.0).K_sec == \
+        pytest.approx(99 / 101, rel=1e-12)
 
 
 @given(val, val, angle)
 @settings(derandomize=True, max_examples=200)
 def test_sectional_range(x, y, theta):
-    k = sectional_curvature(CurveState(0.0, x, y, theta))
+    k = curvature_report(CurveState(0.0, x, y, theta), 0.0).K_sec
     assert -1.0 <= k < 1.0
 
 
 def test_extrinsic_examples():
-    assert extrinsic_curvature(CurveState(0, 0, 0, 0), 0.0) == 0.0
-    assert extrinsic_curvature(CurveState(0, 0, 1, 0), 0.0) == pytest.approx(-0.5, rel=1e-15)
-
-
-def test_extrinsic_matches_assembled_forms():
-    rng = np.random.default_rng(4)
-    for _ in range(300):
-        state = rand_state(rng)
-        tp = rng.uniform(-2, 2)
-        ff = fundamental_forms(state, tp)
-        assembled = (ff.e * ff.g - ff.f ** 2) / (ff.E * ff.G - ff.F ** 2)
-        assert extrinsic_curvature(state, tp) == pytest.approx(assembled, rel=1e-12, abs=1e-12)
+    assert curvature_report(CurveState(0, 0, 0, 0), 0.0).K_ext == 0.0
+    assert curvature_report(CurveState(0, 0, 1, 0), 0.0).K_ext == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_gauss_examples():
@@ -174,18 +143,6 @@ def test_gauss_examples():
             pytest.approx(-1.0 / (1.0 + y0 ** 2), abs=1e-12)
     state, tp = circle_flat(1.0, 0.0)
     assert gauss_curvature(state, tp) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_gauss_splits_into_extrinsic_plus_sectional():
-    # The Gauss equation, with K_ext assembled from the fundamental forms.
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        state = rand_state(rng)
-        tp = rng.uniform(-2, 2)
-        ff = fundamental_forms(state, tp)
-        k_ext = (ff.e * ff.g - ff.f ** 2) / (ff.E * ff.G - ff.F ** 2)
-        split = k_ext + sectional_curvature(state)
-        assert gauss_curvature(state, tp) == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 
 def test_curvature_report_consistency():
