@@ -357,24 +357,29 @@ def _shoot_once(H: float, y0: float, settings: OdeSettings) -> Optional[tuple[fl
 
 
 def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
-    """`(lo, hit_lo), (hi, hit_hi)`: the first adjacent pair of _SCAN_GRID
-    whose first returns `hit = (s1, state)` differ in the sign of x."""
+    """`(lo, hit_lo), (hi, hit_hi)` with lo < hi: the first adjacent pair of
+    _SCAN_GRID (negated for H < 0) whose first returns `hit = (s1, state)`
+    differ in the sign of x."""
+    grid = _SCAN_GRID if H > 0.0 else tuple(-y0 for y0 in _SCAN_GRID)
     prev: Optional[tuple[float, tuple]] = None
-    for y0 in _SCAN_GRID:
+    for y0 in grid:
         hit = _shoot_once(H, y0, settings)
         if hit is not None and prev is not None and prev[1][1].x * hit[1].x < 0.0:
-            return prev, (y0, hit)
+            return (prev, (y0, hit)) if H > 0.0 else ((y0, hit), prev)
         prev = None if hit is None else (y0, hit)
     raise BracketError(f"no sign change of x(s1; y0) on the scan grid "
-                       f"[{_SCAN_GRID[0]}, {_SCAN_GRID[-1]}] for H = {H}")
+                       f"[{min(grid)}, {max(grid)}] for H = {H}")
 
 
 def scan_bracket(H: float, settings: Optional[OdeSettings] = None) -> tuple[float, float]:
-    """Scan y0 = 1/16, 1/8, ..., 4 for a sign change of x(s1; y0), as `(lo, hi)`.
+    """Scan y0 = 1/16, 1/8, ..., 4 (their negatives for H < 0) for a sign
+    change of x(s1; y0), as `(lo, hi)` with lo < hi.
 
-    Raises BracketError when no sign change shows up; closure of the
-    generating curve away from the exhibited cases is conjectural, so a
-    failed scan is reported data, not a crash.
+    The y-reflection (x, y, theta) -> (x, -y, -theta) maps the H system onto
+    the -H system, so for H < 0 the orbits start below the x-axis.  Raises
+    BracketError when no sign change shows up; closure of the generating
+    curve away from the exhibited cases is conjectural, so a failed scan is
+    reported data, not a crash.
     """
     (lo, _), (hi, _) = _scan(H, settings or OdeSettings())
     return lo, hi
@@ -393,9 +398,10 @@ def closed_curve_search(
     DEFAULT_CLOSURE_TOL), never part of the control.  A certificate failure
     raises ClosureError: simultaneous closure is observed, not guaranteed,
     and must be reported rather than assumed.  Each shot runs to arc length
-    max(settings.max_s, 40).  Without a bracket, the `scan_bracket` grid is
-    scanned first and its two end integrations serve as the bracket's residuals;
-    a given bracket (lo, hi) must be finite with lo < hi (else ValueError).
+    max(settings.max_s, 40).  Without a bracket, the `scan_bracket` grid (its
+    negatives for H < 0) is scanned first and its two end integrations serve
+    as the bracket's residuals; a given bracket (lo, hi) must be finite with
+    lo < hi (else ValueError).
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")

@@ -6,7 +6,16 @@ The arc-length system is always integrated:
     theta' = [sin(2 theta)(-x cos + y sin) - 2 H (1 + A^2)^{3/2}] / (1 + x^2 + y^2)
 
 with H = 0 for minimal surfaces.  The backward half of a curve is the same
-stepper run with negative steps.  The stepper (`_rk`) hands back each side's
+stepper run with negative steps, except for a minimal curve launched from
+the origin: the system is reversible under P(x, y, theta) = (-x, -y, theta),
+s -> -s, and rounding is sign-symmetric, so that half is the forward half
+reflected through the origin, bit for bit, and is built from it instead.
+Round-to-nearest negates every result but an exact zero (exact cancellation
+gives +0.0 on both sides), so the mirror is taken only when no x or y sample
+after the start and no stage theta' (these include every theta' sample after
+the start) is exactly 0; the constant-angle lines through the origin have
+such zeros and integrate both sides.  The stepper's `reflected` segments
+keep the start exactly as given.  The stepper (`_rk`) hands back each side's
 samples, slopes and dense segments, theta' being the third slope column, and
 raises IntegrationError itself; this module re-exports it.  theta is kept
 unwrapped so closure events (theta returning to theta0 - 2 pi) reduce to a
@@ -18,26 +27,32 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 # IntegrationError is re-exported: callers catch it as sol3.ode.IntegrationError.
-from ._rk import DenseSegment, IntegrationError, solve_fixed_horizon  # noqa: F401
+from ._rk import (STEP_FLOOR, DenseSegment, IntegrationError,  # noqa: F401
+                  TwoSided, solve_fixed_horizon)
 from .surface import CurveState
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 _SNAP_TOL = 1e-14
+# P(x, y, theta) = (-x, -y, theta) on states, and on their slopes (x', y', theta').
+_REFLECT_STATE = np.array([-1.0, -1.0, 1.0])
+_REFLECT_SLOPES = np.array([1.0, 1.0, -1.0])
 # From this |theta0| on, an ulp of theta0 is over twice the default tolerance.
 _MAX_ABS_THETA0 = 2.0 ** 20
 
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Integrator tolerances and horizons; all entries must be finite and positive."""
+    """Integrator tolerances and horizons; all entries must be finite and positive,
+    and max_step at least the stepper's smallest step, STEP_FLOOR."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -50,6 +65,9 @@ class OdeSettings:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
+        if self.max_step < STEP_FLOOR:
+            raise ValueError(f"max_step = {self.max_step!r} is below the stepper's "
+                             f"smallest step {STEP_FLOOR!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +124,7 @@ class Trajectory:
         ic: InitialCondition,
         H_target: Optional[float],
         settings: OdeSettings,
-        segments: Optional[list[DenseSegment]] = None,
+        segments: Optional[Sequence[DenseSegment]] = None,
         line: Optional[tuple] = None,
     ):
         for arr in (s, x, y, theta, theta_prime):
@@ -147,7 +165,7 @@ class Trajectory:
             return CurveState(s, x, y, float(self.theta[0]))
         if not self._segments:
             raise ValueError("trajectory has no dense segments")
-        i = min(bisect.bisect_left(self._seg_his, s), len(self._segments) - 1)
+        i = min(bisect.bisect_left(self._seg_his, s), len(self._seg_his) - 1)
         x, y, theta = self._segments[i].eval(s)
         return CurveState(s, x, y, theta)
 
@@ -221,6 +239,9 @@ def _trajectory(
     """Trajectory over [0, horizon], or over [-horizon, horizon] with both_sides."""
     if H is not None and not math.isfinite(H):
         raise ValueError("H must be finite")
+    if 0.0 < horizon < STEP_FLOOR:
+        raise ValueError(f"horizon (max_s) = {horizon!r} is below the stepper's "
+                         f"smallest step {STEP_FLOOR!r}")
     raw = _raw_rhs(H)
 
     def side(s_end: float):
@@ -229,11 +250,17 @@ def _trajectory(
 
     s, states, segments, slopes = side(horizon)
     if both_sides:
-        bs, bstates, bsegs, bslopes = side(-horizon)
+        if (H is None and ic.x0 == ic.y0 == 0.0
+                and states[1:, :2].all() and segments.reflectable()):
+            # The backward run is P of this one (see the module docstring).
+            bs, bstates, bsegs = -s, states * _REFLECT_STATE, segments.reflected()
+            bslopes = slopes * _REFLECT_SLOPES
+        else:
+            bs, bstates, bsegs, bslopes = side(-horizon)
         s = np.concatenate([bs[::-1][:-1], s])
         states = np.concatenate([bstates[::-1][:-1], states])
         slopes = np.concatenate([bslopes[::-1][:-1], slopes])
-        segments = bsegs[::-1] + segments
+        segments = TwoSided(bsegs, segments)
     return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], slopes[:, 2],
                       ic, H, settings, segments=segments)
 

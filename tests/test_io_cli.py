@@ -371,6 +371,29 @@ def test_cli_shoot_success(tmp_path):
     assert data["iterations"] >= 1
 
 
+def test_cli_shoot_negative_h_scans_the_negated_grid(tmp_path):
+    # (x, y, theta) -> (x, -y, -theta) maps the H = 1 orbit onto the H = -1 one.
+    out = str(tmp_path / "shoot.json")
+    assert main(["shoot", "--H", "-1", "--out", out]) == 0
+    data = json.loads(open(out).read())
+    assert data["y0_star"] == pytest.approx(-0.6421767, abs=1e-6)
+    assert data["s1"] == pytest.approx(3.9326203, abs=1e-6)
+    assert abs(data["residual_x"]) < 1e-9 and abs(data["residual_y"]) < 1e-6
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["integrate", "--theta0", "0.3", "--max-step", "1e-15"], "max_step"),
+    (["shoot", "--H", "1", "--max-step", "1e-15"], "max_step"),
+    (["integrate", "--theta0", "0.3", "--max-s", "5e-15"], "max_s"),
+])
+def test_cli_settings_below_the_step_floor_are_usage_errors(tmp_path, capsys, argv, setting):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert setting in err and "smallest step 1e-14" in err
+    assert not out.exists()
+
+
 def test_cli_shoot_bracket_failure(tmp_path):
     out = str(tmp_path / "fail.json")
     assert main(["shoot", "--H", "1", "--bracket", "2:3", "--out", out]) == 2

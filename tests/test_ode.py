@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import example, given, settings as hsettings, strategies as st
 from scipy.integrate import solve_ivp
 
 from sol3 import (
@@ -209,6 +209,20 @@ def test_state_at_refuses_arc_length_outside_the_samples():
         for s in (1e9, -2.5, math.nan):
             with pytest.raises(ValueError, match="outside sampled range"):
                 traj.state_at(s)
+
+
+def test_step_cap_and_horizon_below_the_step_floor_are_refused():
+    # Below the stepper's smallest step no step can be taken: a usage error,
+    # not an integration failure.  A zero horizon still gives the start alone.
+    with pytest.raises(ValueError, match="max_step = 1e-15 is below"):
+        OdeSettings(max_step=1e-15)
+    OdeSettings(max_step=1e-14)
+    ic = InitialCondition(0.0, 0.5, 0.3)
+    for run in (lambda: integrate(ic, OdeSettings(max_s=5e-15)),
+                lambda: integrate_forward(ic, horizon=5e-15, H=1.0)):
+        with pytest.raises(ValueError, match=r"horizon \(max_s\) = 5e-15 is below"):
+            run()
+    assert len(integrate_forward(ic, horizon=0.0)) == 1
 
 
 def test_dense_output_matches_nodes():
@@ -570,6 +584,48 @@ def test_origin_symmetry_is_exact(theta0, max_step):
     assert np.array_equal(traj.x[::-1], -traj.x)
     assert np.array_equal(traj.y[::-1], -traj.y)
     assert np.array_equal(traj.theta[::-1], traj.theta)
+
+
+def state_bytes(state):
+    return np.array([state.s, state.x, state.y, state.theta]).tobytes()
+
+
+@given(x0=st.sampled_from([0.0, -0.0]), y0=st.sampled_from([0.0, -0.0]),
+       theta0=st.floats(-math.pi, math.pi), max_step=STEP_CAPS, max_s=st.floats(0.5, 30.0))
+@example(x0=0.0, y0=0.0, theta0=0.0, max_step=0.1, max_s=3.0)
+@example(x0=0.0, y0=0.0, theta0=math.pi / 4, max_step=0.1, max_s=3.0)
+@example(x0=0.0, y0=-0.0, theta0=math.pi / 2, max_step=0.1, max_s=3.0)
+@example(x0=-0.0, y0=0.0, theta0=3 * math.pi / 4, max_step=0.1, max_s=3.0)
+@example(x0=-0.0, y0=-0.0, theta0=math.pi, max_step=0.1, max_s=3.0)
+@hsettings(derandomize=True, max_examples=40, deadline=None)
+def test_mirrored_half_is_the_backward_run(x0, y0, theta0, max_step, max_s):
+    # A minimal curve from the origin gets its s < 0 half by reflecting the
+    # forward half; here it must equal an actual backward run byte for byte,
+    # signed zeros included: samples, slopes, dense segments and dense states.
+    # The constant-angle starts (snap off) have exact zeros that a
+    # reflection would turn into -0.0; those still integrate both sides.
+    from sol3._rk import solve_fixed_horizon
+
+    settings = OdeSettings(max_s=max_s, max_step=max_step)
+    traj = integrate(InitialCondition(x0, y0, theta0), settings, snap=False)
+    f, start = ode._raw_rhs(None), (x0, y0, theta0)
+    bs, bys, bsegs, bslopes = solve_fixed_horizon(f, start, -max_s, 1e-10, 1e-10, max_step)
+    fs, fys, fsegs, fslopes = solve_fixed_horizon(f, start, max_s, 1e-10, 1e-10, max_step)
+    n = len(bs) - 1
+    assert len(traj) == n + len(fs)
+    for got, want in ((traj.s, bs), (traj.x, bys[:, 0]), (traj.y, bys[:, 1]),
+                      (traj.theta, bys[:, 2]), (traj.theta_prime, bslopes[:, 2])):
+        assert got[:n].tobytes() == want[:0:-1].tobytes()
+    assert ([segment_bytes(g) for g in traj._segments[:n]]
+            == [segment_bytes(g) for g in list(bsegs)[::-1]])
+    ref = ode.Trajectory(
+        np.concatenate([bs[:0:-1], fs]), np.concatenate([bys[:0:-1, 0], fys[:, 0]]),
+        np.concatenate([bys[:0:-1, 1], fys[:, 1]]), np.concatenate([bys[:0:-1, 2], fys[:, 2]]),
+        np.concatenate([bslopes[:0:-1, 2], fslopes[:, 2]]), traj.ic, None, settings,
+        segments=list(bsegs)[::-1] + list(fsegs))
+    probes = [0.0, -max_s] + (0.5 * (bs[1:] + bs[:-1])).tolist()
+    assert ([state_bytes(traj.state_at(s)) for s in probes]
+            == [state_bytes(ref.state_at(s)) for s in probes])
 
 
 @given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0), theta0=st.floats(-math.pi, math.pi),
