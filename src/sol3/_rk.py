@@ -6,9 +6,12 @@ fourth-order error estimate, proportional-integral step-size control.  The
 state is the generating curve's three floats (x, y, theta), held as three
 Python locals: numpy's per-call overhead dominates on a 3-vector, so stage
 arguments, error norm and step control are float arithmetic, the norm summed
-in np.mean's order.  The stage sums stay in numpy: the BLAS kernel fuses
-their multiply-adds (FMA), which float arithmetic cannot reproduce, and that
-keeps output bytes unchanged.  They are written out as straight-line code,
+in np.mean's order.  The step loop calls no min, max or abs: each is an
+inline comparison with the builtin's tie rule (max(a, b) is `b if b > a else
+a`), so every step is the same float for signed zeros, infinities and NaN
+too.  The stage sums stay in numpy: the BLAS kernel fuses their
+multiply-adds (FMA), which float arithmetic cannot reproduce, and that keeps
+output bytes unchanged.  They are written out as straight-line code,
 each `a.dot(K[:i], out)` into one preallocated buffer, read back as floats
 through a memoryview: the same BLAS routine and bits as `a @ K`, without
 matmul's ufunc dispatch or a fresh array per call.  Stage rows are written
@@ -230,9 +233,14 @@ def solve_fixed_horizon(
                     f"{_FAILED}: horizon not reached in {MAX_STEPS} attempted steps", sign * t)
             budget -= 1
             h_ctrl = h
-            h = min(h, max_step, span - t)
-            if h < STEP_FLOOR * max(1.0, t):
-                if min(h_ctrl, max_step) >= STEP_FLOOR * max(1.0, t):
+            if max_step < h:  # h = min(h, max_step, span - t)
+                h = max_step
+            rest = span - t
+            if rest < h:
+                h = rest
+            floor = STEP_FLOOR * (t if t > 1.0 else 1.0)
+            if h < floor:
+                if (max_step if max_step < h_ctrl else h_ctrl) >= floor:
                     break  # only the rounding remainder of the horizon is left
                 raise IntegrationError(_FAILED, sign * t)
             hs = sign * h
@@ -255,14 +263,22 @@ def solve_fixed_horizon(
             sum_b(K6, out)
             d0, d1, d2 = o
             xn, yn, thn = x + hs * d0, y + hs * d1, th + hs * d2
-            Kf[18], Kf[19], Kf[20] = f(xn, yn, thn)
+            Kf[18], Kf[19], Kf[20] = k7 = f(xn, yn, thn)
 
             # Summed in np.mean's order; r * r overflows to inf where r ** 2 raises.
+            # Each scale is max(abs(v), abs(vn)), except that -0.0 stays -0.0;
+            # abs_tol + rel_tol * -0.0 is abs_tol + rel_tol * 0.0, so r is the same.
             sum_e(K, out)
             e0, e1, e2 = o
-            r0 = hs * e0 / (abs_tol + rel_tol * max(abs(x), abs(xn)))
-            r1 = hs * e1 / (abs_tol + rel_tol * max(abs(y), abs(yn)))
-            r2 = hs * e2 / (abs_tol + rel_tol * max(abs(th), abs(thn)))
+            a = -x if x < 0.0 else x
+            b = -xn if xn < 0.0 else xn
+            r0 = hs * e0 / (abs_tol + rel_tol * (b if b > a else a))
+            a = -y if y < 0.0 else y
+            b = -yn if yn < 0.0 else yn
+            r1 = hs * e1 / (abs_tol + rel_tol * (b if b > a else a))
+            a = -th if th < 0.0 else th
+            b = -thn if thn < 0.0 else thn
+            r2 = hs * e2 / (abs_tol + rel_tol * (b if b > a else a))
             err_norm = math.sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3)
 
             if err_norm <= 1.0:
@@ -274,17 +290,20 @@ def solve_fixed_horizon(
                 ys.append(state)
                 factor = (_MAX_FACTOR if err_norm == 0.0
                           else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
-                err_prev = max(err_norm, 1e-4)
-                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                err_prev = 1e-4 if 1e-4 > err_norm else err_norm
+                factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+                h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
                 x, y, th = xn, yn, thn
-                Kf[0:3] = Kf[18:21]
+                Kf[0], Kf[1], Kf[2] = k7
                 if stop_event is not None:
                     p_new = stop_event(sign * t, state)
                     if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):
                         break
                     p_prev = p_new
             else:
-                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-_EXP1)))
+                factor = _SAFETY * err_norm ** (-_EXP1)
+                factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+                h *= factor if factor < 1.0 else 1.0
     except ValueError as exc:
         raise IntegrationError(f"{_FAILED}: a stage state is not finite", sign * t) from exc
 

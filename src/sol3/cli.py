@@ -12,11 +12,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from . import analysis, io, verify
-from .ode import InitialCondition, IntegrationError, OdeSettings, integrate
+from .ode import (InitialCondition, IntegrationError, OdeSettings, check_step_budget,
+                  integrate)
 
 EXIT_OK = 0
 EXIT_INTEGRATION = 1
@@ -270,6 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("sweep: --workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    check_step_budget(settings, settings.max_s)  # before any curve or directory is written
     thetas = [start + (stop - start) * i / max(count - 1, 1) for i in range(count)]
     tasks = []
     for i, theta0 in enumerate(thetas):
@@ -282,6 +283,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The pool starts all its workers at once: never more than curves or CPUs.
     workers = min(args.workers, count, os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: multiprocessing is most of a serial command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_sweep_task, tasks))
     else:

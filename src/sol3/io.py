@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -63,7 +62,7 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     as `open` would create path itself.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:

@@ -33,6 +33,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from . import _rk
 # IntegrationError is re-exported: callers catch it as sol3.ode.IntegrationError.
 from ._rk import (STEP_FLOOR, DenseSegment, IntegrationError,  # noqa: F401
                   TwoSided, solve_fixed_horizon)
@@ -232,6 +233,15 @@ def _line_trajectory(
     return Trajectory(s, x, y, th, tp, ic, None, settings, line=line)
 
 
+def check_step_budget(settings: OdeSettings, horizon: float) -> None:
+    """Raise ValueError when the stepper's MAX_STEPS steps, each at most
+    max_step, cannot reach horizon: a run without a stop event would only
+    find that out at the end of its step budget."""
+    if horizon > _rk.MAX_STEPS * settings.max_step:
+        raise ValueError(f"horizon (max_s) = {horizon!r} needs more than {_rk.MAX_STEPS} "
+                         f"steps of max_step = {settings.max_step!r}")
+
+
 def _trajectory(
     ic: InitialCondition, settings: OdeSettings, H: Optional[float], horizon: float,
     stop_event: Optional[Callable[[float, list], float]] = None, both_sides: bool = False,
@@ -242,6 +252,8 @@ def _trajectory(
     if 0.0 < horizon < STEP_FLOOR:
         raise ValueError(f"horizon (max_s) = {horizon!r} is below the stepper's "
                          f"smallest step {STEP_FLOOR!r}")
+    if stop_event is None:
+        check_step_budget(settings, horizon)
     raw = _raw_rhs(H)
 
     def side(s_end: float):

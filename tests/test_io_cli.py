@@ -1,10 +1,13 @@
 """CSV/OBJ round-trips, mesh invariants, CLI exit codes and determinism."""
+import concurrent.futures
 import contextlib
 import hashlib
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from io import StringIO
 
@@ -394,6 +397,25 @@ def test_cli_settings_below_the_step_floor_are_usage_errors(tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--theta0", "0.3", "--max-step", "0.001", "--max-s", "0.2"],
+    ["mesh", "--theta0", "0.3", "--grid=-0.5:0.5:-1:1:2:2", "--max-step", "1e-3"],
+    # theta0 = 0 snaps to a line, which needs no steps: refused all the same.
+    ["sweep", "--theta0-range", "0:1:3", "--max-step", "0.001", "--max-s", "0.2",
+     "--out-dir", "curves"],
+])
+def test_cli_horizon_beyond_the_step_budget_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    from sol3 import _rk
+
+    monkeypatch.setattr(_rk, "MAX_STEPS", 100)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out"]) == 64
+    err = capsys.readouterr().err
+    assert "needs more than 100 steps of max_step = 0.001" in err and "max_s" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_shoot_bracket_failure(tmp_path):
     out = str(tmp_path / "fail.json")
     assert main(["shoot", "--H", "1", "--bracket", "2:3", "--out", out]) == 2
@@ -506,7 +528,7 @@ def test_cli_integrate_step_budget_exits_1(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(_rk, "MAX_STEPS", 100)
     out = tmp_path / "c.csv"
-    assert main(["integrate", "--theta0", "0.3", "--max-s", "10", "--out", str(out)]) == 1
+    assert main(["integrate", "--theta0", "0.3", "--max-s", "1", "--out", str(out)]) == 1
     assert "100 attempted steps" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
@@ -514,7 +536,7 @@ def test_cli_integrate_step_budget_exits_1(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv,err", [
     (["--theta0", "0.3", "--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-s", "1"],
      "generating-curve integration failed (last good s = 0.0)"),
-    (["--theta0", "0.3", "--max-s", "10"],  # with a budget of 100 steps
+    (["--theta0", "0.3", "--max-s", "1"],  # with a budget of 100 steps
      "generating-curve integration failed: horizon not reached in 100 attempted steps"
      " (last good s = 0.9910000000000007)"),
     (["--H=1e308", "--max-s", "1"],
@@ -746,7 +768,7 @@ def test_cli_sweep_caps_workers(tmp_path, monkeypatch, count, cpus, expected):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--theta0-range", f"0.3:1.0:{count}", "--workers", "100000",
@@ -754,6 +776,18 @@ def test_cli_sweep_caps_workers(tmp_path, monkeypatch, count, cpus, expected):
     # With an unknown CPU count the sweep runs serially, without a pool.
     assert recorded == ([] if expected is None else [expected])
     assert len(json.loads(out.read_text())["curves"]) == count
+
+
+def test_cli_import_leaves_out_multiprocessing_and_secrets():
+    # A serial command should not pay for the process pool's or secrets'
+    # imports (about 30 ms of start-up); the pool is imported by sweep alone.
+    heavy = ("multiprocessing", "concurrent.futures.process", "secrets")
+    code = f"import sys, sol3.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_cli_mesh_non_finite_vertex_exits_1(tmp_path, capsys):

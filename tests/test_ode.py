@@ -1,4 +1,6 @@
 """Integrator behaviour: explicit solutions, convergence, events, cross-checks."""
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -284,8 +286,32 @@ def test_step_budget_ends_in_integration_error(monkeypatch):
     with pytest.raises(IntegrationError, match=budget) as err:
         _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), -1.0, 1e-10, 1e-10, 0.01)
     assert -1.0 < err.value.last_s < 0.0
+    # 50 steps of max_step = 0.01 could reach 0.5, but the first steps are shorter.
     with pytest.raises(IntegrationError, match="50 attempted steps"):
-        integrate(InitialCondition(0, 0, 0.3), OdeSettings(max_s=1.0))
+        integrate(InitialCondition(0, 0, 0.3), OdeSettings(max_s=0.5))
+
+
+def test_horizon_beyond_the_step_budget_is_refused_before_stepping(monkeypatch):
+    from sol3 import _rk
+
+    def no_stepping(*args):
+        raise AssertionError("the stepper ran")
+
+    monkeypatch.setattr(_rk, "MAX_STEPS", 50)
+    ic = InitialCondition(0.0, 0.5, 0.3)
+    with monkeypatch.context() as m:
+        m.setattr(ode, "solve_fixed_horizon", no_stepping)
+        refused = r"horizon \(max_s\) = 0.51 needs more than 50 steps of max_step = 0.01"
+        for run in (lambda: integrate(ic, OdeSettings(max_s=0.51)),
+                    lambda: integrate_forward(ic, OdeSettings(max_s=0.51), H=1.0),
+                    lambda: integrate_forward(ic, horizon=0.51)):
+            with pytest.raises(ValueError, match=refused):
+                run()
+    # A stop event may end the run in time: it still steps, and may run out.
+    with pytest.raises(IntegrationError, match="50 attempted steps"):
+        integrate_forward(ic, horizon=0.51, H=1.0, stop_event=lambda s, yv: 1.0)
+    assert len(integrate_forward(ic, horizon=0.51, H=1.0,
+                                 stop_event=lambda s, yv: yv[2] - 0.299)) < 50
 
 
 def test_integration_error_is_one_class():
@@ -453,6 +479,44 @@ def test_stepper_matches_reference_loop_bit_for_bit(H, x0, y0, theta0, span, sig
     stop = None if event is None else (lambda s, yv: yv[2] - (theta0 + event))
     args = (ode._raw_rhs(H), (x0, y0, theta0), sign * span, 1e-10, 1e-10, max_step, stop)
     assert run_or_error(solve_fixed_horizon, *args) == run_or_error(reference_solve, *args)
+
+
+@pytest.mark.parametrize("H, start, s_end, tol, max_step", [
+    # Signed zeros in every error-norm scale, forward and backward.
+    (None, (-0.0, -0.0, -0.0), 2.0, 1e-10, 0.1),
+    (None, (-0.0, -0.0, -0.0), -2.0, 1e-10, 0.1),
+    (1.0, (-0.0, -0.0, -0.0), 2.0, 1e-10, 0.1),
+    (1.0, (-0.0, -0.0, -0.0), -2.0, 1e-10, 0.1),
+    # A horizon of exactly 1, where the step floor's t > 1 test flips.
+    (None, (0.0, 0.0, 0.3), 1.0, 1e-10, 0.01),
+    (1.0, (0.0, 0.6, 0.0), -1.0, 1e-10, 0.5),
+    (None, (0.2, -0.1, 0.4), 1.0, 1e-6, 10.0),
+    # The error norm overflows to inf: reject clamps until the step collapses.
+    (None, (0.0, 0.0, 0.3), 1.0, 1e-300, 0.01),
+    (1.0, (0.0, 0.6, 0.0), -1.0, 1e-300, 0.5),
+    # Non-finite values: a NaN error norm, infinite scales, and math.sin of
+    # an infinite stage angle.
+    (None, (math.nan, 0.0, 0.3), 1.0, 1e-10, 0.01),
+    (1.0, (-math.inf, 0.5, 0.0), 1.0, 1e-10, 0.01),
+    (1e308, (0.0, 0.5, 0.0), 1.0, 1e-10, 0.01),
+])
+def test_stepper_matches_reference_loop_at_edge_values(H, start, s_end, tol, max_step):
+    from sol3._rk import solve_fixed_horizon
+
+    args = (ode._raw_rhs(H), start, s_end, tol, tol, max_step)
+    assert run_or_error(solve_fixed_horizon, *args) == run_or_error(reference_solve, *args)
+
+
+def test_step_loop_calls_no_min_max_or_abs():
+    # The loop spells them as comparisons (cheaper per step, same floats);
+    # the edge-value and hypothesis tests above pin their tie rules.
+    from sol3._rk import solve_fixed_horizon
+
+    tree = ast.parse(inspect.getsource(solve_fixed_horizon))
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.While))
+    called = {node.func.id for node in ast.walk(loop)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"min", "max", "abs"}
 
 
 @given(H=H_VALUES, x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
