@@ -294,6 +294,8 @@ def integrate(
     if snap and H is None:
         line = _snap_line_kind(ic)
         if line is not None:
+            # A line takes as many samples as an integrated curve takes steps.
+            check_step_budget(settings, settings.max_s)
             return _line_trajectory(ic, settings, line, -settings.max_s, settings.max_s)
     return _trajectory(ic, settings, H, settings.max_s, both_sides=True)
 

@@ -11,22 +11,31 @@ module must never import from `surface`.
 First derivatives use step 1e-5; second-derivative stencils use 2e-4, where
 truncation and round-off balance for double precision.
 
-The numerical Riemann tensor depends only on the height z, so it is built
-once per z and kept in a small memo of nested tuples (shared but
-immutable).  Stencils, the cross product and the Christoffel terms run on
-Python floats; every metric inner product p.g.q stays on numpy's BLAS dot,
-whose fused multiply-adds a plain float sum would not reproduce bit for bit.
+The metric, the Christoffel symbols and the numerical Riemann tensor depend
+only on the height z, so they are built once per z and kept in a small memo
+of tuples and read-only arrays (shared but immutable).  The memo keeps only
+the nonzero Christoffel and Riemann entries (6 of 27 and 12 of 81), in the
+dense summation order, and only those are contracted.  The stencil
+evaluates the local curve once per arc-length offset.  Stencils, the cross
+product and the Christoffel and Riemann sums run on Python floats; every
+metric inner product p.g.q stays on numpy's BLAS dot, whose fused
+multiply-adds a plain float sum would not reproduce bit for bit.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 2e-4
+
+# (e^{-t}, e^{t}) at the stencil's height offsets t.
+_LIFT = {t: (math.exp(-t), math.exp(t))
+         for t in (0.0, FD_STEP_FIRST, -FD_STEP_FIRST, FD_STEP_SECOND, -FD_STEP_SECOND)}
 
 
 def coord_metric(point) -> np.ndarray:
@@ -72,15 +81,12 @@ def coord_christoffel_fd(z: float) -> np.ndarray:
     return gam
 
 
-@functools.lru_cache(maxsize=16)
 def _riemann_tensor(z: float) -> tuple:
     """R[l][i][j][k] = R^l_{ijk} at height z as nested tuples of floats.
 
     R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
               + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik},
-    with dGamma/dz taken by central differences of step FD_STEP_FIRST.  Every
-    sample of a swept patch sits at the same height, so the tensor is built
-    once per z and memoised; tuples keep the memo immutable.
+    with dGamma/dz taken by central differences of step FD_STEP_FIRST.
     """
     h = FD_STEP_FIRST
     gam = coord_christoffel(z)
@@ -99,28 +105,56 @@ def _riemann_tensor(z: float) -> tuple:
                        for i in axis) for l in axis)
 
 
-def riemann_apply(z: float, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """R(u, v)w in coordinates, with dGamma/dz taken by central differences."""
-    u, v, w = (np.asarray(a, dtype=float).tolist() for a in (u, v, w))
-    out = []
-    for rl in _riemann_tensor(z):
+class _Height(NamedTuple):
+    """What the oracle needs at one height z, built once (see _height)."""
+
+    metric: np.ndarray  # diag(e^{2z}, e^{-2z}, 1), read-only
+    diag: tuple         # its diagonal as floats
+    christoffel: tuple  # per k, the nonzero ((i, j), Gamma^k_{ij}) in (i, j) order
+    riemann: tuple      # per l, the nonzero ((i, j, k), R^l_{ijk}) in (i, j, k) order
+
+
+@functools.lru_cache(maxsize=16)
+def _height(z: float) -> _Height:
+    """The metric, Christoffel and Riemann terms at height z, memoised.
+
+    Every sample of a swept patch sits at the same height.  Only nonzero
+    entries are kept: with finite operands a zero entry only adds a signed
+    zero to a sum that starts at +0.0, so the sparse sums keep every bit of
+    the dense ones.  The memo holds tuples and a read-only array.
+    """
+    metric = coord_metric((0.0, 0.0, z))
+    metric.flags.writeable = False
+    gam = coord_christoffel(z).tolist()
+    axis = range(3)
+    christoffel = tuple(tuple(((i, j), gk[i][j]) for i in axis for j in axis if gk[i][j] != 0.0)
+                        for gk in gam)
+    riemann = tuple(tuple(((i, j, k), rl[i][j][k]) for i in axis for j in axis for k in axis
+                          if rl[i][j][k] != 0.0)
+                    for rl in _riemann_tensor(z))
+    return _Height(metric, tuple(metric.diagonal().tolist()), christoffel, riemann)
+
+
+def _sectional(height: _Height, u: list, v: list, u_vec: np.ndarray,
+               E: float, F: float, G: float) -> float:
+    """<R(u, v)v, u> / (|u|^2 |v|^2 - <u, v>^2), given the three inner products."""
+    r_uvv = []
+    for terms in height.riemann:
         acc = 0.0  # summed in (i, j, k) order
-        for rli, ui in zip(rl, u):
-            for rlij, vj in zip(rli, v):
-                for r, wk in zip(rlij, w):
-                    acc += r * ui * vj * wk
-        out.append(acc)
-    return np.array(out)
+        for (i, j, k), r in terms:
+            acc += r * u[i] * v[j] * v[k]
+        r_uvv.append(acc)
+    num = float(np.array(r_uvv).dot(height.metric).dot(u_vec))
+    return num / (E * G - F ** 2)
 
 
 def sectional_curvature_coord(z: float, u: np.ndarray, v: np.ndarray) -> float:
     """Sectional curvature of span(u, v) at height z, from the numerical Riemann tensor."""
-    g = np.diag([math.exp(2.0 * z), math.exp(-2.0 * z), 1.0])
+    height = _height(z)
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    num = float(riemann_apply(z, u, v, v).dot(g).dot(u))
-    uv = float(u.dot(g).dot(v))
-    area2 = float(u.dot(g).dot(u)) * float(v.dot(g).dot(v)) - uv ** 2
-    return num / area2
+    u_g, v_g = u.dot(height.metric), v.dot(height.metric)
+    return _sectional(height, u.tolist(), v.tolist(), u,
+                      float(u_g.dot(u)), float(u_g.dot(v)), float(v_g.dot(v)))
 
 
 def local_curve(state, theta_prime: float):
@@ -170,16 +204,16 @@ def curvatures_fd(state, theta_prime: float) -> OracleReport:
     """Shape-operator curvatures via finite differences of the swept patch."""
     h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
     curve = local_curve(state, theta_prime)
+    at = {ds: curve(ds) for ds in (0.0, h1, -h1, h2, -h2)}
 
     def psi(ds: float, t: float) -> tuple[float, float, float]:
-        cx, cy = curve(ds)
-        return math.exp(-t) * cx, math.exp(t) * cy, t
+        (cx, cy), (e_minus, e_plus) = at[ds], _LIFT[t]
+        return e_minus * cx, e_plus * cy, t
 
     base = psi(0.0, 0.0)
     z = base[2]
-    g_mat = coord_metric(base)
-    g_diag = g_mat.diagonal().tolist()
-    gam = coord_christoffel(z).tolist()
+    height = _height(z)
+    g_mat = height.metric
 
     def first(plus, minus, step):
         return [(p - q) / (2.0 * step) for p, q in zip(plus, minus)]
@@ -207,17 +241,16 @@ def curvatures_fd(state, theta_prime: float) -> OracleReport:
     # with g^{-1}, which is a division by the diagonal.
     (s0, s1, s2), (t0, t1, t2) = psi_s, psi_t
     n_cov = (s1 * t2 - s2 * t1, s2 * t0 - s0 * t2, s0 * t1 - s1 * t0)
-    n = np.array([c / gk for c, gk in zip(n_cov, g_diag)])
+    n = np.array([c / gk for c, gk in zip(n_cov, height.diag)])
     n /= math.sqrt(float(n.dot(g_mat).dot(n)))
     n_g = n.dot(g_mat)
 
     def second(u: list, v: list, second_partial: list) -> float:
         cov = []
-        for gk, d2 in zip(gam, second_partial):
+        for terms, d2 in zip(height.christoffel, second_partial):
             acc = 0.0  # einsum("kij,i,j->k", gam, u, v), in (i, j) order
-            for gki, ui in zip(gk, u):
-                for gkij, vj in zip(gki, v):
-                    acc += gkij * ui * vj
+            for (i, j), gkij in terms:
+                acc += gkij * u[i] * v[j]
             cov.append(d2 + acc)
         return float(n_g.dot(np.array(cov)))
 
@@ -227,6 +260,6 @@ def curvatures_fd(state, theta_prime: float) -> OracleReport:
 
     H = (e * G - 2.0 * f * F + g2 * E) / (2.0 * W)
     k_ext = (e * g2 - f * f) / W
-    k_sec = sectional_curvature_coord(z, s_vec, t_vec)
+    k_sec = _sectional(height, psi_s, psi_t, s_vec, E, F, G)
     return OracleReport(E=E, F=F, G=G, e=e, f=f, g=g2,
                         H=H, K=k_ext + k_sec, K_ext=k_ext, K_sec=k_sec)

@@ -32,3 +32,36 @@ def test_demos_run_and_write_their_meshes(tmp_path):
     assert digests == CLOSED_FORM_OBJ_DIGESTS
     # An integrated curve: its bytes depend on BLAS FMA, so only its presence is checked.
     assert (out / "cmc_h1_closed.obj").stat().st_size > 0
+
+
+# Recorded before the oracle contracted only its nonzero Christoffel and
+# Riemann terms.  The deviations and oracle digits come through numpy's BLAS
+# dot, whose multiply-add (FMA) order they depend on, so another BLAS build
+# may legitimately print other last digits.
+CURVATURE_VERIFICATION_STDOUT = """\
+{
+  "circle_K": 0.0,
+  "max_dev_H": 8.572122567329643e-08,
+  "max_dev_K": 5.7820057630664223e-08,
+  "passed": true,
+  "plane_H": 0.0,
+  "plane_K": -1.0,
+  "samples": 100,
+  "seed": 42,
+  "tolerance": 1e-06
+}
+
+per-state example (x, y, theta, theta') = (0.7, -0.3, 0.9, 0.4):
+  frame : H = -0.534051131154  K = -0.554015541680
+  oracle: H = -0.534051131162  K = -0.554015543541
+  |dH| = 7.87e-12, |dK| = 1.86e-09
+"""
+
+
+def test_curvature_verification_demo_prints_what_it_always_printed(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    shutil.copy(ROOT / "demos" / "curvature_verification.py", tmp_path)
+    run = subprocess.run([sys.executable, str(tmp_path / "curvature_verification.py")],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == CURVATURE_VERIFICATION_STDOUT

@@ -400,7 +400,11 @@ def test_cli_settings_below_the_step_floor_are_usage_errors(tmp_path, capsys, ar
 @pytest.mark.parametrize("argv", [
     ["integrate", "--theta0", "0.3", "--max-step", "0.001", "--max-s", "0.2"],
     ["mesh", "--theta0", "0.3", "--grid=-0.5:0.5:-1:1:2:2", "--max-step", "1e-3"],
-    # theta0 = 0 snaps to a line, which needs no steps: refused all the same.
+    # theta0 = 0 snaps to a line, which needs no steps but as many samples:
+    # refused all the same.
+    ["integrate", "--theta0", "0", "--max-step", "0.001", "--max-s", "0.2"],
+    ["classify", "--theta0", "0", "--max-step", "0.001", "--max-s", "0.2"],
+    ["mesh", "--theta0", "0", "--grid=-0.5:0.5:-1:1:2:2", "--max-step", "1e-3"],
     ["sweep", "--theta0-range", "0:1:3", "--max-step", "0.001", "--max-s", "0.2",
      "--out-dir", "curves"],
 ])
@@ -413,6 +417,15 @@ def test_cli_horizon_beyond_the_step_budget_is_a_usage_error(tmp_path, monkeypat
     assert main(argv + ["--out", "out"]) == 64
     err = capsys.readouterr().err
     assert "needs more than 100 steps of max_step = 0.001" in err and "max_s" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_line_beyond_the_step_budget_writes_nothing(tmp_path, capsys):
+    # Refused before any of the 2·10^7 line samples is made.
+    out = tmp_path / "l.csv"
+    assert main(["integrate", "--theta0", "0", "--max-step", "1e-7", "--max-s", "1",
+                 "--out", str(out)]) == 64
+    assert "needs more than 1000000 steps of max_step = 1e-07" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

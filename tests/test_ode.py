@@ -302,7 +302,9 @@ def test_horizon_beyond_the_step_budget_is_refused_before_stepping(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(ode, "solve_fixed_horizon", no_stepping)
         refused = r"horizon \(max_s\) = 0.51 needs more than 50 steps of max_step = 0.01"
+        line = InitialCondition(0.0, 0.5, 0.0)  # snaps to a line: no steps, as many samples
         for run in (lambda: integrate(ic, OdeSettings(max_s=0.51)),
+                    lambda: integrate(line, OdeSettings(max_s=0.51)),
                     lambda: integrate_forward(ic, OdeSettings(max_s=0.51), H=1.0),
                     lambda: integrate_forward(ic, horizon=0.51)):
             with pytest.raises(ValueError, match=refused):
