@@ -17,21 +17,21 @@ through a memoryview: the same BLAS routine and bits as `a @ K`, without
 matmul's ufunc dispatch or a fresh array per call.  Stage rows are written
 into K through one flat memoryview, several times cheaper than assigning a
 tuple to a row of K.  An accepted step records only its signed step and its
-21 stage values, appended to one bytearray; the dense segments are built
-from those rows on first use (K is a view of the buffer) and cached, as few
-steps are ever evaluated, and each forms its interpolant Q = K.T P lazily
-too.  The slope f at each sample is its FSAL stage, returned as it came
+21 stage values, appended to one bytearray; a run hands back its steps h
+and stage rows K (a view of that buffer) as arrays.  `dense_step` forms one
+step's interpolant Q = K.T P and `dense_state` evaluates it at one s; few
+steps are ever evaluated, so callers keep the former per step as they need
+it.  The slope f at each sample is its FSAL stage, returned as it came
 from f.  A backward run takes negative steps; since rounding is
 sign-symmetric, it gives exactly the negated-arc-length samples of a forward
-run of -f, and `DenseSegments.reflected` gives the segments of a run that a
-point reflection maps onto this one.  A call attempts at most MAX_STEPS
+run of -f, and `reflected` gives the rows of the run that a point
+reflection maps onto this one.  A call attempts at most MAX_STEPS
 steps, so no horizon runs unbounded.  Every failure is an IntegrationError
 naming the last accepted s.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from itertools import chain
 from typing import Callable, Optional
 
@@ -59,7 +59,8 @@ _P = np.array([
     [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
-# Stage slopes of the point-reflected run: (x', y', theta') -> (x', y', -theta').
+# P(x, y, theta) = (-x, -y, theta) on states, and on their slopes (x', y', theta').
+_REFLECT_STATE = np.array([-1.0, -1.0, 1.0])
 _REFLECT_SLOPES = np.array([1.0, 1.0, -1.0])
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -82,103 +83,42 @@ class IntegrationError(RuntimeError):
 
 
 _FAILED = "generating-curve integration failed"
+# A run: s samples, state samples, signed steps h, stage rows K and slopes.
+Run = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-class DenseSegment:
-    """One accepted step's interpolant: y(t0 + u*h) = y0 + h * (K.T @ P) @ [u, u^2, u^3, u^4]."""
+def reflected(s: np.ndarray, states: np.ndarray, h: np.ndarray, K: np.ndarray,
+              slopes: np.ndarray) -> Optional[Run]:
+    """The run that P(x, y, theta) = (-x, -y, theta), s -> -s, maps onto this
+    one, or None when a stage theta' after the start is exactly 0.
 
-    __slots__ = ("t0", "h", "y0", "K", "_Q")
-
-    def __init__(self, t0: float, h: float, y0: list[float], K: np.ndarray):
-        self.t0, self.h, self.y0, self.K, self._Q = t0, h, y0, K, None
-
-    def eval(self, t: float) -> list[float]:
-        if self._Q is None:
-            self._Q = self.K.T.dot(_P)
-        u, h = (t - self.t0) / self.h, self.h
-        q = self._Q.dot(np.array([u, u * u, u ** 3, u ** 4])).tolist()
-        return [yj + h * qj for yj, qj in zip(self.y0, q)]
-
-
-class _Segments(Sequence):
-    """A read-only sequence of dense segments, each made on first access and
-    cached: len, indexing (negative too), slicing (to a list) and iteration,
-    like the list it stands for."""
-
-    __slots__ = ("_built",)
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self._built)))]
-        seg = self._built[i]
-        if seg is None:
-            i %= len(self._built)
-            seg = self._built[i] = self._make(i)
-        return seg
-
-
-class DenseSegments(_Segments):
-    """One run's dense segments, each built from its step row on first access.
-
-    Segment i spans the samples i and i + 1: it starts at ss[i] (at
-    sign * 0.0 for i = 0, the signed zero the step started from) with the
-    signed step hs[i], start state ys[i] and stage rows K[i], a view of the
-    run's step buffer.  A reflected sequence holds the segments of the run
-    that P(x, y, theta) = (-x, -y, theta), s -> -s, maps onto this one: t0
-    and h negated, the stage theta' column negated and the start state
-    reflected, except in segment 0, which keeps the start and its slope
-    exactly as given.
+    Negation flips the sign of every value but an exact zero, which the
+    reflected run's rounding gives as +0.0 just the same; only without such a
+    zero are these rows the reflected run's bit for bit.  Stage 0 of step 0,
+    the slope at the start the two runs share, is kept as given.
     """
-
-    __slots__ = ("_ss", "_ys", "_hs", "_K", "_sign", "_reflect")
-
-    def __init__(self, ss: list[float], ys: list[list[float]], hs: list[float],
-                 K: np.ndarray, sign: float, reflect: bool = False):
-        self._ss, self._ys, self._hs, self._K = ss, ys, hs, K
-        self._sign, self._reflect = sign, reflect
-        self._built: list[Optional[DenseSegment]] = [None] * len(hs)
-
-    def _make(self, i: int) -> DenseSegment:
-        t0 = self._ss[i] if i else self._sign * 0.0
-        h, y0, K = self._hs[i], self._ys[i], self._K[i]
-        if self._reflect:
-            t0, h, K = -t0, -h, K * _REFLECT_SLOPES
-            if i:
-                y0 = [-y0[0], -y0[1], y0[2]]
-            else:
-                K[0] = self._K[0, 0]
-        return DenseSegment(t0, h, y0, K)
-
-    def reflectable(self) -> bool:
-        """True when no stage theta' after the start is exactly 0.
-
-        Negation flips the sign of every value but an exact zero, which the
-        reflected run's rounding gives as +0.0 just the same; only then is
-        `reflected` the backward run bit for bit, stage rows included.
-        """
-        return bool(self._K[:, 1:, 2].all())
-
-    def reflected(self) -> DenseSegments:
-        """This run's segments under P (see the class docstring), built lazily too."""
-        return DenseSegments(self._ss, self._ys, self._hs, self._K, self._sign,
-                             not self._reflect)
+    if not K[:, 1:, 2].all():
+        return None
+    K_ref = K * _REFLECT_SLOPES
+    K_ref[:1, 0] = K[:1, 0]
+    return -s, states * _REFLECT_STATE, -h, K_ref, slopes * _REFLECT_SLOPES
 
 
-class TwoSided(_Segments):
-    """A backward run's segments in increasing s, then a forward run's."""
+def dense_step(t0: float, h: float, y0: list[float], K: np.ndarray) -> tuple:
+    """One step's interpolant (t0, h, y0, Q = K.T P) for `dense_state`: the
+    step starts at t0 in state y0 with signed step h and stage rows K."""
+    return t0, h, y0, K.T.dot(_P)
 
-    __slots__ = ("_back", "_fwd")
 
-    def __init__(self, back: Sequence, fwd: Sequence):
-        self._back, self._fwd = back, fwd
-        self._built: list[Optional[DenseSegment]] = [None] * (len(back) + len(fwd))
+def dense_state(step: tuple, t: float) -> list[float]:
+    """y(t) = y0 + h * Q @ [u, u^2, u^3, u^4], u = (t - t0) / h, on one step.
 
-    def _make(self, i: int) -> DenseSegment:
-        nb = len(self._back)
-        return self._back[nb - 1 - i] if i < nb else self._fwd[i - nb]
+    u ** 3 and u ** 4 are float powers: numpy's power rounds differently.
+    """
+    t0, h, y0, Q = step
+    u = (t - t0) / h
+    q = Q.dot(np.array([u, u * u, u ** 3, u ** 4])).tolist()
+    return [yj + h * qj for yj, qj in zip(y0, q)]
 
 
 def solve_fixed_horizon(
@@ -189,13 +129,14 @@ def solve_fixed_horizon(
     rel_tol: float,
     max_step: float,
     stop_event: Optional[Callable[[float, list], float]] = None,
-) -> tuple[np.ndarray, np.ndarray, DenseSegments, np.ndarray]:
+) -> Run:
     """Integrate (x, y, theta)' = f(x, y, theta) from y0 at s = 0 to s_end.
 
     s_end < 0 steps backward.  f returns three floats; y0 holds three.
 
-    Returns (s samples, state samples, dense segments, slopes), samples
-    ordered from s = 0 outward.  Segment i spans the samples i and i + 1, and
+    Returns (s samples, state samples, signed steps h, stage rows K, slopes),
+    samples ordered from s = 0 outward.  Step i takes the signed step h[i]
+    from sample i to sample i + 1 with the stage rows K[i], shape (7, 3), and
     slopes[i] is f at state sample i, bit for bit.  When
     `stop_event` is given, integration halts at the first accepted step whose
     endpoint changes the sign of the event function (the step itself is kept,
@@ -313,4 +254,4 @@ def solve_fixed_horizon(
     slopes = (np.concatenate([K_rows[:, 0], K_rows[-1:, 6]]) if len(K_rows)
               else np.array([f_start]))
     states = np.fromiter(chain.from_iterable(ys), float, 3 * len(ys)).reshape(-1, 3)
-    return np.array(ss), states, DenseSegments(ss, ys, hs_rows, K_rows, sign), slopes
+    return np.array(ss), states, np.array(hs_rows), K_rows, slopes

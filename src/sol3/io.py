@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -23,8 +22,6 @@ from .ode import IntegrationError, Trajectory, circle_flat, explicit_solution
 from .surface import CurveState, curvature_report, immersion, unit_normal  # noqa: F401
 
 CSV_HEADER = "s,x,y,theta,theta_prime,H,K"
-# One CSV row as `read_curve_csv` returns it: a field per column.
-CurveRecord = namedtuple("CurveRecord", CSV_HEADER)
 _CHUNK_ROWS = 4096
 _MAX_EXP_ARG = math.log(sys.float_info.max)  # e^t is finite for t up to this
 
@@ -95,8 +92,8 @@ def _chunks(line: str, rows: np.ndarray, shift: int = 0) -> Iterator[str]:
         yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
-def format_curve_csv(rows: np.ndarray | list[CurveRecord]) -> str:
-    """CSV text of an (n, 7) table, or of a list of `CurveRecord`s."""
+def format_curve_csv(rows: np.ndarray) -> str:
+    """CSV text of an (n, 7) table."""
     table = np.asarray(rows, dtype=float).reshape(-1, 7)
     return "".join([CSV_HEADER + "\n", *_chunks("%r,%r,%r,%r,%r,%r,%r\n", table)])
 
@@ -113,20 +110,6 @@ def write_curve_csv(path: str, traj: Trajectory) -> None:
         raise IntegrationError(f"curve sample at s = {float(table[i, 0])!r} is not finite",
                                float(table[i - 1, 0]) if i else math.nan)
     atomic_write_text(path, format_curve_csv(table))
-
-
-def read_curve_csv(path: str) -> list[CurveRecord]:
-    with open(path, "r") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        records = []
-        for line in handle:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 7:
-                raise ValueError(f"malformed CSV row {line!r}")
-            records.append(CurveRecord(*(float(p) for p in parts)))
-    return records
 
 
 def curve_from_kind(kind: str, x0: float = 0.0, y0: float = 0.0,
@@ -220,18 +203,3 @@ def format_obj(vertices: np.ndarray, faces: np.ndarray) -> Iterator[str]:
 
 def write_mesh_obj(path: str, vertices: np.ndarray, faces: np.ndarray) -> None:
     atomic_write_text(path, format_obj(vertices, faces))
-
-
-def read_obj(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the v/f subset written by `write_mesh_obj`."""
-    verts, faces = [], []
-    with open(path, "r") as handle:
-        for line in handle:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(p) - 1 for p in parts[1:4]])
-    return np.array(verts), np.array(faces, dtype=int)

@@ -14,9 +14,9 @@ Round-to-nearest negates every result but an exact zero (exact cancellation
 gives +0.0 on both sides), so the mirror is taken only when no x or y sample
 after the start and no stage theta' (these include every theta' sample after
 the start) is exactly 0; the constant-angle lines through the origin have
-such zeros and integrate both sides.  The stepper's `reflected` segments
-keep the start exactly as given.  The stepper (`_rk`) hands back each side's
-samples, slopes and dense segments, theta' being the third slope column, and
+such zeros and integrate both sides.  The stepper's `reflected` rows keep
+the start exactly as given.  The stepper (`_rk`) hands back each side's
+samples, slopes and step rows, theta' being the third slope column, and
 raises IntegrationError itself; this module re-exports it.  theta is kept
 unwrapped so closure events (theta returning to theta0 - 2 pi) reduce to a
 plain sign test.  Initial angles within 1e-14 of the constant-angle solutions
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -35,17 +34,13 @@ import numpy as np
 
 from . import _rk
 # IntegrationError is re-exported: callers catch it as sol3.ode.IntegrationError.
-from ._rk import (STEP_FLOOR, DenseSegment, IntegrationError,  # noqa: F401
-                  TwoSided, solve_fixed_horizon)
+from ._rk import STEP_FLOOR, IntegrationError, solve_fixed_horizon  # noqa: F401
 from .surface import CurveState
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 _SNAP_TOL = 1e-14
-# P(x, y, theta) = (-x, -y, theta) on states, and on their slopes (x', y', theta').
-_REFLECT_STATE = np.array([-1.0, -1.0, 1.0])
-_REFLECT_SLOPES = np.array([1.0, 1.0, -1.0])
 # From this |theta0| on, an ulp of theta0 is over twice the default tolerance.
 _MAX_ABS_THETA0 = 2.0 ** 20
 
@@ -112,7 +107,8 @@ class Trajectory:
 
     Samples are the accepted integrator steps (strictly increasing in s);
     between them states can be evaluated through the stored quartic
-    interpolants.  Instances are immutable after construction.
+    interpolants, step i's from h[i] and K[i] of `steps = (h, K)`.
+    Instances are immutable after construction.
     """
 
     def __init__(
@@ -125,10 +121,10 @@ class Trajectory:
         ic: InitialCondition,
         H_target: Optional[float],
         settings: OdeSettings,
-        segments: Optional[Sequence[DenseSegment]] = None,
+        steps: Optional[tuple[np.ndarray, np.ndarray]] = None,
         line: Optional[tuple] = None,
     ):
-        for arr in (s, x, y, theta, theta_prime):
+        for arr in (s, x, y, theta, theta_prime, *(steps or ())):
             arr.flags.writeable = False
         self.s = s
         self.x = x
@@ -140,10 +136,10 @@ class Trajectory:
         self.settings = settings
         self._line = line  # the _LINE_DIRECTIONS row of a snapped line
         self.explicit_kind: Optional[str] = None if line is None else line[1]
-        self._segments = segments or []
-        # Segment i spans [s[i], s[i + 1]]; a snapped line has no segments.
-        self._seg_his = s[1:].tolist() if self._segments else []
-        self._raw = _raw_rhs(H_target)
+        self._h, self._K = steps or (None, None)
+        # Step i ends at s[i + 1]; a snapped line has no steps and no lookup.
+        self._his = s[1:].tolist() if steps else []
+        self._steps: dict[int, tuple] = {}  # step index -> its _rk.dense_step
 
     def __len__(self) -> int:
         return self.s.size
@@ -164,21 +160,21 @@ class Trajectory:
         if self.explicit_kind is not None:
             x, y = _line_xy(self._line, self.ic.x0, self.ic.y0, s)
             return CurveState(s, x, y, float(self.theta[0]))
-        if not self._segments:
-            raise ValueError("trajectory has no dense segments")
-        i = min(bisect.bisect_left(self._seg_his, s), len(self._seg_his) - 1)
-        x, y, theta = self._segments[i].eval(s)
+        if not self._his:
+            raise ValueError("trajectory has no dense output")
+        i = min(bisect.bisect_left(self._his, s), len(self._his) - 1)
+        x, y, theta = _rk.dense_state(self._steps.get(i) or self._step(i), s)
         return CurveState(s, x, y, theta)
 
-    def eval(self, s: float) -> tuple[CurveState, float]:
-        state = self.state_at(s)
-        return state, self._raw(state.x, state.y, state.theta)[2]
-
-    def max_ode_residual(self) -> float:
-        """Max |theta'_stored - theta'(state)| over all samples, re-evaluated; NaN if any is."""
-        rows = zip(self.x.tolist(), self.y.tolist(), self.theta.tolist(),
-                   self.theta_prime.tolist())
-        return float(np.max([abs(self._raw(x, y, th)[2] - tp) for x, y, th, tp in rows]))
+    def _step(self, i: int) -> tuple:
+        """Step i's interpolant, kept for the bisections that reuse it.  A step
+        starts at its sample nearest s = 0, or at h's signed zero if that is 0."""
+        h = float(self._h[i])
+        j = i if h > 0.0 else i + 1
+        t0 = float(self.s[j]) or math.copysign(0.0, h)
+        y0 = [float(self.x[j]), float(self.y[j]), float(self.theta[j])]
+        step = self._steps[i] = _rk.dense_step(t0, h, y0, self._K[i])
+        return step
 
 
 # Constant-angle solutions: exact angle, exact direction components (so the
@@ -260,21 +256,19 @@ def _trajectory(
         return solve_fixed_horizon(raw, (ic.x0, ic.y0, ic.theta0), s_end, settings.abs_tol,
                                    settings.rel_tol, settings.max_step, stop_event)
 
-    s, states, segments, slopes = side(horizon)
+    s, states, h, K, slopes = side(horizon)
     if both_sides:
-        if (H is None and ic.x0 == ic.y0 == 0.0
-                and states[1:, :2].all() and segments.reflectable()):
+        back = None
+        if H is None and ic.x0 == ic.y0 == 0.0 and states[1:, :2].all():
             # The backward run is P of this one (see the module docstring).
-            bs, bstates, bsegs = -s, states * _REFLECT_STATE, segments.reflected()
-            bslopes = slopes * _REFLECT_SLOPES
-        else:
-            bs, bstates, bsegs, bslopes = side(-horizon)
-        s = np.concatenate([bs[::-1][:-1], s])
-        states = np.concatenate([bstates[::-1][:-1], states])
-        slopes = np.concatenate([bslopes[::-1][:-1], slopes])
-        segments = TwoSided(bsegs, segments)
+            back = _rk.reflected(s, states, h, K, slopes)
+        bs, bstates, bh, bK, bslopes = back or side(-horizon)
+        # The backward run in increasing s, its start sample left to the forward run.
+        s, states, slopes = (np.concatenate([b[:0:-1], a])
+                             for b, a in ((bs, s), (bstates, states), (bslopes, slopes)))
+        h, K = np.concatenate([bh[::-1], h]), np.concatenate([bK[::-1], K])
     return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], slopes[:, 2],
-                      ic, H, settings, segments=segments)
+                      ic, H, settings, steps=(h, K))
 
 
 def integrate(
@@ -355,10 +349,15 @@ def find_event(
     bisection on the dense output to settings.event_tol.  Returns None when
     no sign change exists on the sampled horizon.
     """
+    raw = _raw_rhs(traj.H_target)
+
+    def dense(s: float) -> float:
+        state = traj.state_at(s)
+        return predicate(state, raw(state.x, state.y, state.theta)[2])
+
     idx = int(np.searchsorted(traj.s, 0.0, side="left"))
     vals = [predicate(*traj.sample(i)) for i in range(idx, len(traj))]
-    return _first_crossing(traj.s[idx:].tolist(), vals,
-                           lambda s: predicate(*traj.eval(s)), traj.settings.event_tol)
+    return _first_crossing(traj.s[idx:].tolist(), vals, dense, traj.settings.event_tol)
 
 
 def _first_crossing(s: list[float], vals: list[float], f: Callable[[float], float],

@@ -37,13 +37,12 @@ from sol3.io import (
     curve_from_kind,
     format_curve_csv,
     format_obj,
-    read_curve_csv,
-    read_obj,
     surface_mesh,
     trajectory_records,
     write_curve_csv,
     write_mesh_obj,
 )
+from support import read_curve_csv, read_obj
 
 PI8 = math.pi / 8
 

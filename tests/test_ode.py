@@ -1,11 +1,13 @@
 """Integrator behaviour: explicit solutions, convergence, events, cross-checks."""
 import ast
+import bisect
 import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from sol3 import (
@@ -21,7 +23,8 @@ from sol3 import (
     integrate_forward,
     mean_curvature,
 )
-from sol3 import ode
+from sol3 import _rk, ode
+from support import max_ode_residual
 
 PI8 = math.pi / 8
 
@@ -109,7 +112,7 @@ def test_snapped_lines_are_exact(kind, ic):
         assert abs(got.y - want.y) < 1e-14
         assert got.theta == want.theta
     # sin(pi) = 1.2e-16 leaves a sub-eps residual on the vertical line
-    assert traj.max_ode_residual() < 1e-15
+    assert max_ode_residual(traj) < 1e-15
 
 
 @pytest.mark.parametrize("kind,ic", [
@@ -181,7 +184,7 @@ def test_trajectory_shape_and_monotone_samples():
     state0, tp0 = traj.sample(int(np.searchsorted(traj.s, 0.0)))
     assert (state0.x, state0.y, state0.theta) == (0.0, 0.0, PI8)
     assert tp0 == ode._raw_rhs(None)(state0.x, state0.y, state0.theta)[2]
-    assert traj.max_ode_residual() == 0.0
+    assert max_ode_residual(traj) == 0.0
 
 
 def test_max_ode_residual_keeps_a_nan():
@@ -191,7 +194,7 @@ def test_max_ode_residual_keeps_a_nan():
     tp = traj.theta_prime.copy()
     tp[len(tp) // 2] = math.nan
     broken = Trajectory(traj.s, traj.x, traj.y, traj.theta, tp, traj.ic, None, traj.settings)
-    assert math.isnan(broken.max_ode_residual())
+    assert math.isnan(max_ode_residual(broken))
 
 
 def test_trajectory_immutable():
@@ -255,10 +258,10 @@ def test_horizon_within_rounding_is_reached(sign):
 
     f = ode._raw_rhs(None)
     span = 3.6365642928673023
-    ss, _, segments, _ = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
-                                             1e-10, 1e-10, 1000.0)
+    ss, _, h, K, _ = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
+                                         1e-10, 1e-10, 1000.0)
     assert abs(abs(ss[-1]) - span) <= math.ulp(span)
-    assert len(segments) == len(ss) - 1 == 5
+    assert len(h) == len(K) == len(ss) - 1 == 5
     # A horizon below step resolution from s = 0 is still an underflow.
     with pytest.raises(IntegrationError, match=r"integration failed \(last good s = -?0\.0\)"):
         solve_fixed_horizon(f, (0.0, 0.0, 0.3), sign * 1e-15, 1e-10, 1e-10, 0.01)
@@ -280,7 +283,7 @@ def test_step_budget_ends_in_integration_error(monkeypatch):
 
     f = ode._raw_rhs(None)
     monkeypatch.setattr(_rk, "MAX_STEPS", 50)
-    ss, _, _, _ = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)
+    ss = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)[0]
     assert ss[-1] == 0.4  # 41 steps, none rejected, fit the budget
     budget = "horizon not reached in 50 attempted steps"
     with pytest.raises(IntegrationError, match=budget) as err:
@@ -375,19 +378,38 @@ def test_stop_event_sees_accepted_states():
         return yv[2] + 0.5  # theta passes -0.5 on this CMC field
 
     f = ode._raw_rhs(1.0)
-    ss, ys, segments, slopes = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
-                                                   1e-10, 1e-10, 0.01, stop)
-    assert ss[-1] < 10.0 and len(segments) == len(ss) - 1
+    ss, ys, h, K, slopes = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
+                                               1e-10, 1e-10, 0.01, stop)
+    assert ss[-1] < 10.0 and len(h) == len(K) == len(ss) - 1
     assert seen == [(s, row) for s, row in zip(ss.tolist(), ys.tolist())]
     assert slopes.tolist() == [list(f(*row)) for row in ys.tolist()]
     assert ys[-2, 2] > -0.5 >= ys[-1, 2]
 
 
+class DenseSegment:
+    """One accepted step's interpolant as an object, the dense output `_rk` had
+    before its steps became array rows, kept as the reference for those rows:
+    y(t0 + u*h) = y0 + h * (K.T @ P) @ [u, u^2, u^3, u^4]."""
+
+    __slots__ = ("t0", "h", "y0", "K", "_Q")
+
+    def __init__(self, t0: float, h: float, y0: list[float], K: np.ndarray):
+        self.t0, self.h, self.y0, self.K, self._Q = t0, h, y0, K, None
+
+    def eval(self, t: float) -> list[float]:
+        if self._Q is None:
+            self._Q = self.K.T.dot(_rk._P)
+        u, h = (t - self.t0) / self.h, self.h
+        q = self._Q.dot(np.array([u, u * u, u ** 3, u ** 4])).tolist()
+        return [yj + h * qj for yj, qj in zip(self.y0, q)]
+
+
 def reference_solve(f, y0, s_end, abs_tol, rel_tol, max_step, stop_event=None):
     """The stepper on a list-of-floats state of any length: `_rk` before it was
-    specialised to three floats, kept to pin the specialised loop bit for bit."""
+    specialised to three floats, kept to pin the specialised loop bit for bit.
+    Returns (s samples, state samples, dense segments, slopes)."""
     from sol3._rk import (_A, _B, _BETA, _E, _EXP1, _FAILED, _MAX_FACTOR, _MIN_FACTOR,
-                          _SAFETY, MAX_STEPS, DenseSegment)
+                          _SAFETY, MAX_STEPS)
 
     y = [float(v) for v in y0]
     K = np.empty((7, len(y)))
@@ -451,17 +473,32 @@ def reference_solve(f, y0, s_end, abs_tol, rel_tol, max_step, stop_event=None):
     return np.array(ss), np.array(ys), segments, np.array(slopes)
 
 
+def step_segments(ss, ys, h, K, slopes):
+    """A stepper run's step rows as reference segments: step i starts at
+    sample i (at the signed zero of its step for i = 0) with h[i] and K[i]."""
+    return [DenseSegment(float(ss[i]) if i else math.copysign(0.0, h[i]), float(h[i]),
+                         ys[i].tolist(), K[i]) for i in range(len(h))]
+
+
 def run_or_error(solve, *args):
-    """solve(*args), or the IntegrationError it raised, as comparable bytes."""
+    """solve(*args), or the IntegrationError it raised, as comparable bytes:
+    samples, states, slopes and t0, h, y0 and K of every step."""
     try:
-        ss, ys, segments, slopes = solve(*args)
+        run = solve(*args)
     except IntegrationError as exc:
         return str(exc), exc.last_s
+    segments = run[2] if solve is reference_solve else step_segments(*run)
+    ss, ys, slopes = run[0], run[1], run[-1]
     return ss.tobytes(), ys.tobytes(), slopes.tobytes(), [segment_bytes(g) for g in segments]
 
 
 def segment_bytes(seg):
     return np.array([seg.t0, seg.h]).tobytes(), np.array(seg.y0).tobytes(), seg.K.tobytes()
+
+
+def trajectory_steps(traj):
+    """A trajectory's steps as reference segments, from its own rows."""
+    return [DenseSegment(*traj._step(i)[:3], traj._K[i]) for i in range(len(traj) - 1)]
 
 
 H_VALUES = st.one_of(st.none(), st.floats(-3.0, 3.0).filter(lambda v: v != 0.0))
@@ -531,15 +568,17 @@ def test_shorter_horizon_is_a_bitwise_prefix(H, x0, y0, theta0, a, extra, sign, 
     from sol3._rk import solve_fixed_horizon
 
     f, start = ode._raw_rhs(H), (x0, y0, theta0)
-    ss_a, ys_a, segs_a, slopes_a = solve_fixed_horizon(f, start, sign * a, 1e-10, 1e-10, max_step)
-    ss_b, ys_b, segs_b, slopes_b = solve_fixed_horizon(f, start, sign * (a + extra),
-                                                       1e-10, 1e-10, max_step)
+    run_a = solve_fixed_horizon(f, start, sign * a, 1e-10, 1e-10, max_step)
+    run_b = solve_fixed_horizon(f, start, sign * (a + extra), 1e-10, 1e-10, max_step)
+    ss_a, ys_a, _, _, slopes_a = run_a
+    ss_b, ys_b, _, _, slopes_b = run_b
     n = len(ss_a) - 1
     assert len(ss_b) > n
     assert ss_a[:n].tobytes() == ss_b[:n].tobytes()
     assert ys_a[:n].tobytes() == ys_b[:n].tobytes()
     assert slopes_a[:n].tobytes() == slopes_b[:n].tobytes()
-    assert [segment_bytes(g) for g in segs_a[:n - 1]] == [segment_bytes(g) for g in segs_b[:n - 1]]
+    assert ([segment_bytes(g) for g in step_segments(*run_a)[:n - 1]]
+            == [segment_bytes(g) for g in step_segments(*run_b)[:n - 1]])
 
 
 def first_difference(a: np.ndarray, b: np.ndarray):
@@ -558,8 +597,8 @@ def test_backward_run_is_the_reflected_forward_run(H, y0, s_end, max_step):
     from sol3._rk import solve_fixed_horizon
 
     f, start = ode._raw_rhs(H), (0.0, y0, 0.0)
-    ss_f, ys_f, _, slopes_f = solve_fixed_horizon(f, start, s_end, 1e-10, 1e-10, max_step)
-    ss_b, ys_b, _, slopes_b = solve_fixed_horizon(f, start, -s_end, 1e-10, 1e-10, max_step)
+    ss_f, ys_f, _, _, slopes_f = solve_fixed_horizon(f, start, s_end, 1e-10, 1e-10, max_step)
+    ss_b, ys_b, _, _, slopes_b = solve_fixed_horizon(f, start, -s_end, 1e-10, 1e-10, max_step)
     flip = np.array([-1.0, 1.0, -1.0])
     assert first_difference(ss_b, -ss_f) is None
     assert first_difference(ys_b, ys_f * flip) is None
@@ -571,13 +610,22 @@ def test_dense_segment_ends_reproduce_samples():
     rows = np.column_stack([traj.x, traj.y, traj.theta])
     index = {s: i for i, s in enumerate(traj.s.tolist())}
     step_signs = set()
-    for seg in traj._segments:
+    for i, seg in enumerate(trajectory_steps(traj)):
         step_signs.add(math.copysign(1.0, seg.h))
+        # A step starts at its sample nearest s = 0, at the signed zero of its
+        # step next to s = 0, with that sample's state and its own stage rows.
+        start = index[seg.t0]
+        assert start == (i if seg.h > 0.0 else i + 1)
+        assert math.copysign(1.0, seg.t0) == math.copysign(1.0, seg.h)
+        assert np.array(seg.y0).tobytes() == rows[start].tobytes()
+        assert seg.K.tobytes() == traj._K[i].tobytes()
         # The stepper forms each sample time as t0 + h, so both ends are samples.
         for t in (seg.t0, seg.t0 + seg.h):
-            assert np.max(np.abs(np.array(seg.eval(t)) - rows[index[t]])) < 1e-12
+            state = _rk.dense_state(traj._step(i), t)
+            assert np.array(state).tobytes() == np.array(seg.eval(t)).tobytes()
+            assert np.max(np.abs(np.array(state) - rows[index[t]])) < 1e-12
     assert step_signs == {-1.0, 1.0}
-    assert traj._seg_his == [max(seg.t0, seg.t0 + seg.h) for seg in traj._segments]
+    assert traj._his == [max(seg.t0, seg.t0 + seg.h) for seg in trajectory_steps(traj)]
 
 
 def test_determinism_bitwise():
@@ -656,6 +704,13 @@ def state_bytes(state):
     return np.array([state.s, state.x, state.y, state.theta]).tobytes()
 
 
+def reference_state_at(segments, ends, s):
+    """`Trajectory.state_at` as it was, on reference segments in increasing s
+    that end at `ends` (the samples after the first)."""
+    i = min(bisect.bisect_left(ends, s), len(segments) - 1)
+    return CurveState(s, *segments[i].eval(s))
+
+
 @given(x0=st.sampled_from([0.0, -0.0]), y0=st.sampled_from([0.0, -0.0]),
        theta0=st.floats(-math.pi, math.pi), max_step=STEP_CAPS, max_s=st.floats(0.5, 30.0))
 @example(x0=0.0, y0=0.0, theta0=0.0, max_step=0.1, max_s=3.0)
@@ -675,23 +730,88 @@ def test_mirrored_half_is_the_backward_run(x0, y0, theta0, max_step, max_s):
     settings = OdeSettings(max_s=max_s, max_step=max_step)
     traj = integrate(InitialCondition(x0, y0, theta0), settings, snap=False)
     f, start = ode._raw_rhs(None), (x0, y0, theta0)
-    bs, bys, bsegs, bslopes = solve_fixed_horizon(f, start, -max_s, 1e-10, 1e-10, max_step)
-    fs, fys, fsegs, fslopes = solve_fixed_horizon(f, start, max_s, 1e-10, 1e-10, max_step)
+    back = solve_fixed_horizon(f, start, -max_s, 1e-10, 1e-10, max_step)
+    fwd = solve_fixed_horizon(f, start, max_s, 1e-10, 1e-10, max_step)
+    bs, bys, _, _, bslopes = back
     n = len(bs) - 1
-    assert len(traj) == n + len(fs)
+    assert len(traj) == n + len(fwd[0])
     for got, want in ((traj.s, bs), (traj.x, bys[:, 0]), (traj.y, bys[:, 1]),
                       (traj.theta, bys[:, 2]), (traj.theta_prime, bslopes[:, 2])):
         assert got[:n].tobytes() == want[:0:-1].tobytes()
-    assert ([segment_bytes(g) for g in traj._segments[:n]]
-            == [segment_bytes(g) for g in list(bsegs)[::-1]])
-    ref = ode.Trajectory(
-        np.concatenate([bs[:0:-1], fs]), np.concatenate([bys[:0:-1, 0], fys[:, 0]]),
-        np.concatenate([bys[:0:-1, 1], fys[:, 1]]), np.concatenate([bys[:0:-1, 2], fys[:, 2]]),
-        np.concatenate([bslopes[:0:-1, 2], fslopes[:, 2]]), traj.ic, None, settings,
-        segments=list(bsegs)[::-1] + list(fsegs))
+    segments = step_segments(*back)[::-1] + step_segments(*fwd)
+    assert ([segment_bytes(g) for g in trajectory_steps(traj)]
+            == [segment_bytes(g) for g in segments])
     probes = [0.0, -max_s] + (0.5 * (bs[1:] + bs[:-1])).tolist()
+    ends = np.concatenate([bs[:0:-1], fwd[0]])[1:].tolist()
     assert ([state_bytes(traj.state_at(s)) for s in probes]
-            == [state_bytes(ref.state_at(s)) for s in probes])
+            == [state_bytes(reference_state_at(segments, ends, s)) for s in probes])
+
+
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@given(t0=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)),
+       h=st.floats(1e-3, 1.0), sign=st.sampled_from([1.0, -1.0]),
+       y0=st.lists(COORDINATES, min_size=3, max_size=3),
+       K=hnp.arrays(float, (7, 3), elements=st.floats(-10.0, 10.0)),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+@hsettings(derandomize=True, max_examples=200, deadline=None)
+def test_dense_state_matches_the_reference_segment(t0, h, sign, y0, K, fractions):
+    # On real trajectories the stage rows vary little across a step, so the
+    # u ** 3 and u ** 4 terms are small and their last bit rarely reaches the
+    # state; on arbitrary rows it does, so this pins how they round.
+    step, ref = _rk.dense_step(t0, sign * h, y0, K), DenseSegment(t0, sign * h, y0, K)
+    for w in fractions + [0.0, -0.0, 1.0]:
+        t = t0 + w * (sign * h)
+        assert np.array(_rk.dense_state(step, t)).tobytes() == np.array(ref.eval(t)).tobytes()
+
+
+ORIGIN_STARTS = st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]),
+                          st.floats(-math.pi, math.pi))
+GENERAL_STARTS = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                           st.floats(-math.pi, math.pi))
+
+
+@given(start=st.one_of(ORIGIN_STARTS, GENERAL_STARTS),
+       H=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+       run=st.sampled_from(["two-sided", "one-sided", "stopped"]), max_step=STEP_CAPS,
+       max_s=st.floats(0.5, 4.0), w=st.floats(0.0, 1.0),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=30))
+@example(start=(0.0, 0.0, PI8), H=None, run="two-sided", max_step=0.1, max_s=3.0, w=0.3,
+         fractions=[])
+@example(start=(-0.0, -0.0, PI8), H=None, run="two-sided", max_step=0.5, max_s=3.0, w=0.7,
+         fractions=[])
+@example(start=(-0.0, 0.0, 0.0), H=None, run="two-sided", max_step=0.1, max_s=3.0, w=0.3,
+         fractions=[])
+@example(start=(0.0, 0.6, 0.0), H=1.0, run="stopped", max_step=0.01, max_s=4.0, w=0.3,
+         fractions=[])
+@hsettings(derandomize=True, max_examples=100, deadline=None)
+def test_state_at_matches_the_reference_segments(start, H, run, max_step, max_s, w, fractions):
+    # The trajectory's array rows against segments from the reference loop:
+    # for a minimal origin start, the mirrored half against a real backward
+    # run.  tobytes at every sample, every midpoint, the fraction w into
+    # every step, +-0.0 and random s, so a -0.0 where the reference has 0.0
+    # fails too.  Midpoints and samples give u = 0.5, 0 or 1, whose powers
+    # are exact; the w probes are what pin how u ** 3 and u ** 4 round.
+    settings = OdeSettings(max_s=max_s, max_step=max_step)
+    ic, f = InitialCondition(*start), ode._raw_rhs(H)
+    if run == "two-sided":
+        traj = integrate(ic, settings, H=H, snap=False)
+        bs, _, bsegs, _ = reference_solve(f, start, -max_s, 1e-10, 1e-10, max_step)
+        fs, _, fsegs, _ = reference_solve(f, start, max_s, 1e-10, 1e-10, max_step)
+        ref_s, segments = np.concatenate([bs[:0:-1], fs]), bsegs[::-1] + fsegs
+    else:
+        stop = None if run == "one-sided" else (lambda s, yv: yv[2] - (start[2] - 0.3))
+        traj = integrate_forward(ic, settings, H=H, stop_event=stop)
+        ref_s, _, segments, _ = reference_solve(f, start, max_s, 1e-10, 1e-10, max_step, stop)
+    assert traj.s.tobytes() == ref_s.tobytes()
+    lo, hi = ref_s[0], ref_s[-1]
+    probes = (ref_s.tolist() + (0.5 * (ref_s[1:] + ref_s[:-1])).tolist()
+              + (ref_s[:-1] + w * np.diff(ref_s)).tolist() + [0.0, -0.0]
+              + [min(hi, lo + u * (hi - lo)) for u in fractions])
+    ends = ref_s[1:].tolist()
+    assert ([state_bytes(traj.state_at(s)) for s in probes]
+            == [state_bytes(reference_state_at(segments, ends, s)) for s in probes])
 
 
 @given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0), theta0=st.floats(-math.pi, math.pi),

@@ -298,13 +298,39 @@ def test_oracle_never_imports_surface():
 
 
 def test_stage_layout_stays_in_the_stepper():
-    # Only _rk knows a dense segment's start t0, its signed step h and its
-    # stage rows K[...]; a plain `.K` is the curvature field of a report.
+    # Only _rk knows how a run's step rows are laid out.  Elsewhere no module
+    # reads a step start `.t0` or a step `.h`, subscripts a `.K` (a plain `.K`
+    # is the curvature field of a report), or indexes step rows (K, bK,
+    # self._K, ...) by anything but the step: their stage dimension and theta'
+    # column stay in _rk, where only the mirror helper `reflected` reaches the
+    # column or applies the slope reflection.
     for path in Path(oracle.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
         if path.name == "_rk.py":
+            mirror = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "reflected")
+            inside = {id(node) for node in ast.walk(mirror)}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                        and len(node.slice.elts) == 3 and _base_name(node).startswith("K")):
+                    assert id(node) in inside, f"_rk.py:{node.lineno} indexes a stage column"
+                if isinstance(node, ast.Name) and node.id == "_REFLECT_SLOPES":
+                    assert id(node) in inside or isinstance(node.ctx, ast.Store)
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 assert node.attr not in ("t0", "h"), f"{path.name} reads .{node.attr}"
-            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
-                assert node.value.attr != "K", f"{path.name} subscripts .K"
+            if isinstance(node, ast.Subscript):
+                if isinstance(node.value, ast.Attribute):
+                    assert node.value.attr != "K", f"{path.name} subscripts .K"
+                if _base_name(node).endswith("K"):
+                    assert (isinstance(node.value, (ast.Name, ast.Attribute))
+                            and not isinstance(node.slice, ast.Tuple)), \
+                        f"{path.name}:{node.lineno} indexes step rows past the step"
+
+
+def _base_name(node: ast.AST) -> str:
+    """The name or attribute a chain of subscripts starts from ('' for others)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return getattr(node, "id", None) or getattr(node, "attr", "")
