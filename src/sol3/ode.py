@@ -245,6 +245,8 @@ def _trajectory(
     """Trajectory over [0, horizon], or over [-horizon, horizon] with both_sides."""
     if H is not None and not math.isfinite(H):
         raise ValueError("H must be finite")
+    if not horizon >= 0.0:
+        raise ValueError(f"horizon (max_s) = {horizon!r} must be non-negative")
     if 0.0 < horizon < STEP_FLOOR:
         raise ValueError(f"horizon (max_s) = {horizon!r} is below the stepper's "
                          f"smallest step {STEP_FLOOR!r}")
@@ -302,6 +304,8 @@ def integrate_forward(
     horizon: Optional[float] = None,
 ) -> Trajectory:
     """One-sided variant of `integrate` over [0, horizon or max_s].
+
+    A negative or NaN horizon raises ValueError: s only ever runs upwards.
 
     `stop_event(s, (x, y, theta))` halts integration one step past its first
     sign change, leaving the change bracketed by the final two samples.

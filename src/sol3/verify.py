@@ -1,10 +1,12 @@
 """Cross-route verification: frame formulas against the coordinate oracle.
 
-Draws seeded random curve states, evaluates mean and Gauss curvature through
-the closed frame formulas and through the finite-difference coordinate route,
-and reports the worst deviation.  Two fixed anchor states ride along in every
-report: the origin line state (H = 0, K = -1) and the unit flat circle
-(K = 0).
+Draws every seeded random curve state at once, as one (n, 4) uniform array
+whose rows are (x, y, theta, theta') in the order the generator yields them.
+Mean and Gauss curvature come from the closed frame formulas in one array
+evaluation of the whole draw, and from the finite-difference coordinate
+route one sample at a time; the report holds the worst deviation.  Two fixed
+anchor states ride along in every report: the origin line state (H = 0,
+K = -1) and the unit flat circle (K = 0).
 """
 from __future__ import annotations
 
@@ -18,35 +20,46 @@ from .surface import CurveState, curvature_report
 
 DEFAULT_TOLERANCE = 1e-6
 
+# Bounds of one drawn row (x, y, theta, theta').
+_LOW = (-2.0, -2.0, -math.pi, -2.0)
+_HIGH = (2.0, 2.0, math.pi, 2.0)
 
-def random_states(samples: int, seed: int) -> list[tuple[CurveState, float]]:
-    """Seeded random (state, theta') pairs with x and y in [-2, 2]."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(samples):
-        x, y = rng.uniform(-2.0, 2.0, size=2)
-        theta = rng.uniform(-math.pi, math.pi)
-        theta_prime = rng.uniform(-2.0, 2.0)
-        out.append((CurveState(0.0, float(x), float(y), float(theta)),
-                    float(theta_prime)))
-    return out
+
+def random_states(samples: int, seed: int) -> tuple[CurveState, np.ndarray]:
+    """Seeded states with array fields, and their theta' array.
+
+    One `uniform(_LOW, _HIGH, size=(samples, 4))` draw: x, y and theta' in
+    [-2, 2], theta in [-pi, pi].  Row i is sample i, so each value is the one
+    a per-sample draw of x, y, then theta, then theta' would give.
+    """
+    draw = np.random.default_rng(seed).uniform(_LOW, _HIGH, size=(samples, 4))
+    x, y, theta, theta_prime = draw.T
+    return CurveState(0.0, x, y, theta), theta_prime
 
 
 def run_verification(samples: int = 100, seed: int = 42) -> dict:
-    """Compare both curvature routes on seeded states to DEFAULT_TOLERANCE; flat report."""
+    """Compare both curvature routes on seeded states to DEFAULT_TOLERANCE; flat report.
+
+    The frame route evaluates all samples in one array call; the oracle is
+    called once per sample, in draw order, on Python floats.
+    """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     tol = DEFAULT_TOLERANCE
-    dev_h, dev_k = [], []
-    for state, theta_prime in random_states(samples, seed):
-        frame = curvature_report(state, theta_prime)
-        coord = oracle.curvatures_fd(state, theta_prime)
-        dev_h.append(abs(frame.H - coord.H))
-        dev_k.append(abs(frame.K - coord.K))
+    states, theta_prime = random_states(samples, seed)
+    frame = curvature_report(states, theta_prime)
+    rows = np.column_stack((states.x, states.y, states.theta, theta_prime)).tolist()
+
+    def oracle_hk(x, y, theta, tp):
+        coord = oracle.curvatures_fd(CurveState(0.0, x, y, theta), tp)
+        return coord.H, coord.K
+
+    coord_h, coord_k = np.array([oracle_hk(*row) for row in rows]).T
     # np.max, unlike max(), keeps a NaN deviation, and NaN fails `< tol` below.
-    max_dev_h, max_dev_k = float(np.max(dev_h)), float(np.max(dev_k))
+    max_dev_h = float(np.max(np.abs(frame.H - coord_h)))
+    max_dev_k = float(np.max(np.abs(frame.K - coord_k)))
 
     plane_state = CurveState(0.0, 0.0, 0.0, 0.0)
     plane = curvature_report(plane_state, 0.0)

@@ -1,11 +1,14 @@
 """Readers and checks that only the tests use: parse the CSV and OBJ files
-sol3 writes, and re-evaluate a trajectory's stored theta'."""
+sol3 writes, re-evaluate a trajectory's stored theta', and split verify's
+seeded draw into per-sample states."""
 from collections import namedtuple
 
 import numpy as np
 
 from sol3 import ode
 from sol3.io import CSV_HEADER
+from sol3.surface import CurveState
+from sol3.verify import random_states
 
 # One CSV row as `read_curve_csv` returns it: a field per column.
 CurveRecord = namedtuple("CurveRecord", CSV_HEADER)
@@ -45,3 +48,10 @@ def max_ode_residual(traj: ode.Trajectory) -> float:
     raw = ode._raw_rhs(traj.H_target)
     rows = zip(traj.x.tolist(), traj.y.tolist(), traj.theta.tolist(), traj.theta_prime.tolist())
     return float(np.max([abs(raw(x, y, th)[2] - tp) for x, y, th, tp in rows]))
+
+
+def state_pairs(samples: int, seed: int) -> list[tuple[CurveState, float]]:
+    """verify's seeded draw as per-sample (state, theta') pairs of Python floats."""
+    states, theta_prime = random_states(samples, seed)
+    rows = zip(states.x.tolist(), states.y.tolist(), states.theta.tolist(), theta_prime.tolist())
+    return [(CurveState(0.0, x, y, theta), tp) for x, y, theta, tp in rows]

@@ -230,6 +230,18 @@ def test_step_cap_and_horizon_below_the_step_floor_are_refused():
     assert len(integrate_forward(ic, horizon=0.0)) == 1
 
 
+@pytest.mark.parametrize("horizon", [-1.0, math.nan])
+def test_negative_or_nan_horizon_is_refused(horizon):
+    # A negative horizon used to give samples with s running downwards, which
+    # state_at and find_event do not handle; NaN silently gave the start alone.
+    ic = InitialCondition(0.0, 0.5, 0.3)
+    for run in (lambda: integrate_forward(ic, horizon=horizon),
+                lambda: integrate_forward(ic, horizon=horizon, H=1.0),
+                lambda: integrate_forward(ic, horizon=horizon, stop_event=lambda s, yv: 1.0)):
+        with pytest.raises(ValueError, match=rf"horizon \(max_s\) = {horizon!r} must be non-neg"):
+            run()
+
+
 def test_dense_output_matches_nodes():
     traj = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=5.0))
     worst = 0.0
