@@ -24,10 +24,11 @@ steps are ever evaluated, so callers keep the former per step as they need
 it.  The slope f at each sample is its FSAL stage, returned as it came
 from f.  A backward run takes negative steps; since rounding is
 sign-symmetric, it gives exactly the negated-arc-length samples of a forward
-run of -f, and `reflected` gives the rows of the run that a point
-reflection maps onto this one.  A call attempts at most MAX_STEPS
-steps, so no horizon runs unbounded.  Every failure is an IntegrationError
-naming the last accepted s.
+run of -f, and `reflected` gives the rows of the run that a point reflection
+maps onto this one.  Given a stop angle, a run ends one step past it: on the
+first accepted step whose theta reaches or crosses it.  A call attempts at
+most MAX_STEPS steps, so no horizon runs unbounded.  Every failure is an
+IntegrationError naming the last accepted s.
 """
 from __future__ import annotations
 
@@ -90,14 +91,15 @@ Run = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 def reflected(s: np.ndarray, states: np.ndarray, h: np.ndarray, K: np.ndarray,
               slopes: np.ndarray) -> Optional[Run]:
     """The run that P(x, y, theta) = (-x, -y, theta), s -> -s, maps onto this
-    one, or None when a stage theta' after the start is exactly 0.
+    one, or None when an x or y sample or a stage theta' after the start is
+    exactly 0.
 
     Negation flips the sign of every value but an exact zero, which the
     reflected run's rounding gives as +0.0 just the same; only without such a
     zero are these rows the reflected run's bit for bit.  Stage 0 of step 0,
     the slope at the start the two runs share, is kept as given.
     """
-    if not K[:, 1:, 2].all():
+    if not (states[1:, :2].all() and K[:, 1:, 2].all()):
         return None
     K_ref = K * _REFLECT_SLOPES
     K_ref[:1, 0] = K[:1, 0]
@@ -128,7 +130,7 @@ def solve_fixed_horizon(
     abs_tol: float,
     rel_tol: float,
     max_step: float,
-    stop_event: Optional[Callable[[float, list], float]] = None,
+    stop_theta: Optional[float] = None,
 ) -> Run:
     """Integrate (x, y, theta)' = f(x, y, theta) from y0 at s = 0 to s_end.
 
@@ -137,12 +139,11 @@ def solve_fixed_horizon(
     Returns (s samples, state samples, signed steps h, stage rows K, slopes),
     samples ordered from s = 0 outward.  Step i takes the signed step h[i]
     from sample i to sample i + 1 with the stage rows K[i], shape (7, 3), and
-    slopes[i] is f at state sample i, bit for bit.  When
-    `stop_event` is given, integration halts at the first accepted step whose
-    endpoint changes the sign of the event function (the step itself is kept,
-    so the sign change is bracketed by the last two samples).  A last step
-    that lands within rounding of s_end (t + h an ulp short of it) reaches
-    s_end.  Raises IntegrationError when the step collapses below STEP_FLOOR,
+    slopes[i] is f at state sample i, bit for bit.  When `stop_theta` is
+    given, integration halts at the first accepted step whose end theta equals
+    it or lies across it from the previous sample's (the step is kept, so the
+    last two samples bracket the crossing).  A last step that lands within
+    rounding of s_end (t + h an ulp short of it) reaches s_end.  Raises IntegrationError when the step collapses below STEP_FLOOR,
     after MAX_STEPS attempted steps, and when f raises ValueError (math.sin of
     an infinite angle, for one).
     """
@@ -158,12 +159,11 @@ def solve_fixed_horizon(
     # t is the distance from s = 0; the signed position is sign * t.
     sign, span = math.copysign(1.0, s_end), abs(s_end)
     h = min(max_step, 1e-3, span)
-    state = [x, y, th]
-    t, ss, ys = 0.0, [0.0], [state]
+    t, ss, ys = 0.0, [0.0], [[x, y, th]]
     hs_rows: list[float] = []
     rows = bytearray()  # accepted steps' stage matrices, 21 floats each
     err_prev = 1e-4
-    p_prev = stop_event(0.0, state) if stop_event is not None else None
+    p_prev = th - stop_theta if stop_theta is not None else None
     budget = MAX_STEPS
 
     # A try around the loop costs nothing per step while no exception is raised.
@@ -226,9 +226,8 @@ def solve_fixed_horizon(
                 hs_rows.append(hs)
                 rows += Kf
                 t += h
-                state = [xn, yn, thn]
                 ss.append(sign * t)
-                ys.append(state)
+                ys.append([xn, yn, thn])
                 factor = (_MAX_FACTOR if err_norm == 0.0
                           else _SAFETY * err_norm ** (-_EXP1) * err_prev ** _BETA)
                 err_prev = 1e-4 if 1e-4 > err_norm else err_norm
@@ -236,9 +235,9 @@ def solve_fixed_horizon(
                 h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
                 x, y, th = xn, yn, thn
                 Kf[0], Kf[1], Kf[2] = k7
-                if stop_event is not None:
-                    p_new = stop_event(sign * t, state)
-                    if p_prev is not None and (p_new == 0.0 or p_prev * p_new < 0.0):
+                if stop_theta is not None:
+                    p_new = thn - stop_theta
+                    if p_new == 0.0 or p_prev * p_new < 0.0:
                         break
                     p_prev = p_new
             else:

@@ -16,10 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-# `find_event` is not called here (first_return scans the angle samples
-# directly) but stays importable from this module: the benchmark's layer
-# tracer wraps `analysis.find_event` to time event searches.
-from .ode import (  # noqa: F401
+from .ode import (
     InitialCondition,
     OdeSettings,
     Trajectory,
@@ -336,37 +333,37 @@ def first_return(traj: Trajectory) -> Optional[tuple[float, CurveState]]:
     if traj.H_target is None or traj.H_target == 0.0:
         return None
     target = traj.ic.theta0 - math.copysign(2.0 * math.pi, traj.H_target)
-    idx = int(np.searchsorted(traj.s, 0.0, side="left"))
-    s1 = _first_crossing(traj.s[idx:].tolist(), (traj.theta[idx:] - target).tolist(),
-                         lambda s: traj.state_at(s).theta - target, traj.settings.event_tol)
+    s1 = find_event(traj, lambda state, _: state.theta - target)
+    return None if s1 is None else (s1, traj.state_at(s1))
+
+
+def _shot(H: float, y0: float, settings: OdeSettings) -> Optional[tuple[float, float, float]]:
+    """Residuals (x(s1), y(s1) - y0, s1) of the orbit from (0, y0, 0) at its
+    first full turn s1, or None when it does not turn within arc length
+    max(max_s, 40).  The run stops on the step whose angle crosses the turn
+    target, so only that last step is refined."""
+    target = -math.copysign(2.0 * math.pi, H)
+    traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H,
+                             stop_theta=target, horizon=max(settings.max_s, 40.0))
+    s1 = _first_crossing(traj.s[-2:].tolist(), (traj.theta[-2:] - target).tolist(),
+                         lambda s: traj.state_at(s).theta - target, settings.event_tol)
     if s1 is None:
         return None
-    return s1, traj.state_at(s1)
-
-
-def _shooting_horizon(settings: OdeSettings) -> float:
-    """Arc length each shot may run to find its first return: max_s, at least 40."""
-    return max(settings.max_s, 40.0)
-
-
-def _shoot_once(H: float, y0: float, settings: OdeSettings) -> Optional[tuple[float, CurveState]]:
-    target = -math.copysign(2.0 * math.pi, H)
-    return first_return(integrate_forward(
-        InitialCondition(0.0, y0, 0.0), settings, H=H,
-        stop_event=lambda s, yv: yv[2] - target, horizon=_shooting_horizon(settings)))
+    end = traj.state_at(s1)
+    return end.x, end.y - y0, s1
 
 
 def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
-    """`(lo, hit_lo), (hi, hit_hi)` with lo < hi: the first adjacent pair of
-    _SCAN_GRID (negated for H < 0) whose first returns `hit = (s1, state)`
-    differ in the sign of x."""
+    """`(lo, shot_lo), (hi, shot_hi)` with lo < hi: the first adjacent pair of
+    _SCAN_GRID (negated for H < 0) whose `_shot` residuals differ in the sign
+    of x(s1)."""
     grid = _SCAN_GRID if H > 0.0 else tuple(-y0 for y0 in _SCAN_GRID)
     prev: Optional[tuple[float, tuple]] = None
     for y0 in grid:
-        hit = _shoot_once(H, y0, settings)
-        if hit is not None and prev is not None and prev[1][1].x * hit[1].x < 0.0:
-            return (prev, (y0, hit)) if H > 0.0 else ((y0, hit), prev)
-        prev = None if hit is None else (y0, hit)
+        shot = _shot(H, y0, settings)
+        if shot is not None and prev is not None and prev[1][0] * shot[0] < 0.0:
+            return (prev, (y0, shot)) if H > 0.0 else ((y0, shot), prev)
+        prev = None if shot is None else (y0, shot)
     raise BracketError(f"no sign change of x(s1; y0) on the scan grid "
                        f"[{min(grid)}, {max(grid)}] for H = {H}")
 
@@ -377,10 +374,12 @@ def scan_bracket(H: float, settings: Optional[OdeSettings] = None) -> tuple[floa
 
     The y-reflection (x, y, theta) -> (x, -y, -theta) maps the H system onto
     the -H system, so for H < 0 the orbits start below the x-axis.  Raises
-    BracketError when no sign change shows up; closure of the generating
-    curve away from the exhibited cases is conjectural, so a failed scan is
-    reported data, not a crash.
+    ValueError for H = 0 and BracketError when no sign change shows up;
+    closure of the generating curve away from the exhibited cases is
+    conjectural, so a failed scan is reported data, not a crash.
     """
+    if H == 0.0:
+        raise ValueError("closed generating curves require H != 0")
     (lo, _), (hi, _) = _scan(H, settings or OdeSettings())
     return lo, hi
 
@@ -407,21 +406,20 @@ def closed_curve_search(
         raise ValueError("closed generating curves require H != 0")
     settings = settings or OdeSettings()
 
-    def residual(y0: float, hit: Optional[tuple] = None) -> tuple[float, float, float]:
-        hit = hit or _shoot_once(H, y0, settings)
-        if hit is None:
-            raise BracketError(f"no angular return within horizon "
-                               f"{_shooting_horizon(settings)} from y0 = {y0!r}")
-        s1, state = hit
-        return state.x, state.y - y0, s1
+    def residual(y0: float) -> tuple[float, float, float]:
+        shot = _shot(H, y0, settings)
+        if shot is None:
+            raise BracketError(f"no angular return within arc length max(max_s, 40) "
+                               f"from y0 = {y0!r}")
+        return shot
 
     if bracket is None:
-        (lo, hit_lo), (hi, hit_hi) = _scan(H, settings)
+        (lo, end_lo), (hi, end_hi) = _scan(H, settings)
     else:
-        (lo, hi), hit_lo, hit_hi = bracket, None, None
+        lo, hi = bracket
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"bracket {bracket!r} must be finite with lo < hi")
-    end_lo, end_hi = residual(lo, hit_lo), residual(hi, hit_hi)
+        end_lo, end_hi = residual(lo), residual(hi)
     rx_lo, rx_hi = end_lo[0], end_hi[0]
     if rx_lo == 0.0:
         y0, (rx, ry, s1), iterations = lo, end_lo, 0

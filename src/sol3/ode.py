@@ -9,19 +9,15 @@ with H = 0 for minimal surfaces.  The backward half of a curve is the same
 stepper run with negative steps, except for a minimal curve launched from
 the origin: the system is reversible under P(x, y, theta) = (-x, -y, theta),
 s -> -s, and rounding is sign-symmetric, so that half is the forward half
-reflected through the origin, bit for bit, and is built from it instead.
-Round-to-nearest negates every result but an exact zero (exact cancellation
-gives +0.0 on both sides), so the mirror is taken only when no x or y sample
-after the start and no stage theta' (these include every theta' sample after
-the start) is exactly 0; the constant-angle lines through the origin have
-such zeros and integrate both sides.  The stepper's `reflected` rows keep
-the start exactly as given.  The stepper (`_rk`) hands back each side's
-samples, slopes and step rows, theta' being the third slope column, and
-raises IntegrationError itself; this module re-exports it.  theta is kept
-unwrapped so closure events (theta returning to theta0 - 2 pi) reduce to a
-plain sign test.  Initial angles within 1e-14 of the constant-angle solutions
-are snapped and routed to the exact lines, where nearby numerics would look
-spuriously stiff.
+reflected through the origin, bit for bit, and is built from it instead
+whenever the stepper's `reflected` finds that reflection exact (on the
+constant-angle lines through the origin it is not, and both sides are
+integrated).  The stepper (`_rk`) hands back each side's samples, slopes and
+step rows, theta' being the third slope column, and raises IntegrationError
+itself; this module re-exports it.  theta is kept unwrapped so closure
+events (theta returning to theta0 - 2 pi) reduce to a plain sign test.
+Initial angles within 1e-14 of the constant-angle solutions are snapped and
+routed to the exact lines, where nearby numerics would look spuriously stiff.
 """
 from __future__ import annotations
 
@@ -160,6 +156,8 @@ class Trajectory:
         if self.explicit_kind is not None:
             x, y = _line_xy(self._line, self.ic.x0, self.ic.y0, s)
             return CurveState(s, x, y, float(self.theta[0]))
+        if len(self) == 1:  # a zero horizon: the start alone
+            return CurveState(s, float(self.x[0]), float(self.y[0]), float(self.theta[0]))
         if not self._his:
             raise ValueError("trajectory has no dense output")
         i = min(bisect.bisect_left(self._his, s), len(self._his) - 1)
@@ -240,7 +238,7 @@ def check_step_budget(settings: OdeSettings, horizon: float) -> None:
 
 def _trajectory(
     ic: InitialCondition, settings: OdeSettings, H: Optional[float], horizon: float,
-    stop_event: Optional[Callable[[float, list], float]] = None, both_sides: bool = False,
+    stop_theta: Optional[float] = None, both_sides: bool = False,
 ) -> Trajectory:
     """Trajectory over [0, horizon], or over [-horizon, horizon] with both_sides."""
     if H is not None and not math.isfinite(H):
@@ -250,18 +248,18 @@ def _trajectory(
     if 0.0 < horizon < STEP_FLOOR:
         raise ValueError(f"horizon (max_s) = {horizon!r} is below the stepper's "
                          f"smallest step {STEP_FLOOR!r}")
-    if stop_event is None:
+    if stop_theta is None:
         check_step_budget(settings, horizon)
     raw = _raw_rhs(H)
 
     def side(s_end: float):
         return solve_fixed_horizon(raw, (ic.x0, ic.y0, ic.theta0), s_end, settings.abs_tol,
-                                   settings.rel_tol, settings.max_step, stop_event)
+                                   settings.rel_tol, settings.max_step, stop_theta)
 
     s, states, h, K, slopes = side(horizon)
     if both_sides:
         back = None
-        if H is None and ic.x0 == ic.y0 == 0.0 and states[1:, :2].all():
+        if H is None and ic.x0 == ic.y0 == 0.0:
             # The backward run is P of this one (see the module docstring).
             back = _rk.reflected(s, states, h, K, slopes)
         bs, bstates, bh, bK, bslopes = back or side(-horizon)
@@ -300,19 +298,20 @@ def integrate_forward(
     ic: InitialCondition,
     settings: Optional[OdeSettings] = None,
     H: Optional[float] = None,
-    stop_event: Optional[Callable[[float, list], float]] = None,
+    stop_theta: Optional[float] = None,
     horizon: Optional[float] = None,
 ) -> Trajectory:
     """One-sided variant of `integrate` over [0, horizon or max_s].
 
     A negative or NaN horizon raises ValueError: s only ever runs upwards.
 
-    `stop_event(s, (x, y, theta))` halts integration one step past its first
-    sign change, leaving the change bracketed by the final two samples.
+    Given `stop_theta`, integration halts on the first step whose end angle
+    reaches or crosses it, one step past the crossing, which the final two
+    samples bracket.
     """
     settings = settings or OdeSettings()
     span = settings.max_s if horizon is None else horizon
-    return _trajectory(ic, settings, H, span, stop_event)
+    return _trajectory(ic, settings, H, span, stop_theta)
 
 
 def explicit_solution(kind: str, x0: float, y0: float, s: float) -> CurveState:

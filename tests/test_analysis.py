@@ -237,7 +237,7 @@ def test_first_return_small_y0_overshoots():
 @pytest.mark.parametrize("make", [
     lambda: integrate_forward(InitialCondition(0, 0.6425, 0), OdeSettings(max_s=10.0), H=1.0),
     lambda: integrate_forward(InitialCondition(0, 0.3, 0), OdeSettings(max_s=10.0), H=1.5,
-                              stop_event=lambda s, yv: yv[2] + 2 * math.pi),
+                              stop_theta=-2 * math.pi),
     lambda: integrate(InitialCondition(0, 0.5, 0.2), OdeSettings(max_s=10.0), H=-1.0),
 ])
 def test_first_return_matches_the_find_event_route(make):
@@ -245,6 +245,41 @@ def test_first_return_matches_the_find_event_route(make):
     target = traj.ic.theta0 - math.copysign(2.0 * math.pi, traj.H_target)
     s1 = find_event(traj, lambda st, _: st.theta - target)
     assert s1 is not None and first_return(traj) == (s1, traj.state_at(s1))
+
+
+@pytest.mark.parametrize("H, y0", [
+    (1.0, 0.6425), (1.0, 0.125), (2.0, 0.25), (0.8, 0.5), (-1.0, -0.5), (0.05, 0.5),
+])
+def test_shot_matches_the_find_event_route(H, y0):
+    # The shot stops on the step that crosses its turn and refines only that
+    # step; the full run to the same horizon, searched by find_event, gives the
+    # same residuals bit for bit, and no turn (H = 0.05 within 40) gives None.
+    from sol3 import analysis
+
+    settings = OdeSettings()
+    traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H, horizon=40.0)
+    target = -math.copysign(2.0 * math.pi, H)
+    s1 = find_event(traj, lambda st, _: st.theta - target)
+    if s1 is None:
+        expected = None
+    else:
+        end = traj.state_at(s1)
+        expected = (end.x, end.y - y0, s1)
+    assert repr(analysis._shot(H, y0, settings)) == repr(expected)
+    assert (expected is None) == (H == 0.05)
+
+
+@pytest.mark.parametrize("run", [
+    lambda H: scan_bracket(H),
+    lambda H: closed_curve_search(H),
+    lambda H: closed_curve_search(H, (0.125, 0.75)),
+])
+@pytest.mark.parametrize("H", [0.0, -0.0])
+def test_zero_h_is_refused_before_any_shot(monkeypatch, run, H):
+    calls = _count_integrations(monkeypatch)
+    with pytest.raises(ValueError, match=r"require H != 0"):
+        run(H)
+    assert calls == []
 
 
 def test_first_return_none_for_minimal_like():

@@ -275,6 +275,11 @@ def test_cli_mesh_golden_digest(tmp_path, kind, digest):
      "6a03767b5026723dea18e78d90544ba7e3e3f944d2a68681cc16f4090c8e3750"),
     (["shoot", "--H", "1", "--bracket", "0.125:0.75"],
      "e0c4c229c26c90fd47602790ccc48612766c4437735d619644e7692abeb62c73"),
+    # Scanned brackets, on the grid and on its negation.
+    (["shoot", "--H", "2"],
+     "13ed3b89fcee09976344f9e3bef8b1cf3719a4eb6bbbea995ee6006f01e8ac88"),
+    (["shoot", "--H", "-1"],
+     "869298b1eab62120535c1980438dbba9d11d038fda4d0f714f270c158a5c3a2d"),
 ])
 def test_cli_integrated_golden_digest(tmp_path, argv, digest):
     out = tmp_path / "out"

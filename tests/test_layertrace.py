@@ -23,6 +23,7 @@ def _layertrace():
     # An origin start: only the forward half is integrated, the other mirrored.
     (["integrate", "--theta0", "0.3", "--max-s", "2"], 1),
     (["shoot", "--H", "1", "--bracket", "0.125:0.75"], None),
+    (["shoot", "--H", "2"], None),  # the bracket scanned first
 ])
 def test_tracer_writes_the_same_bytes_and_counts_the_steps_taken(tmp_path, monkeypatch,
                                                                 argv, runs):

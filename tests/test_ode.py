@@ -237,9 +237,20 @@ def test_negative_or_nan_horizon_is_refused(horizon):
     ic = InitialCondition(0.0, 0.5, 0.3)
     for run in (lambda: integrate_forward(ic, horizon=horizon),
                 lambda: integrate_forward(ic, horizon=horizon, H=1.0),
-                lambda: integrate_forward(ic, horizon=horizon, stop_event=lambda s, yv: 1.0)):
+                lambda: integrate_forward(ic, horizon=horizon, stop_theta=10.0)):
         with pytest.raises(ValueError, match=rf"horizon \(max_s\) = {horizon!r} must be non-neg"):
             run()
+
+
+def test_state_at_on_a_zero_horizon_gives_the_start():
+    # The start alone has no step to interpolate on; s = 0 (within the
+    # sampled range's slack) is still its state.
+    for H in (None, 1.0):
+        traj = integrate_forward(InitialCondition(0.0, 0.5, 0.3), H=H, horizon=0.0)
+        for s in (0.0, -0.0, 1e-12, -1e-12):
+            assert traj.state_at(s) == CurveState(s, 0.0, 0.5, 0.3)
+        with pytest.raises(ValueError, match="outside sampled range"):
+            traj.state_at(1e-11)
 
 
 def test_dense_output_matches_nodes():
@@ -324,11 +335,11 @@ def test_horizon_beyond_the_step_budget_is_refused_before_stepping(monkeypatch):
                     lambda: integrate_forward(ic, horizon=0.51)):
             with pytest.raises(ValueError, match=refused):
                 run()
-    # A stop event may end the run in time: it still steps, and may run out.
+    # A stop angle may end the run in time: it still steps, and runs out when
+    # the angle (theta decreases from 0.3 here) is out of reach.
     with pytest.raises(IntegrationError, match="50 attempted steps"):
-        integrate_forward(ic, horizon=0.51, H=1.0, stop_event=lambda s, yv: 1.0)
-    assert len(integrate_forward(ic, horizon=0.51, H=1.0,
-                                 stop_event=lambda s, yv: yv[2] - 0.299)) < 50
+        integrate_forward(ic, horizon=0.51, H=1.0, stop_theta=10.0)
+    assert len(integrate_forward(ic, horizon=0.51, H=1.0, stop_theta=0.299)) < 50
 
 
 def test_integration_error_is_one_class():
@@ -369,7 +380,7 @@ def test_non_finite_stage_names_the_last_accepted_s():
     lambda: integrate(InitialCondition(0.2, -0.1, PI8), OdeSettings(max_s=3.0)),
     lambda: integrate(InitialCondition(0.0, 0.6, 0.0), OdeSettings(max_s=3.0), H=1.0),
     lambda: integrate_forward(InitialCondition(0.0, 0.6, 0.0), OdeSettings(max_s=10.0),
-                              H=1.0, stop_event=lambda s, yv: yv[2] + 2 * math.pi),
+                              H=1.0, stop_theta=-2 * math.pi),
     lambda: integrate_forward(InitialCondition(0.0, 0.5, 0.1), H=1.0, horizon=0.0),
 ])
 def test_theta_prime_is_the_rhs_at_every_sample(make):
@@ -381,21 +392,19 @@ def test_theta_prime_is_the_rhs_at_every_sample(make):
 
 
 def test_stop_event_sees_accepted_states():
+    # The stop angle is tested on accepted states only: the stopped run is a
+    # prefix of the full one, ending on the first sample at or past the angle.
     from sol3._rk import solve_fixed_horizon
-
-    seen = []
-
-    def stop(s, yv):
-        seen.append((s, list(yv)))
-        return yv[2] + 0.5  # theta passes -0.5 on this CMC field
 
     f = ode._raw_rhs(1.0)
     ss, ys, h, K, slopes = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
-                                               1e-10, 1e-10, 0.01, stop)
+                                               1e-10, 1e-10, 0.01, -0.5)
+    full_ss, full_ys = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0, 1e-10, 1e-10, 0.01)[:2]
     assert ss[-1] < 10.0 and len(h) == len(K) == len(ss) - 1
-    assert seen == [(s, row) for s, row in zip(ss.tolist(), ys.tolist())]
+    assert ss.tobytes() == full_ss[:len(ss)].tobytes()
+    assert ys.tobytes() == full_ys[:len(ys)].tobytes()
     assert slopes.tolist() == [list(f(*row)) for row in ys.tolist()]
-    assert ys[-2, 2] > -0.5 >= ys[-1, 2]
+    assert (ys[:-1, 2] > -0.5).all() and ys[-1, 2] <= -0.5
 
 
 class DenseSegment:
@@ -527,9 +536,12 @@ def test_stepper_matches_reference_loop_bit_for_bit(H, x0, y0, theta0, span, sig
     # tobytes, not ==, so that a -0.0 where the reference has 0.0 fails too.
     from sol3._rk import solve_fixed_horizon
 
-    stop = None if event is None else (lambda s, yv: yv[2] - (theta0 + event))
-    args = (ode._raw_rhs(H), (x0, y0, theta0), sign * span, 1e-10, 1e-10, max_step, stop)
-    assert run_or_error(solve_fixed_horizon, *args) == run_or_error(reference_solve, *args)
+    # The reference keeps a stop callable; the stepper tests the angle inline.
+    stop_theta = None if event is None else theta0 + event
+    stop = None if event is None else (lambda s, yv: yv[2] - stop_theta)
+    args = (ode._raw_rhs(H), (x0, y0, theta0), sign * span, 1e-10, 1e-10, max_step)
+    assert (run_or_error(solve_fixed_horizon, *args, stop_theta)
+            == run_or_error(reference_solve, *args, stop))
 
 
 @pytest.mark.parametrize("H, start, s_end, tol, max_step", [
@@ -813,8 +825,9 @@ def test_state_at_matches_the_reference_segments(start, H, run, max_step, max_s,
         fs, _, fsegs, _ = reference_solve(f, start, max_s, 1e-10, 1e-10, max_step)
         ref_s, segments = np.concatenate([bs[:0:-1], fs]), bsegs[::-1] + fsegs
     else:
-        stop = None if run == "one-sided" else (lambda s, yv: yv[2] - (start[2] - 0.3))
-        traj = integrate_forward(ic, settings, H=H, stop_event=stop)
+        stop_theta = None if run == "one-sided" else start[2] - 0.3
+        stop = None if stop_theta is None else (lambda s, yv: yv[2] - stop_theta)
+        traj = integrate_forward(ic, settings, H=H, stop_theta=stop_theta)
         ref_s, _, segments, _ = reference_solve(f, start, max_s, 1e-10, 1e-10, max_step, stop)
     assert traj.s.tobytes() == ref_s.tobytes()
     lo, hi = ref_s[0], ref_s[-1]
