@@ -22,9 +22,10 @@ routed to the exact lines, where nearby numerics would look spuriously stiff.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -348,9 +349,10 @@ def find_event(
 ) -> Optional[float]:
     """First s > 0 where the predicate changes sign along the trajectory.
 
-    The sign change is located among the stored samples and refined by
-    bisection on the dense output to settings.event_tol.  Returns None when
-    no sign change exists on the sampled horizon.
+    The stored samples are scanned from s = 0, one predicate call each, up
+    to the first sign change, which is refined by bisection on the dense
+    output to settings.event_tol.  Returns None when no sign change exists
+    on the sampled horizon.
     """
     raw = _raw_rhs(traj.H_target)
 
@@ -359,19 +361,20 @@ def find_event(
         return predicate(state, raw(state.x, state.y, state.theta)[2])
 
     idx = int(np.searchsorted(traj.s, 0.0, side="left"))
-    vals = [predicate(*traj.sample(i)) for i in range(idx, len(traj))]
+    vals = (predicate(*traj.sample(i)) for i in range(idx, len(traj)))
     return _first_crossing(traj.s[idx:].tolist(), vals, dense, traj.settings.event_tol)
 
 
-def _first_crossing(s: list[float], vals: list[float], f: Callable[[float], float],
+def _first_crossing(s: list[float], vals: Iterable[float], f: Callable[[float], float],
                     tol: float) -> Optional[float]:
-    """First s > 0 where the sampled values `vals` of f change sign, refined on f."""
-    for s_a, p_a, s_b, p_b in zip(s, vals, s[1:], vals[1:]):
+    """First s > 0 where the sampled values `vals` of f change sign, refined on f.
+
+    `vals` is consumed lazily, so nothing past the crossing is evaluated.
+    """
+    for (s_a, p_a), (s_b, p_b) in itertools.pairwise(zip(s, vals)):
         if p_b == 0.0 and s_b > 0.0:
             return s_b
-        if p_a == 0.0:
-            continue
-        if p_a * p_b < 0.0:
+        if p_a != 0.0 and p_a * p_b < 0.0:
             return _bisect(f, s_a, s_b, p_a, tol)
     return None
 

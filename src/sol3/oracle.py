@@ -16,10 +16,13 @@ only on the height z, so they are built once per z and kept in a small memo
 of tuples and read-only arrays (shared but immutable).  The memo keeps only
 the nonzero Christoffel and Riemann entries (6 of 27 and 12 of 81), in the
 dense summation order, and only those are contracted.  The stencil
-evaluates the local curve once per arc-length offset.  Stencils, the cross
-product and the Christoffel and Riemann sums run on Python floats; every
-metric inner product p.g.q stays on numpy's BLAS dot, whose fused
-multiply-adds a plain float sum would not reproduce bit for bit.
+evaluates the local curve once per arc-length offset and writes each
+difference quotient as a straight-line float expression; its t column
+(0, 1, 0, 0, 0) is exact, so it is written as literals.  One pass over the
+Christoffel rows contracts all three second-form terms.  These sums and the
+cross product run on Python floats; every metric inner product p.g.q stays
+on numpy's BLAS dot, whose fused multiply-adds a plain float sum would not
+reproduce bit for bit.
 """
 from __future__ import annotations
 
@@ -33,9 +36,12 @@ import numpy as np
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 2e-4
 
-# (e^{-t}, e^{t}) at the stencil's height offsets t.
-_LIFT = {t: (math.exp(-t), math.exp(t))
-         for t in (0.0, FD_STEP_FIRST, -FD_STEP_FIRST, FD_STEP_SECOND, -FD_STEP_SECOND)}
+# The stencil's offsets, (e^{-t}, e^{t}) at the nonzero ones, and its denominators.
+_OFFSETS = (0.0, FD_STEP_FIRST, -FD_STEP_FIRST, FD_STEP_SECOND, -FD_STEP_SECOND)
+_LIFT = tuple((math.exp(-t), math.exp(t)) for t in _OFFSETS[1:])
+_TWO_H1 = 2.0 * FD_STEP_FIRST
+_H2_SQ = FD_STEP_SECOND * FD_STEP_SECOND
+_FOUR_H2_SQ = 4.0 * FD_STEP_SECOND * FD_STEP_SECOND
 
 
 def coord_metric(point) -> np.ndarray:
@@ -202,32 +208,21 @@ class OracleReport:
 
 def curvatures_fd(state, theta_prime: float) -> OracleReport:
     """Shape-operator curvatures via finite differences of the swept patch."""
-    h1, h2 = FD_STEP_FIRST, FD_STEP_SECOND
     curve = local_curve(state, theta_prime)
-    at = {ds: curve(ds) for ds in (0.0, h1, -h1, h2, -h2)}
-
-    def psi(ds: float, t: float) -> tuple[float, float, float]:
-        (cx, cy), (e_minus, e_plus) = at[ds], _LIFT[t]
-        return e_minus * cx, e_plus * cy, t
-
-    base = psi(0.0, 0.0)
-    z = base[2]
-    height = _height(z)
+    (x0, y0), (xa, ya), (xb, yb), (xc, yc), (xd, yd) = map(curve, _OFFSETS)
+    # psi(ds, t) = (e^{-t} x(ds), e^{t} y(ds), t), and the lift at t = 0 is 1.
+    (ma, pa), (mb, pb), (mc, pc), (md, pd) = _LIFT
+    # (p - q) / 2h1, (p - 2b + q) / h2^2 and (pp - pm - mp + mm) / 4h2^2, term by
+    # term.  The t column is exact: 2h1 / 2h1 = 1; the other t sums cancel to +0.
+    psi_s = [(xa - xb) / _TWO_H1, (ya - yb) / _TWO_H1, 0.0]
+    psi_t = [(ma * x0 - mb * x0) / _TWO_H1, (pa * y0 - pb * y0) / _TWO_H1, 1.0]
+    psi_ss = [(xc - 2.0 * x0 + xd) / _H2_SQ, (yc - 2.0 * y0 + yd) / _H2_SQ, 0.0]
+    psi_tt = [(mc * x0 - 2.0 * x0 + md * x0) / _H2_SQ,
+              (pc * y0 - 2.0 * y0 + pd * y0) / _H2_SQ, 0.0]
+    psi_st = [(mc * xc - md * xc - mc * xd + md * xd) / _FOUR_H2_SQ,
+              (pc * yc - pd * yc - pc * yd + pd * yd) / _FOUR_H2_SQ, 0.0]
+    height = _height(0.0)  # the base point psi(0, 0) sits at z = t = 0
     g_mat = height.metric
-
-    def first(plus, minus, step):
-        return [(p - q) / (2.0 * step) for p, q in zip(plus, minus)]
-
-    def pure_second(plus, minus):
-        return [(p - 2.0 * b + q) / (h2 * h2) for p, b, q in zip(plus, base, minus)]
-
-    psi_s = first(psi(h1, 0.0), psi(-h1, 0.0), h1)
-    psi_t = first(psi(0.0, h1), psi(0.0, -h1), h1)
-    psi_ss = pure_second(psi(h2, 0.0), psi(-h2, 0.0))
-    psi_tt = pure_second(psi(0.0, h2), psi(0.0, -h2))
-    psi_st = [(a - b - c + d) / (4.0 * h2 * h2) for a, b, c, d in zip(
-        psi(h2, h2), psi(h2, -h2), psi(-h2, h2), psi(-h2, -h2))]
-
     # Inner products stay on the BLAS dot kernel: it fuses multiply-adds, so
     # a plain float sum would change the last bits.
     s_vec, t_vec = np.array(psi_s), np.array(psi_t)
@@ -245,18 +240,21 @@ def curvatures_fd(state, theta_prime: float) -> OracleReport:
     n /= math.sqrt(float(n.dot(g_mat).dot(n)))
     n_g = n.dot(g_mat)
 
-    def second(u: list, v: list, second_partial: list) -> float:
-        cov = []
-        for terms, d2 in zip(height.christoffel, second_partial):
-            acc = 0.0  # einsum("kij,i,j->k", gam, u, v), in (i, j) order
-            for (i, j), gkij in terms:
-                acc += gkij * u[i] * v[j]
-            cov.append(d2 + acc)
-        return float(n_g.dot(np.array(cov)))
-
-    e = second(psi_s, psi_s, psi_ss)
-    f = second(psi_s, psi_t, psi_st)
-    g2 = second(psi_t, psi_t, psi_tt)
+    # The ambient covariant derivatives Gamma^k_ij u^i v^j + d2 psi^k of the
+    # (s, s), (s, t) and (t, t) pairs, each summed in (i, j) order from +0.0.
+    cov_e, cov_f, cov_g = [], [], []
+    for terms, d_ss, d_st, d_tt in zip(height.christoffel, psi_ss, psi_st, psi_tt):
+        acc_e = acc_f = acc_g = 0.0
+        for (i, j), gkij in terms:
+            acc_e += gkij * psi_s[i] * psi_s[j]
+            acc_f += gkij * psi_s[i] * psi_t[j]
+            acc_g += gkij * psi_t[i] * psi_t[j]
+        cov_e.append(d_ss + acc_e)
+        cov_f.append(d_st + acc_f)
+        cov_g.append(d_tt + acc_g)
+    e = float(n_g.dot(np.array(cov_e)))
+    f = float(n_g.dot(np.array(cov_f)))
+    g2 = float(n_g.dot(np.array(cov_g)))
 
     H = (e * G - 2.0 * f * F + g2 * E) / (2.0 * W)
     k_ext = (e * g2 - f * f) / W

@@ -358,6 +358,15 @@ def test_closed_curve_search_h2_via_scan():
     assert abs(res.residual_y) < 1e-6
 
 
+def test_closed_curve_search_tends_to_the_circle_at_large_H():
+    # As H grows the closed orbit tends to a circle of radius 1/(2H), so
+    # H y0* -> 1/2 and H s1 -> pi; at H = 8 both are within 1%.
+    res = closed_curve_search(8.0)
+    assert 8.0 * res.y0_star == pytest.approx(0.5, rel=0.01)
+    assert 8.0 * res.s1 == pytest.approx(math.pi, rel=0.01)
+    assert abs(res.residual_y) < 1e-6
+
+
 def _count_integrations(monkeypatch):
     from sol3 import ode
 

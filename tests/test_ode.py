@@ -944,6 +944,25 @@ def test_find_event_none_for_bounded_angle():
     assert find_event(traj, lambda st, tp: st.theta + 2 * math.pi) is None
 
 
+def test_find_event_stops_at_the_first_crossing():
+    # The closed H = 1 orbit turns through -2 pi near sample 394 of 4,003.  The
+    # predicate runs once per sample up to that crossing, then once per
+    # bisection probe of the step that crossed; no sample past it is read.
+    traj = integrate_forward(InitialCondition(0.0, 0.6425, 0.0), OdeSettings(max_s=40.0), H=1.0)
+    calls = []
+
+    def predicate(state, theta_prime):
+        calls.append(state.s)
+        return state.theta + 2 * math.pi
+
+    s1 = find_event(traj, predicate)
+    crossing = int(np.searchsorted(traj.s, s1))
+    assert len(traj) == 4003 and 390 < crossing < 400
+    probes = math.ceil(math.log2(traj.settings.max_step / traj.settings.event_tol))
+    assert len(calls) <= crossing + 1 + probes < len(traj) // 8
+    assert max(calls) <= traj.s[crossing]
+
+
 def test_find_event_cmc_regression():
     # Baseline from an independent solve_ivp run at rtol=atol=1e-12.
     traj = integrate_forward(InitialCondition(0.0, 0.6425, 0.0),

@@ -246,6 +246,10 @@ _RATE = st.one_of(st.floats(-2.0, 2.0), st.floats(-50.0, 50.0), _ZEROS)
 @example(x=-0.0, y=0.0, theta=0.0, theta_prime=0.0)
 @example(x=0.0, y=-0.0, theta=-math.pi / 4, theta_prime=-0.0)
 @example(x=1.7e308, y=-1.7e308, theta=0.3, theta_prime=1.0)
+# theta' * 1e-5 underflows to 0 (the straight branch of local_curve) while
+# theta' * 2e-4 is 5e-324 (the arc branch): one call takes both branches.
+@example(x=0.7, y=-1.3, theta=0.4, theta_prime=3e-320)
+@example(x=-1.1, y=0.9, theta=-2.2, theta_prime=-3e-320)
 def test_oracle_keeps_the_bits_of_the_dense_sums(x, y, theta, theta_prime):
     state = CurveState(0.0, x, y, theta)
     assert _outcome(oracle.curvatures_fd, state, theta_prime) == \
