@@ -2,12 +2,15 @@
 
 Exit codes are part of the contract: 0 success, 1 integration failure,
 2 shooting-bracket failure, 3 closure-certificate failure, 64 usage error.
-Identical arguments produce byte-identical output files.
+Identical arguments produce byte-identical output files.  `main` may be
+called repeatedly in one process and gives the same bytes each time; the
+parser it reads is built on the first call and then shared.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -86,7 +89,10 @@ def _add_common(sub: argparse.ArgumentParser, ic: tuple[str, ...] = ("x0", "y0",
     sub.add_argument("--out", type=_path, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `sol3` parser, built on the first call and then shared by every
+    `main` call in the process: callers must not mutate it."""
     parser = _Parser(prog="sol3", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

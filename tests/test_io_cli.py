@@ -290,13 +290,17 @@ def test_cli_integrated_golden_digest(tmp_path, argv, digest):
 # Meshes longer than one OBJ chunk (5151 vertices), recorded before the
 # vertex text was formatted with one repr per distinct z.  The integrated
 # curve's digest depends on the BLAS build, as the digests above do.
+MULTI_CHUNK_GRID = "--grid=-3:3:-1:1:101:51"
+CIRCLE_MESH_DIGEST = "a489cfbedf1df9e2b7786814bcd4ebba5d455e6d7430390adc702d17bbe89752"
+
+
 @pytest.mark.parametrize("argv, digest", [
-    (["--kind", "circle"], "a489cfbedf1df9e2b7786814bcd4ebba5d455e6d7430390adc702d17bbe89752"),
+    (["--kind", "circle"], CIRCLE_MESH_DIGEST),
     (["--theta0", str(PI8)], "6643061c6c912a9939d127279e5f802835f6d5e283a1782f871d5ec04e19363d"),
 ])
 def test_cli_multi_chunk_mesh_golden_digest(tmp_path, argv, digest):
     out = tmp_path / "m.obj"
-    assert main(["mesh", *argv, "--grid=-3:3:-1:1:101:51", "--out", str(out)]) == 0
+    assert main(["mesh", *argv, MULTI_CHUNK_GRID, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -512,6 +516,76 @@ def test_cli_refuses_ignored_flags(tmp_path, argv):
         code = exc.code
     assert code == 64
     assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture()
+def fresh_parser():
+    """Drop the process's shared parser before and after the test."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch, fresh_parser):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    assert main(["integrate", "--theta0", "0.3", "--max-s", "1",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["verify", "--samples", "1", "--out", str(tmp_path / "v.json")]) == 0
+    assert main(["mesh", "--kind", "circle", "--grid=-1:1:-1:1:3:3",
+                 "--out", str(tmp_path / "m.obj")]) == 0
+    once = len(built)
+    cli.build_parser.__wrapped__()
+    assert len(built) == 2 * once == 2 * (1 + len(cli._HANDLERS))  # top level + commands
+
+
+def test_cli_mesh_defaults_do_not_leak_between_calls(tmp_path):
+    # cmd_mesh fills the defaults of the options a curve reads into its own
+    # namespace; a later call must still see them as not given.
+    assert main(["mesh", "--theta0", "0.3", "--grid=-1:1:-1:1:3:3",
+                 "--out", str(tmp_path / "integrated.obj")]) == 0
+    refused = tmp_path / "refused"
+    refused.mkdir()
+    assert main(["mesh", "--kind", "circle", "--theta0", "1", "--grid=-1:1:-1:1:3:3",
+                 "--out", str(refused / "m.obj")]) == 64
+    assert os.listdir(refused) == []
+    out = tmp_path / "circle.obj"
+    assert main(["mesh", "--kind", "circle", MULTI_CHUNK_GRID, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CIRCLE_MESH_DIGEST
+
+
+def test_cli_usage_error_and_help_leave_the_shared_parser_as_built(tmp_path, capsys):
+    argv = ["verify", "--samples", "2", "--seed", "3"]
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(argv + ["--out", str(first)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", "two"])
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+    fresh = cli.build_parser.__wrapped__()
+    assert cli.build_parser().format_help() == fresh.format_help()
+    for command in cli._HANDLERS:
+        texts = []
+        for parse in (main, fresh.parse_args):
+            with pytest.raises(SystemExit):
+                parse([command, "--out", ""])
+            with pytest.raises(SystemExit):
+                parse([command, "--help"])
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        assert "usage: sol3 " + command in texts[0].err
 
 
 def test_cli_mesh_integrated_defaults_unchanged(tmp_path):
@@ -805,6 +879,17 @@ def test_cli_import_leaves_out_multiprocessing_and_secrets():
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_cli_import_builds_no_parser():
+    # The parser is built on the first main call, not at import, so a
+    # process that only imports sol3.cli (or times its set-up) pays nothing.
+    code = "import sol3.cli; print(sol3.cli.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
 
 
 def test_cli_mesh_non_finite_vertex_exits_1(tmp_path, capsys):
