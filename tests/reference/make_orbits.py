@@ -22,7 +22,7 @@ they agree is recorded next to the value of the finer one.
 It takes minutes per H, so the test suite never runs it: it only reads the
 JSON this script writes (see tests/test_reference.py).  Run it with
 
-    python tests/reference/make_orbits.py [--H 1 2 3] [--dps 22]
+    python tests/reference/make_orbits.py [--H 1 2 3]
 """
 import argparse
 import json
@@ -40,7 +40,8 @@ GUESSES = {
     "2": ("0.2639807061", "1.649572833"),
     "3": ("0.1706464526", "1.069667821"),
 }
-# The finer of the two runs works at this many more decimal digits.
+# The coarser run works at DPS decimal digits, the finer at EXTRA_DPS more.
+DPS = 22
 EXTRA_DPS = 8
 JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "orbits.json")
 
@@ -85,24 +86,24 @@ def agreeing_digits(fine, coarse):
     return float(-mpmath.log10(abs(fine - coarse) / abs(fine)))
 
 
-def reference(H_text, dps):
+def reference(H_text):
     y0_guess, s1_guess = GUESSES[H_text]
     start = time.perf_counter()
-    mp.dps = dps
+    mp.dps = DPS
     coarse = solve(mpf(H_text), mpf(y0_guess), mpf(s1_guess))
-    mp.dps = dps + EXTRA_DPS
+    mp.dps = DPS + EXTRA_DPS
     fine = solve(mpf(H_text), coarse["y0_star"], coarse["s1"])
     seconds = time.perf_counter() - start
     return {
         "H": H_text,
-        "y0_star": mpmath.nstr(fine["y0_star"], dps, strip_zeros=False),
-        "s1": mpmath.nstr(fine["s1"], dps, strip_zeros=False),
+        "y0_star": mpmath.nstr(fine["y0_star"], DPS, strip_zeros=False),
+        "s1": mpmath.nstr(fine["s1"], DPS, strip_zeros=False),
         "digits_y0_star": round(agreeing_digits(fine["y0_star"], coarse["y0_star"]), 1),
         "digits_s1": round(agreeing_digits(fine["s1"], coarse["s1"]), 1),
         "residual_x": mpmath.nstr(fine["residual_x"], 3),
         "residual_y": mpmath.nstr(fine["residual_y"], 3),
         "quarter_turn_gap": mpmath.nstr(4 * fine["s_quarter"] - fine["s1"], 3),
-        "dps": [dps, dps + EXTRA_DPS],
+        "dps": [DPS, DPS + EXTRA_DPS],
         "seconds": round(seconds, 1),
     }
 
@@ -110,8 +111,6 @@ def reference(H_text, dps):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--H", nargs="+", default=list(GUESSES), choices=list(GUESSES))
-    parser.add_argument("--dps", type=int, default=22,
-                        help="decimal digits of the coarser run")
     parser.add_argument("--out", default=JSON_PATH)
     args = parser.parse_args()
     try:
@@ -120,7 +119,7 @@ def main():
     except FileNotFoundError:
         orbits = {}
     for H_text in args.H:
-        orbits[H_text] = reference(H_text, args.dps)
+        orbits[H_text] = reference(H_text)
         print(json.dumps(orbits[H_text]), flush=True)
         report = {"generator": "tests/reference/make_orbits.py",
                   "mpmath": mpmath.__version__,

@@ -872,24 +872,16 @@ def test_cli_sweep_caps_workers(tmp_path, monkeypatch, count, cpus, expected):
 def test_cli_import_leaves_out_multiprocessing_and_secrets():
     # A serial command should not pay for the process pool's or secrets'
     # imports (about 30 ms of start-up); the pool is imported by sweep alone.
-    heavy = ("multiprocessing", "concurrent.futures.process", "secrets")
-    code = f"import sys, sol3.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
-
-
-def test_cli_import_builds_no_parser():
     # The parser is built on the first main call, not at import, so a
     # process that only imports sol3.cli (or times its set-up) pays nothing.
-    code = "import sol3.cli; print(sol3.cli.build_parser.cache_info().currsize)"
+    heavy = ("multiprocessing", "concurrent.futures.process", "secrets")
+    code = (f"import sys, sol3.cli; print([m for m in {heavy!r} if m in sys.modules]); "
+            "print(sol3.cli.build_parser.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "0\n"
+    assert run.stdout == "[]\n0\n"
 
 
 def test_cli_mesh_non_finite_vertex_exits_1(tmp_path, capsys):
