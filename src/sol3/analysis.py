@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .ode import (
+    EVENT_TOL,
     InitialCondition,
     OdeSettings,
     Trajectory,
@@ -146,8 +147,10 @@ def _concavity_indicator(traj: Trajectory) -> np.ndarray:
 def inflection_points(traj: Trajectory) -> list[float]:
     """Arc-length locations where the graph y(x) changes convexity.
 
-    Constant-angle lines have none.  Zeros are located among the samples and
-    refined by bisection to settings.event_tol.
+    Constant-angle lines have none.  Each pair of neighbouring nonzero samples
+    of the concavity indicator whose sign bits differ holds one root: the last
+    zero sample between them if there is one, else the bisection of the step
+    between them on the dense output to EVENT_TOL.
     """
     _require_minimal(traj)
     if traj.explicit_kind is not None:
@@ -157,25 +160,14 @@ def inflection_points(traj: Trajectory) -> list[float]:
         return first_form(traj.state_at(s)).F
 
     vals = _concavity_indicator(traj)
-    s = traj.s
-    roots: list[float] = []
-    last_sign = 0.0
-    zero_at: Optional[float] = None
-    for i in range(len(traj)):
-        v = float(vals[i])
-        if v == 0.0:
-            zero_at = float(s[i])
-            continue
-        sign = math.copysign(1.0, v)
-        if last_sign != 0.0 and sign != last_sign:
-            if zero_at is not None:
-                roots.append(zero_at)
-            else:
-                lo = float(s[i - 1])
-                roots.append(_bisect(concavity, lo, float(s[i]), concavity(lo),
-                                     traj.settings.event_tol))
-        last_sign = sign
-        zero_at = None
+    nonzero = np.flatnonzero(vals != 0.0)  # NaN counts as nonzero, by its sign bit
+    a, b = nonzero[:-1], nonzero[1:]
+    flips = np.signbit(vals[a]) != np.signbit(vals[b])
+    roots = []
+    for i, j in zip(a[flips].tolist(), b[flips].tolist()):
+        lo = float(traj.s[j - 1])
+        roots.append(lo if j - i > 1 else
+                     _bisect(concavity, lo, float(traj.s[j]), concavity(lo), EVENT_TOL))
     return roots
 
 
@@ -281,14 +273,15 @@ def theorem_checks(traj: Trajectory) -> TheoremReport:
     """Check monotonicity, concavity and the diagonal barrier on every sample.
 
     Requires a minimal trajectory started at the origin with direction angle
-    in (0, pi/4).  For s > 0 the graph y(x) must be increasing (sin theta > 0
-    and cos theta > 0), concave (y y' - x < 0) and stay below y = x.
+    in (0, pi/4), and not within 1e-14 of either end, where it snaps to a
+    line.  For s > 0 the graph y(x) must be increasing (sin theta > 0 and
+    cos theta > 0), concave (y y' - x < 0) and stay below y = x.
     """
     _require_minimal(traj)
     ic = traj.ic
     if ic.x0 != 0.0 or ic.y0 != 0.0:
         raise ValueError("theorem checks require an origin start")
-    if not 0.0 < ic.theta0 < math.pi / 4.0:
+    if not 0.0 < ic.theta0 < math.pi / 4.0 or traj.explicit_kind is not None:
         raise ValueError("theorem checks require theta0 in (0, pi/4)")
 
     pos = traj.s > 0.0
@@ -333,7 +326,7 @@ def first_return(traj: Trajectory) -> Optional[tuple[float, CurveState]]:
     if traj.H_target is None or traj.H_target == 0.0:
         return None
     target = traj.ic.theta0 - math.copysign(2.0 * math.pi, traj.H_target)
-    s1 = find_event(traj, lambda state, _: state.theta - target)
+    s1 = find_event(traj, lambda state: state.theta - target)
     return None if s1 is None else (s1, traj.state_at(s1))
 
 
@@ -346,7 +339,7 @@ def _shot(H: float, y0: float, settings: OdeSettings) -> Optional[tuple[float, f
     traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H,
                              stop_theta=target, horizon=max(settings.max_s, 40.0))
     s1 = _first_crossing(traj.s[-2:].tolist(), (traj.theta[-2:] - target).tolist(),
-                         lambda s: traj.state_at(s).theta - target, settings.event_tol)
+                         lambda s: traj.state_at(s).theta - target, EVENT_TOL)
     if s1 is None:
         return None
     end = traj.state_at(s1)

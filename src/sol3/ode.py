@@ -16,8 +16,10 @@ integrated).  The stepper (`_rk`) hands back each side's samples, slopes and
 step rows, theta' being the third slope column, and raises IntegrationError
 itself; this module re-exports it.  theta is kept unwrapped so closure
 events (theta returning to theta0 - 2 pi) reduce to a plain sign test.
-Initial angles within 1e-14 of the constant-angle solutions are snapped and
-routed to the exact lines, where nearby numerics would look spuriously stiff.
+Minimal starts within 1e-14 of a constant-angle solution (theta0 = 0, +-pi/4,
++-pi/2, +-3 pi/4 or +-pi, on the diagonal for the diagonal angles) always
+snap to the exact line, where nearby numerics would look spuriously stiff.
+Events are refined by bisection to EVENT_TOL in arc length.
 """
 from __future__ import annotations
 
@@ -38,23 +40,25 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 _SNAP_TOL = 1e-14
+#: Arc-length width to which `find_event` and `analysis` bisect a sign change.
+EVENT_TOL = 1e-12
 # From this |theta0| on, an ulp of theta0 is over twice the default tolerance.
 _MAX_ABS_THETA0 = 2.0 ** 20
 
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Integrator tolerances and horizons; all entries must be finite and positive,
-    and max_step at least the stepper's smallest step, STEP_FLOOR."""
+    """Integrator tolerances and horizons, one `sol3` option each; all entries
+    must be finite and positive, and max_step at least the stepper's smallest
+    step, STEP_FLOOR."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_step: float = 1e-2
     max_s: float = 10.0
-    event_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "max_step", "max_s", "event_tol"):
+        for name in ("abs_tol", "rel_tol", "max_step", "max_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
@@ -117,7 +121,6 @@ class Trajectory:
         theta_prime: np.ndarray,
         ic: InitialCondition,
         H_target: Optional[float],
-        settings: OdeSettings,
         steps: Optional[tuple[np.ndarray, np.ndarray]] = None,
         line: Optional[tuple] = None,
     ):
@@ -130,7 +133,6 @@ class Trajectory:
         self.theta_prime = theta_prime
         self.ic = ic
         self.H_target = H_target
-        self.settings = settings
         self._line = line  # the _LINE_DIRECTIONS row of a snapped line
         self.explicit_kind: Optional[str] = None if line is None else line[1]
         self._h, self._K = steps or (None, None)
@@ -186,6 +188,11 @@ _LINE_DIRECTIONS = (
     (-_HALF_PI, "II", (0.0, -1.0), None),
     (_QUARTER_PI, "III", (_INV_SQRT2, _INV_SQRT2), 1.0),
     (-_QUARTER_PI, "IV", (_INV_SQRT2, -_INV_SQRT2), -1.0),
+    # The same lines run the other way; explicit_solution reads the rows above.
+    (math.pi, "I", (-1.0, 0.0), None),
+    (-math.pi, "I", (-1.0, 0.0), None),
+    (3.0 * _QUARTER_PI, "IV", (-_INV_SQRT2, _INV_SQRT2), -1.0),
+    (-3.0 * _QUARTER_PI, "III", (-_INV_SQRT2, -_INV_SQRT2), 1.0),
 )
 
 
@@ -225,7 +232,7 @@ def _line_trajectory(
             for c in _line_xy(line, ic.x0, ic.y0, s))
     th = np.full_like(s, line[0])
     tp = np.zeros_like(s)
-    return Trajectory(s, x, y, th, tp, ic, None, settings, line=line)
+    return Trajectory(s, x, y, th, tp, ic, None, line=line)
 
 
 def check_step_budget(settings: OdeSettings, horizon: float) -> None:
@@ -269,24 +276,23 @@ def _trajectory(
                              for b, a in ((bs, s), (bstates, states), (bslopes, slopes)))
         h, K = np.concatenate([bh[::-1], h]), np.concatenate([bK[::-1], K])
     return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], slopes[:, 2],
-                      ic, H, settings, steps=(h, K))
+                      ic, H, steps=(h, K))
 
 
 def integrate(
     ic: InitialCondition,
     settings: Optional[OdeSettings] = None,
     H: Optional[float] = None,
-    snap: bool = True,
 ) -> Trajectory:
     """Deterministic bidirectional trajectory on [-max_s, max_s].
 
     H selects the system: None integrates the minimal equation, a float the
-    constant-mean-curvature equation with that target.  With snap=True (the
-    default), minimal initial conditions on a constant-angle line reproduce
-    the exact line instead of integrating it numerically.
+    constant-mean-curvature equation with that target.  Minimal initial
+    conditions on a constant-angle line reproduce the exact line instead of
+    integrating it numerically.
     """
     settings = settings or OdeSettings()
-    if snap and H is None:
+    if H is None:
         line = _snap_line_kind(ic)
         if line is not None:
             # A line takes as many samples as an integrated curve takes steps.
@@ -345,24 +351,19 @@ def circle_flat(r: float, s: float) -> tuple[CurveState, float]:
 
 def find_event(
     traj: Trajectory,
-    predicate: Callable[[CurveState, float], float],
+    predicate: Callable[[CurveState], float],
 ) -> Optional[float]:
-    """First s > 0 where the predicate changes sign along the trajectory.
+    """First s > 0 where predicate(state) changes sign along the trajectory.
 
     The stored samples are scanned from s = 0, one predicate call each, up
     to the first sign change, which is refined by bisection on the dense
-    output to settings.event_tol.  Returns None when no sign change exists
-    on the sampled horizon.
+    output to EVENT_TOL.  Returns None when no sign change exists on the
+    sampled horizon.
     """
-    raw = _raw_rhs(traj.H_target)
-
-    def dense(s: float) -> float:
-        state = traj.state_at(s)
-        return predicate(state, raw(state.x, state.y, state.theta)[2])
-
     idx = int(np.searchsorted(traj.s, 0.0, side="left"))
-    vals = (predicate(*traj.sample(i)) for i in range(idx, len(traj)))
-    return _first_crossing(traj.s[idx:].tolist(), vals, dense, traj.settings.event_tol)
+    vals = (predicate(traj.sample(i)[0]) for i in range(idx, len(traj)))
+    return _first_crossing(traj.s[idx:].tolist(), vals,
+                           lambda s: predicate(traj.state_at(s)), EVENT_TOL)
 
 
 def _first_crossing(s: list[float], vals: Iterable[float], f: Callable[[float], float],

@@ -1,6 +1,7 @@
 """Readers and checks that only the tests use: parse the CSV and OBJ files
-sol3 writes, re-evaluate a trajectory's stored theta', and split verify's
-seeded draw into per-sample states."""
+sol3 writes, integrate a line start without snapping it, re-evaluate a
+trajectory's stored theta', and split verify's seeded draw into per-sample
+states."""
 from collections import namedtuple
 
 import numpy as np
@@ -41,6 +42,13 @@ def read_obj(path: str) -> tuple[np.ndarray, np.ndarray]:
             elif parts[0] == "f":
                 faces.append([int(p) - 1 for p in parts[1:4]])
     return np.array(verts), np.array(faces, dtype=int)
+
+
+def integrate_unsnapped(ic: ode.InitialCondition, settings: ode.OdeSettings,
+                        H=None) -> ode.Trajectory:
+    """`integrate` with the stepper run on both sides even where the start
+    lies on a constant-angle line, which `integrate` snaps to the exact line."""
+    return ode._trajectory(ic, settings, H, settings.max_s, both_sides=True)
 
 
 def max_ode_residual(traj: ode.Trajectory) -> float:

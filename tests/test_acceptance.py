@@ -33,6 +33,7 @@ from sol3 import (
     CurveState,
 )
 from sol3.verify import run_verification
+from support import integrate_unsnapped
 
 PI8 = math.pi / 8
 
@@ -53,7 +54,7 @@ def test_criterion_1_explicit_solution_regression():
     settings = OdeSettings(max_step=0.05, max_s=10.0)
     worst_phase, worst_h = 0.0, 0.0
     for kind, ic in cases:
-        traj = integrate(InitialCondition(*ic), settings, snap=False)
+        traj = integrate_unsnapped(InitialCondition(*ic), settings)
         for s in np.linspace(-10.0, 10.0, 201):
             got = traj.state_at(float(s))
             want = explicit_solution(kind, ic[0], ic[1], float(s))

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hsettings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sol3 import (
     Axis,
@@ -31,7 +33,9 @@ from sol3 import (
     slab_width,
     theorem_checks,
 )
-from sol3 import oracle
+from sol3 import analysis, oracle
+from sol3.ode import EVENT_TOL, _bisect
+from sol3.surface import first_form
 
 PI8 = math.pi / 8
 
@@ -68,6 +72,68 @@ def test_inflections_require_minimal():
         inflection_points(traj)
 
 
+def reference_inflection_points(traj):
+    """`inflection_points` as a per-sample loop: a root wherever the sign of
+    the concavity indicator flips across its zero samples."""
+    if traj.explicit_kind is not None:
+        return []
+
+    def concavity(s):
+        return first_form(traj.state_at(s)).F
+
+    vals = analysis._concavity_indicator(traj)
+    s = traj.s
+    roots = []
+    last_sign = 0.0
+    zero_at = None
+    for i in range(len(traj)):
+        v = float(vals[i])
+        if v == 0.0:
+            zero_at = float(s[i])
+            continue
+        sign = math.copysign(1.0, v)
+        if last_sign != 0.0 and sign != last_sign:
+            if zero_at is not None:
+                roots.append(zero_at)
+            else:
+                lo = float(s[i - 1])
+                roots.append(_bisect(concavity, lo, float(s[i]), concavity(lo), EVENT_TOL))
+        last_sign = sign
+        zero_at = None
+    return roots
+
+
+@given(start=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
+       theta0=st.floats(-math.pi, math.pi), max_step=st.sampled_from([0.1, 0.5]),
+       max_s=st.floats(2.0, 30.0))
+@example(start=(0.0, 0.0), theta0=PI8, max_step=0.1, max_s=30.0)
+@example(start=(1.0, 2.0), theta0=math.pi / 10, max_step=0.1, max_s=30.0)
+@hsettings(derandomize=True, max_examples=40, deadline=None)
+def test_inflections_match_the_reference_loop(start, theta0, max_step, max_s):
+    # Origin starts have F(0) = 0 exactly, so their root is that zero sample.
+    traj = minimal(*start, theta0, OdeSettings(max_s=max_s, max_step=max_step))
+    assert inflection_points(traj) == reference_inflection_points(traj)
+
+
+INDICATOR_VALUES = st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, 1.0, -1.0]),
+                             st.floats(-1.0, 1.0))
+SHORT_TRAJECTORY = minimal(1, 2, math.pi / 10, OdeSettings(max_s=1.0, max_step=0.1))
+N_SHORT = len(SHORT_TRAJECTORY)
+
+
+@given(vals=hnp.arrays(float, N_SHORT, elements=INDICATOR_VALUES))
+@example(vals=np.resize([0.0, -0.0, -1.0, 0.0, 0.0, 1.0], N_SHORT))
+@example(vals=np.resize([1.0, -0.0, 0.0, -1.0, math.nan, -math.nan, 0.0], N_SHORT))
+@hsettings(derandomize=True, max_examples=200, deadline=None)
+def test_inflections_match_the_reference_loop_on_drawn_indicators(vals):
+    # Runs of +-0.0 are zero samples; a NaN is a nonzero sample of its sign bit.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_concavity_indicator", lambda traj: vals)
+        got = inflection_points(SHORT_TRAJECTORY)
+        want = reference_inflection_points(SHORT_TRAJECTORY)
+    assert got == want
+
+
 @pytest.mark.parametrize("theta0,expected", [
     (math.pi / 10, CurveClass.TYPE_B),
     (math.pi / 6, CurveClass.TYPE_B),
@@ -88,6 +154,25 @@ def test_classification_lines():
     assert classify_minimal(minimal(1, 2, math.pi / 2, OdeSettings())).kind is CurveClass.LINE_II
     assert classify_minimal(minimal(1, 1, math.pi / 4, OdeSettings())).kind is CurveClass.LINE_III
     assert classify_minimal(minimal(1, -1, -math.pi / 4, OdeSettings())).kind is CurveClass.LINE_IV
+
+
+@pytest.mark.parametrize("x0,y0,theta0,kind,direction", [
+    (1.0, 1.0, math.pi, CurveClass.LINE_I, (-1.0, 0.0)),
+    (1.0, 1.0, -math.pi, CurveClass.LINE_I, (-1.0, 0.0)),
+    (1.0, -1.0, 3 * math.pi / 4, CurveClass.LINE_IV, (-1.0, 1.0)),
+    (1.0, 1.0, -3 * math.pi / 4, CurveClass.LINE_III, (-1.0, -1.0)),
+])
+def test_reversed_line_starts_snap(x0, y0, theta0, kind, direction):
+    # The constant-angle lines run backwards; integrated, they would pick up
+    # a spurious inflection and read type B or undetermined.
+    traj = minimal(x0, y0, theta0, OdeSettings(max_s=50.0, max_step=0.5))
+    assert classify_minimal(traj).kind is kind
+    dx, dy = (c / math.hypot(*direction) for c in direction)
+    for s in np.linspace(-50.0, 50.0, 41).tolist():
+        got = traj.state_at(s)
+        assert got.theta == theta0
+        assert got.x == pytest.approx(x0 + s * dx, abs=1e-14)
+        assert got.y == pytest.approx(y0 + s * dy, abs=1e-14)
 
 
 def test_classification_short_horizon_undetermined():
@@ -212,6 +297,13 @@ def test_theorem_checks_preconditions():
         theorem_checks(minimal(0, 0, math.pi / 4, OdeSettings(max_s=2.0)))
     with pytest.raises(ValueError):
         theorem_checks(minimal(1, 0, PI8, OdeSettings(max_s=2.0)))
+    # Inside (0, pi/4) but within 1e-14 of an end the start snaps to a line,
+    # whose samples would fail monotone (line I) or concave and below_diagonal (III).
+    for theta0, kind in ((1e-15, "I"), (math.pi / 4 - 2e-16, "III")):
+        traj = minimal(0, 0, theta0, OdeSettings(max_s=2.0))
+        assert traj.explicit_kind == kind
+        with pytest.raises(ValueError, match=r"theta0 in \(0, pi/4\)"):
+            theorem_checks(traj)
 
 
 def test_first_return_h1_reference_start():
@@ -243,7 +335,7 @@ def test_first_return_small_y0_overshoots():
 def test_first_return_matches_the_find_event_route(make):
     traj = make()
     target = traj.ic.theta0 - math.copysign(2.0 * math.pi, traj.H_target)
-    s1 = find_event(traj, lambda st, _: st.theta - target)
+    s1 = find_event(traj, lambda st: st.theta - target)
     assert s1 is not None and first_return(traj) == (s1, traj.state_at(s1))
 
 
@@ -259,7 +351,7 @@ def test_shot_matches_the_find_event_route(H, y0):
     settings = OdeSettings()
     traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H, horizon=40.0)
     target = -math.copysign(2.0 * math.pi, H)
-    s1 = find_event(traj, lambda st, _: st.theta - target)
+    s1 = find_event(traj, lambda st: st.theta - target)
     if s1 is None:
         expected = None
     else:
@@ -344,7 +436,7 @@ def test_closed_curve_search_stability_under_tolerances():
     base = closed_curve_search(1.0, (0.125, 0.75))
     tight = closed_curve_search(
         1.0, (0.125, 0.75),
-        OdeSettings(abs_tol=5e-11, rel_tol=5e-11, max_step=5e-3, event_tol=5e-13))
+        OdeSettings(abs_tol=5e-11, rel_tol=5e-11, max_step=5e-3))
     assert abs(base.y0_star - tight.y0_star) < 1e-6
 
 

@@ -2,8 +2,11 @@
 README read, so the public API does not grow back helpers that only their own
 tests call."""
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from sol3 import OdeSettings, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sol3"
@@ -56,3 +59,9 @@ def test_every_export_has_a_reader():
                 and not any(name in _names_read(p) for p in others):
             unused.append(f"{module}.{name}")
     assert not unused, f"exported but read only by tests: {unused}"
+
+
+def test_every_integrator_setting_is_a_cli_option():
+    # A setting that no option reaches could only ever be set by tests.
+    fields = {field.name for field in dataclasses.fields(OdeSettings)}
+    assert fields == set(cli._SETTINGS_OPTIONS)

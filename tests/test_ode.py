@@ -24,7 +24,7 @@ from sol3 import (
     mean_curvature,
 )
 from sol3 import _rk, ode
-from support import max_ode_residual
+from support import integrate_unsnapped, max_ode_residual
 
 PI8 = math.pi / 8
 
@@ -45,10 +45,10 @@ def test_settings_validation():
         OdeSettings(max_step=-1.0)
     defaults = OdeSettings()
     assert defaults.abs_tol == 1e-10 and defaults.rel_tol == 1e-10
-    assert defaults.max_step == 1e-2 and defaults.event_tol == 1e-12
+    assert defaults.max_step == 1e-2 and ode.EVENT_TOL == 1e-12
 
 
-@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "max_step", "max_s", "event_tol"])
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "max_step", "max_s"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_settings_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
@@ -122,7 +122,7 @@ def test_snapped_lines_are_exact(kind, ic):
     ("IV", (1.0, -1.0, -math.pi / 4)),
 ])
 def test_unsnapped_numerics_match_lines(kind, ic):
-    traj = integrate(InitialCondition(*ic), OdeSettings(max_s=10.0), snap=False)
+    traj = integrate_unsnapped(InitialCondition(*ic), OdeSettings(max_s=10.0))
     assert traj.explicit_kind is None
     worst = 0.0
     for s in np.linspace(-10, 10, 81):
@@ -193,7 +193,7 @@ def test_max_ode_residual_keeps_a_nan():
     traj = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=1.0))
     tp = traj.theta_prime.copy()
     tp[len(tp) // 2] = math.nan
-    broken = Trajectory(traj.s, traj.x, traj.y, traj.theta, tp, traj.ic, None, traj.settings)
+    broken = Trajectory(traj.s, traj.x, traj.y, traj.theta, tp, traj.ic, None)
     assert math.isnan(max_ode_residual(broken))
 
 
@@ -716,8 +716,8 @@ def test_origin_symmetry():
 def test_origin_symmetry_is_exact(theta0, max_step):
     # The backward run takes the forward run's steps with the sign flipped, so
     # the samples mirror bit for bit through the origin.
-    traj = integrate(InitialCondition(0.0, 0.0, theta0),
-                     OdeSettings(max_s=20.0, max_step=max_step), snap=False)
+    traj = integrate_unsnapped(InitialCondition(0.0, 0.0, theta0),
+                               OdeSettings(max_s=20.0, max_step=max_step))
     assert np.array_equal(traj.s[::-1], -traj.s)
     assert np.array_equal(traj.x[::-1], -traj.x)
     assert np.array_equal(traj.y[::-1], -traj.y)
@@ -752,7 +752,7 @@ def test_mirrored_half_is_the_backward_run(x0, y0, theta0, max_step, max_s):
     from sol3._rk import solve_fixed_horizon
 
     settings = OdeSettings(max_s=max_s, max_step=max_step)
-    traj = integrate(InitialCondition(x0, y0, theta0), settings, snap=False)
+    traj = integrate_unsnapped(InitialCondition(x0, y0, theta0), settings)
     f, start = ode._raw_rhs(None), (x0, y0, theta0)
     back = solve_fixed_horizon(f, start, -max_s, 1e-10, 1e-10, max_step)
     fwd = solve_fixed_horizon(f, start, max_s, 1e-10, 1e-10, max_step)
@@ -820,7 +820,7 @@ def test_state_at_matches_the_reference_segments(start, H, run, max_step, max_s,
     settings = OdeSettings(max_s=max_s, max_step=max_step)
     ic, f = InitialCondition(*start), ode._raw_rhs(H)
     if run == "two-sided":
-        traj = integrate(ic, settings, H=H, snap=False)
+        traj = integrate_unsnapped(ic, settings, H=H)
         bs, _, bsegs, _ = reference_solve(f, start, -max_s, 1e-10, 1e-10, max_step)
         fs, _, fsegs, _ = reference_solve(f, start, max_s, 1e-10, 1e-10, max_step)
         ref_s, segments = np.concatenate([bs[:0:-1], fs]), bsegs[::-1] + fsegs
@@ -932,8 +932,8 @@ def test_graph_residual_on_resampled_trajectory():
 def test_find_event_analytic_zero():
     # theta grows through pi on this field; sin(theta) flags the crossing.
     traj = integrate_forward(InitialCondition(0, 0, 0), OdeSettings(max_s=6.0), H=-1.0)
-    s_by_sin = find_event(traj, lambda st, tp: math.sin(st.theta))
-    s_by_angle = find_event(traj, lambda st, tp: st.theta - math.pi)
+    s_by_sin = find_event(traj, lambda st: math.sin(st.theta))
+    s_by_angle = find_event(traj, lambda st: st.theta - math.pi)
     assert s_by_sin is not None and s_by_angle is not None
     assert abs(s_by_sin - s_by_angle) < 1e-10
     assert abs(traj.state_at(s_by_sin).theta - math.pi) < 1e-10
@@ -941,24 +941,26 @@ def test_find_event_analytic_zero():
 
 def test_find_event_none_for_bounded_angle():
     traj = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=10.0))
-    assert find_event(traj, lambda st, tp: st.theta + 2 * math.pi) is None
+    assert find_event(traj, lambda st: st.theta + 2 * math.pi) is None
 
 
-def test_find_event_stops_at_the_first_crossing():
+def test_find_event_stops_at_the_first_crossing(monkeypatch):
     # The closed H = 1 orbit turns through -2 pi near sample 394 of 4,003.  The
     # predicate runs once per sample up to that crossing, then once per
-    # bisection probe of the step that crossed; no sample past it is read.
+    # bisection probe of the step that crossed; no sample past it is read,
+    # and no right-hand side is evaluated.
     traj = integrate_forward(InitialCondition(0.0, 0.6425, 0.0), OdeSettings(max_s=40.0), H=1.0)
+    monkeypatch.setattr(ode, "_raw_rhs", None)
     calls = []
 
-    def predicate(state, theta_prime):
+    def predicate(state):
         calls.append(state.s)
         return state.theta + 2 * math.pi
 
     s1 = find_event(traj, predicate)
     crossing = int(np.searchsorted(traj.s, s1))
     assert len(traj) == 4003 and 390 < crossing < 400
-    probes = math.ceil(math.log2(traj.settings.max_step / traj.settings.event_tol))
+    probes = math.ceil(math.log2(OdeSettings().max_step / ode.EVENT_TOL))
     assert len(calls) <= crossing + 1 + probes < len(traj) // 8
     assert max(calls) <= traj.s[crossing]
 
@@ -967,7 +969,7 @@ def test_find_event_cmc_regression():
     # Baseline from an independent solve_ivp run at rtol=atol=1e-12.
     traj = integrate_forward(InitialCondition(0.0, 0.6425, 0.0),
                              OdeSettings(max_s=10.0), H=1.0)
-    s1 = find_event(traj, lambda st, tp: st.theta + 2 * math.pi)
+    s1 = find_event(traj, lambda st: st.theta + 2 * math.pi)
     assert s1 == pytest.approx(3.932526, abs=1e-4)
     end = traj.state_at(s1)
     assert abs(end.x - 0.0) < 1e-2
