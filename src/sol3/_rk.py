@@ -26,9 +26,15 @@ from f.  A backward run takes negative steps; since rounding is
 sign-symmetric, it gives exactly the negated-arc-length samples of a forward
 run of -f, and `reflected` gives the rows of the run that a point reflection
 maps onto this one.  Given a stop angle, a run ends one step past it: on the
-first accepted step whose theta reaches or crosses it.  A call attempts at
-most MAX_STEPS steps, so no horizon runs unbounded.  Every failure is an
-IntegrationError naming the last accepted s.
+first accepted step whose theta reaches or crosses it, and hands back the
+controller state (t, proposed step, previous error norm, remaining attempt
+budget) of each of its last three samples.  A run can start from such a
+state: it then goes on from that sample exactly as the run that recorded it
+did, so a shorter horizon that clips none of the steps before the sample
+is continued from there instead of integrated again.  A call attempts at
+most MAX_STEPS steps, counted from the start state's budget, so no horizon
+runs unbounded.  Every failure is an IntegrationError naming the last
+accepted s.
 """
 from __future__ import annotations
 
@@ -84,8 +90,11 @@ class IntegrationError(RuntimeError):
 
 
 _FAILED = "generating-curve integration failed"
-# A run: s samples, state samples, signed steps h, stage rows K and slopes.
-Run = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# A controller state (t, proposed step, previous error norm, attempts left).
+Control = tuple[float, float, float, int]
+# A run: s samples, state samples, signed steps h, stage rows K, slopes and
+# the controller states of its last samples (none without a stop angle).
+Run = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[Control, ...]]
 
 
 def reflected(s: np.ndarray, states: np.ndarray, h: np.ndarray, K: np.ndarray,
@@ -103,7 +112,7 @@ def reflected(s: np.ndarray, states: np.ndarray, h: np.ndarray, K: np.ndarray,
         return None
     K_ref = K * _REFLECT_SLOPES
     K_ref[:1, 0] = K[:1, 0]
-    return -s, states * _REFLECT_STATE, -h, K_ref, slopes * _REFLECT_SLOPES
+    return -s, states * _REFLECT_STATE, -h, K_ref, slopes * _REFLECT_SLOPES, ()
 
 
 def dense_step(t0: float, h: float, y0: list[float], K: np.ndarray) -> tuple:
@@ -131,21 +140,27 @@ def solve_fixed_horizon(
     rel_tol: float,
     max_step: float,
     stop_theta: Optional[float] = None,
+    start: Optional[Control] = None,
 ) -> Run:
     """Integrate (x, y, theta)' = f(x, y, theta) from y0 at s = 0 to s_end.
 
     s_end < 0 steps backward.  f returns three floats; y0 holds three.
 
-    Returns (s samples, state samples, signed steps h, stage rows K, slopes),
-    samples ordered from s = 0 outward.  Step i takes the signed step h[i]
-    from sample i to sample i + 1 with the stage rows K[i], shape (7, 3), and
-    slopes[i] is f at state sample i, bit for bit.  When `stop_theta` is
-    given, integration halts at the first accepted step whose end theta equals
-    it or lies across it from the previous sample's (the step is kept, so the
-    last two samples bracket the crossing).  A last step that lands within
-    rounding of s_end (t + h an ulp short of it) reaches s_end.  Raises IntegrationError when the step collapses below STEP_FLOOR,
-    after MAX_STEPS attempted steps, and when f raises ValueError (math.sin of
-    an infinite angle, for one).
+    Returns (s samples, state samples, signed steps h, stage rows K, slopes,
+    controls), samples ordered from s = 0 outward.  Step i takes the signed
+    step h[i] from sample i to sample i + 1 with the stage rows K[i], shape
+    (7, 3), and slopes[i] is f at state sample i, bit for bit.  When
+    `stop_theta` is given, integration halts at the first accepted step whose
+    end theta equals it or lies across it from the previous sample's (the
+    step is kept, so the last two samples bracket the crossing), and
+    controls holds the controller states of the last (up to three) samples,
+    in order; without it, controls is empty.  Given `start`, one of those
+    states, the run starts from it with y0 its sample's state: at distance
+    t from s = 0, with its step proposal, error norm and attempt budget.
+    A last step that lands within rounding of s_end (t + h an ulp short of
+    it) reaches s_end.  Raises IntegrationError when the step collapses
+    below STEP_FLOOR, after MAX_STEPS attempted steps, and when f raises
+    ValueError (math.sin of an infinite angle, for one).
     """
     x, y, th = (float(v) for v in y0)
     K = np.empty((7, 3))
@@ -158,13 +173,14 @@ def solve_fixed_horizon(
     K1, K2, K3, K4, K5, K6 = (K[:i] for i in range(1, 7))
     # t is the distance from s = 0; the signed position is sign * t.
     sign, span = math.copysign(1.0, s_end), abs(s_end)
-    h = min(max_step, 1e-3, span)
-    t, ss, ys = 0.0, [0.0], [[x, y, th]]
+    t, h, err_prev, budget = start or (0.0, min(max_step, 1e-3, span), 1e-4, MAX_STEPS)
+    ss, ys = [sign * t or 0.0], [[x, y, th]]  # s = 0 is +0.0 in either direction
     hs_rows: list[float] = []
     rows = bytearray()  # accepted steps' stage matrices, 21 floats each
-    err_prev = 1e-4
     p_prev = th - stop_theta if stop_theta is not None else None
-    budget = MAX_STEPS
+    # The controller states of the last three samples, oldest first.
+    c1 = c2 = None
+    c3 = None if stop_theta is None else (t, h, err_prev, budget)
 
     # A try around the loop costs nothing per step while no exception is raised.
     try:
@@ -236,6 +252,7 @@ def solve_fixed_horizon(
                 x, y, th = xn, yn, thn
                 Kf[0], Kf[1], Kf[2] = k7
                 if stop_theta is not None:
+                    c1, c2, c3 = c2, c3, (t, h, err_prev, budget)
                     p_new = thn - stop_theta
                     if p_new == 0.0 or p_prev * p_new < 0.0:
                         break
@@ -253,4 +270,5 @@ def solve_fixed_horizon(
     slopes = (np.concatenate([K_rows[:, 0], K_rows[-1:, 6]]) if len(K_rows)
               else np.array([f_start]))
     states = np.fromiter(chain.from_iterable(ys), float, 3 * len(ys)).reshape(-1, 3)
-    return np.array(ss), states, np.array(hs_rows), K_rows, slopes
+    controls = tuple(c for c in (c1, c2, c3) if c is not None)
+    return np.array(ss), states, np.array(hs_rows), K_rows, slopes, controls

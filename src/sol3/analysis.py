@@ -22,6 +22,7 @@ from .ode import (
     OdeSettings,
     Trajectory,
     _bisect,
+    _continued,
     _first_crossing,
     find_event,
     integrate_forward,
@@ -330,11 +331,12 @@ def first_return(traj: Trajectory) -> Optional[tuple[float, CurveState]]:
     return None if s1 is None else (s1, traj.state_at(s1))
 
 
-def _shot(H: float, y0: float, settings: OdeSettings) -> Optional[tuple[float, float, float]]:
+def _shot(H: float, y0: float,
+          settings: OdeSettings) -> Optional[tuple[float, float, float, Trajectory]]:
     """Residuals (x(s1), y(s1) - y0, s1) of the orbit from (0, y0, 0) at its
-    first full turn s1, or None when it does not turn within arc length
-    max(max_s, 40).  The run stops on the step whose angle crosses the turn
-    target, so only that last step is refined."""
+    first full turn s1, and the run itself, or None when it does not turn
+    within arc length max(max_s, 40).  The run stops on the step whose angle
+    crosses the turn target, so only that last step is refined."""
     target = -math.copysign(2.0 * math.pi, H)
     traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H,
                              stop_theta=target, horizon=max(settings.max_s, 40.0))
@@ -343,7 +345,7 @@ def _shot(H: float, y0: float, settings: OdeSettings) -> Optional[tuple[float, f
     if s1 is None:
         return None
     end = traj.state_at(s1)
-    return end.x, end.y - y0, s1
+    return end.x, end.y - y0, s1, traj
 
 
 def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
@@ -393,13 +395,16 @@ def closed_curve_search(
     max(settings.max_s, 40).  Without a bracket, the `scan_bracket` grid (its
     negatives for H < 0) is scanned first and its two end integrations serve
     as the bracket's residuals; a given bracket (lo, hi) must be finite with
-    lo < hi (else ValueError).
+    lo < hi (else ValueError).  The certificate's orbit, from s = 0 to s1, is
+    the final shot's run continued to s1 (`ode._continued`), bit for bit what
+    integrating it afresh gives, so the closed orbit is not integrated twice;
+    of the shots, only the latest is kept alive for it.
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")
     settings = settings or OdeSettings()
 
-    def residual(y0: float) -> tuple[float, float, float]:
+    def residual(y0: float) -> tuple[float, float, float, Trajectory]:
         shot = _shot(H, y0, settings)
         if shot is None:
             raise BracketError(f"no angular return within arc length max(max_s, 40) "
@@ -415,14 +420,15 @@ def closed_curve_search(
         end_lo, end_hi = residual(lo), residual(hi)
     rx_lo, rx_hi = end_lo[0], end_hi[0]
     if rx_lo == 0.0:
-        y0, (rx, ry, s1), iterations = lo, end_lo, 0
+        y0, shot, iterations = lo, end_lo, 0
     elif rx_hi == 0.0:
-        y0, (rx, ry, s1), iterations = hi, end_hi, 0
+        y0, shot, iterations = hi, end_hi, 0
     elif (rx_lo > 0.0) == (rx_hi > 0.0):
         raise BracketError(
             f"x(s1; y0) does not change sign on [{lo}, {hi}]: "
             f"{rx_lo:.6e} and {rx_hi:.6e}", rx_lo, rx_hi)
     else:
+        del end_lo, end_hi  # only the latest shot's run stays alive
         iterations = 0
         while True:
             iterations += 1
@@ -434,7 +440,8 @@ def closed_curve_search(
             y0 = hi - rx_hi * (hi - lo) / (rx_hi - rx_lo)
             if not lo < y0 < hi:
                 y0 = 0.5 * (lo + hi)
-            rx, ry, s1 = residual(y0)
+            shot = residual(y0)
+            rx = shot[0]
             if abs(rx) < DEFAULT_RESIDUAL_TOL:
                 break
             if (rx > 0.0) == (rx_hi > 0.0):
@@ -446,10 +453,11 @@ def closed_curve_search(
                     f"bracket collapsed at y0 = {y0!r} with |x(s1)| = {abs(rx):.3e} "
                     f"above the requested {DEFAULT_RESIDUAL_TOL}")
 
+    _, ry, s1, traj = shot
     if abs(ry) >= DEFAULT_CLOSURE_TOL:
         raise ClosureError(y0, s1, ry)
 
-    orbit = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H, horizon=s1)
+    orbit = _continued(traj, settings, s1)
     end = orbit.sample(len(orbit) - 1)[0]
     return ShootingResult(
         y0_star=y0, s1=s1,

@@ -17,8 +17,9 @@ step rows, theta' being the third slope column, and raises IntegrationError
 itself; this module re-exports it.  theta is kept unwrapped so closure
 events (theta returning to theta0 - 2 pi) reduce to a plain sign test.
 Minimal starts within 1e-14 of a constant-angle solution (theta0 = 0, +-pi/4,
-+-pi/2, +-3 pi/4 or +-pi, on the diagonal for the diagonal angles) always
-snap to the exact line, where nearby numerics would look spuriously stiff.
++-pi/2, +-3 pi/4 or pi, modulo 2 pi, on the diagonal for the diagonal
+angles) always snap to the exact line, where nearby numerics would look
+spuriously stiff.
 Events are refined by bisection to EVENT_TOL in arc length.
 """
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .surface import CurveState
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
+_TWO_PI = 2.0 * math.pi
 _SNAP_TOL = 1e-14
 #: Arc-length width to which `find_event` and `analysis` bisect a sign change.
 EVENT_TOL = 1e-12
@@ -108,7 +110,9 @@ class Trajectory:
 
     Samples are the accepted integrator steps (strictly increasing in s);
     between them states can be evaluated through the stored quartic
-    interpolants, step i's from h[i] and K[i] of `steps = (h, K)`.
+    interpolants, step i's from h[i] and K[i] of `steps = (h, K)`.  A
+    stop-angle run also keeps its stepper's `controls`, the controller states
+    of its last samples, from which `_continued` goes on.
     Instances are immutable after construction.
     """
 
@@ -123,6 +127,7 @@ class Trajectory:
         H_target: Optional[float],
         steps: Optional[tuple[np.ndarray, np.ndarray]] = None,
         line: Optional[tuple] = None,
+        controls: tuple = (),
     ):
         for arr in (s, x, y, theta, theta_prime, *(steps or ())):
             arr.flags.writeable = False
@@ -133,12 +138,13 @@ class Trajectory:
         self.theta_prime = theta_prime
         self.ic = ic
         self.H_target = H_target
-        self._line = line  # the _LINE_DIRECTIONS row of a snapped line
+        self._line = line  # a snapped line's _LINE_DIRECTIONS row, at its own angle
         self.explicit_kind: Optional[str] = None if line is None else line[1]
         self._h, self._K = steps or (None, None)
         # Step i ends at s[i + 1]; a snapped line has no steps and no lookup.
         self._his = s[1:].tolist() if steps else []
         self._steps: dict[int, tuple] = {}  # step index -> its _rk.dense_step
+        self._controls = controls
 
     def __len__(self) -> int:
         return self.s.size
@@ -190,20 +196,22 @@ _LINE_DIRECTIONS = (
     (-_QUARTER_PI, "IV", (_INV_SQRT2, -_INV_SQRT2), -1.0),
     # The same lines run the other way; explicit_solution reads the rows above.
     (math.pi, "I", (-1.0, 0.0), None),
-    (-math.pi, "I", (-1.0, 0.0), None),
     (3.0 * _QUARTER_PI, "IV", (-_INV_SQRT2, _INV_SQRT2), -1.0),
     (-3.0 * _QUARTER_PI, "III", (-_INV_SQRT2, -_INV_SQRT2), 1.0),
 )
 
 
 def _snap_line_kind(ic: InitialCondition) -> Optional[tuple]:
-    """The _LINE_DIRECTIONS row when ic sits on a constant-angle solution."""
-    for row in _LINE_DIRECTIONS:
-        target, _, _, slope = row
-        if abs(ic.theta0 - target) <= _SNAP_TOL:
+    """The _LINE_DIRECTIONS row when ic sits on a constant-angle solution,
+    modulo 2 pi, with the row's angle plus the multiple of 2 pi that separates
+    theta0 from it: the line keeps theta0's turn (theta0 = -pi gives -pi)."""
+    for target, kind, direction, slope in _LINE_DIRECTIONS:
+        turn = ic.theta0 - target
+        rest = math.remainder(turn, _TWO_PI)
+        if abs(rest) <= _SNAP_TOL:
             if slope is not None and ic.y0 != slope * ic.x0:
                 return None
-            return row
+            return target + (turn - rest), kind, direction, slope
     return None
 
 
@@ -244,11 +252,9 @@ def check_step_budget(settings: OdeSettings, horizon: float) -> None:
                          f"steps of max_step = {settings.max_step!r}")
 
 
-def _trajectory(
-    ic: InitialCondition, settings: OdeSettings, H: Optional[float], horizon: float,
-    stop_theta: Optional[float] = None, both_sides: bool = False,
-) -> Trajectory:
-    """Trajectory over [0, horizon], or over [-horizon, horizon] with both_sides."""
+def _check_run(settings: OdeSettings, H: Optional[float], horizon: float,
+               stop_theta: Optional[float]) -> None:
+    """ValueError for a run that `_trajectory` refuses before its first step."""
     if H is not None and not math.isfinite(H):
         raise ValueError("H must be finite")
     if not horizon >= 0.0:
@@ -258,25 +264,63 @@ def _trajectory(
                          f"smallest step {STEP_FLOOR!r}")
     if stop_theta is None:
         check_step_budget(settings, horizon)
+
+
+def _trajectory(
+    ic: InitialCondition, settings: OdeSettings, H: Optional[float], horizon: float,
+    stop_theta: Optional[float] = None, both_sides: bool = False,
+) -> Trajectory:
+    """Trajectory over [0, horizon], or over [-horizon, horizon] with both_sides."""
+    _check_run(settings, H, horizon, stop_theta)
     raw = _raw_rhs(H)
 
     def side(s_end: float):
         return solve_fixed_horizon(raw, (ic.x0, ic.y0, ic.theta0), s_end, settings.abs_tol,
                                    settings.rel_tol, settings.max_step, stop_theta)
 
-    s, states, h, K, slopes = side(horizon)
+    s, states, h, K, slopes, controls = side(horizon)
     if both_sides:
         back = None
         if H is None and ic.x0 == ic.y0 == 0.0:
             # The backward run is P of this one (see the module docstring).
             back = _rk.reflected(s, states, h, K, slopes)
-        bs, bstates, bh, bK, bslopes = back or side(-horizon)
+        bs, bstates, bh, bK, bslopes, _ = back or side(-horizon)
         # The backward run in increasing s, its start sample left to the forward run.
         s, states, slopes = (np.concatenate([b[:0:-1], a])
                              for b, a in ((bs, s), (bstates, states), (bslopes, slopes)))
         h, K = np.concatenate([bh[::-1], h]), np.concatenate([bK[::-1], K])
     return Trajectory(s, states[:, 0], states[:, 1], states[:, 2], slopes[:, 2],
-                      ic, H, steps=(h, K))
+                      ic, H, steps=(h, K), controls=controls)
+
+
+def _continued(shot: Trajectory, settings: OdeSettings, horizon: float) -> Trajectory:
+    """`integrate_forward(shot.ic, settings, shot.H_target, horizon=horizon)`,
+    bit for bit, from `shot`: a stop-angle run of that start and system, made
+    with these settings and a horizon of at least `horizon`.
+
+    A step from a sample at s with horizon - s >= max_step (as rounded) is
+    never clipped by either horizon, so both runs agree up to the end of the
+    last such step, sample m.  From there the stepper goes on with the
+    controller state that the shot kept for sample m.  When it kept none
+    (or m is the start), the run is made afresh.
+    """
+    _check_run(settings, shot.H_target, horizon, None)
+    n, kept = len(shot), shot._controls
+    m = next((i for i in range(n - 1, max(n - len(kept), 1) - 1, -1)
+              if horizon - float(shot.s[i - 1]) >= settings.max_step), None)
+    if m is None:
+        return _trajectory(shot.ic, settings, shot.H_target, horizon)
+    start = (float(shot.x[m]), float(shot.y[m]), float(shot.theta[m]))
+    # kept[-1] is the state of the last sample, n - 1.
+    cs, cstates, h, K, slopes, _ = solve_fixed_horizon(
+        _raw_rhs(shot.H_target), start, horizon, settings.abs_tol, settings.rel_tol,
+        settings.max_step, start=kept[m - n])
+    s, x, y, theta, theta_prime, h, K = (
+        np.concatenate([a[:m], b]) for a, b in (
+            (shot.s, cs), (shot.x, cstates[:, 0]), (shot.y, cstates[:, 1]),
+            (shot.theta, cstates[:, 2]), (shot.theta_prime, slopes[:, 2]),
+            (shot._h, h), (shot._K, K)))
+    return Trajectory(s, x, y, theta, theta_prime, shot.ic, shot.H_target, steps=(h, K))
 
 
 def integrate(

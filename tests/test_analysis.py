@@ -161,10 +161,16 @@ def test_classification_lines():
     (1.0, 1.0, -math.pi, CurveClass.LINE_I, (-1.0, 0.0)),
     (1.0, -1.0, 3 * math.pi / 4, CurveClass.LINE_IV, (-1.0, 1.0)),
     (1.0, 1.0, -3 * math.pi / 4, CurveClass.LINE_III, (-1.0, -1.0)),
+    # Angles beyond [-pi, pi] snap modulo 2 pi and keep their own theta.
+    (1.0, 1.0, 2 * math.pi, CurveClass.LINE_I, (1.0, 0.0)),
+    (1.0, 1.0, -2 * math.pi, CurveClass.LINE_I, (1.0, 0.0)),
+    (1.0, 1.0, math.pi / 2 + 2 * math.pi, CurveClass.LINE_II, (0.0, 1.0)),
+    (1.0, 1.0, math.pi / 4 + 2 * math.pi, CurveClass.LINE_III, (1.0, 1.0)),
 ])
 def test_reversed_line_starts_snap(x0, y0, theta0, kind, direction):
-    # The constant-angle lines run backwards; integrated, they would pick up
-    # a spurious inflection and read type B or undetermined.
+    # The constant-angle lines run backwards, or from an angle a full turn
+    # away; integrated, they would pick up a spurious inflection and read
+    # type B or undetermined.
     traj = minimal(x0, y0, theta0, OdeSettings(max_s=50.0, max_step=0.5))
     assert classify_minimal(traj).kind is kind
     dx, dy = (c / math.hypot(*direction) for c in direction)
@@ -346,8 +352,7 @@ def test_shot_matches_the_find_event_route(H, y0):
     # The shot stops on the step that crosses its turn and refines only that
     # step; the full run to the same horizon, searched by find_event, gives the
     # same residuals bit for bit, and no turn (H = 0.05 within 40) gives None.
-    from sol3 import analysis
-
+    # The shot's fourth field is its run, which the search continues.
     settings = OdeSettings()
     traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H, horizon=40.0)
     target = -math.copysign(2.0 * math.pi, H)
@@ -357,7 +362,8 @@ def test_shot_matches_the_find_event_route(H, y0):
     else:
         end = traj.state_at(s1)
         expected = (end.x, end.y - y0, s1)
-    assert repr(analysis._shot(H, y0, settings)) == repr(expected)
+    shot = analysis._shot(H, y0, settings)
+    assert repr(shot and shot[:3]) == repr(expected)
     assert (expected is None) == (H == 0.05)
 
 
@@ -470,6 +476,24 @@ def _count_integrations(monkeypatch):
 
     monkeypatch.setattr(ode, "solve_fixed_horizon", counted)
     return calls
+
+
+def test_closing_orbit_continues_the_final_shot(monkeypatch):
+    # The certificate's orbit is the final shot's run continued to s1: the
+    # last stepper call starts past s = 0, at most two steps before s1.
+    from sol3 import ode
+
+    starts, solve = [], ode.solve_fixed_horizon
+
+    def recorded(*args, **kwargs):
+        starts.append((args[2], args[5], kwargs.get("start")))  # (s_end, max_step, start)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "solve_fixed_horizon", recorded)
+    res = closed_curve_search(1.0, (0.125, 0.75))
+    s_end, max_step, start = starts[-1]
+    assert (s_end, max_step) == (res.s1, OdeSettings().max_step)
+    assert start is not None and 0.0 < start[0] and res.s1 - start[0] <= 2 * max_step
 
 
 def _fields(res):

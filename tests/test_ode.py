@@ -281,8 +281,8 @@ def test_horizon_within_rounding_is_reached(sign):
 
     f = ode._raw_rhs(None)
     span = 3.6365642928673023
-    ss, _, h, K, _ = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
-                                         1e-10, 1e-10, 1000.0)
+    ss, _, h, K = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
+                                      1e-10, 1e-10, 1000.0)[:4]
     assert abs(abs(ss[-1]) - span) <= math.ulp(span)
     assert len(h) == len(K) == len(ss) - 1 == 5
     # A horizon below step resolution from s = 0 is still an underflow.
@@ -394,13 +394,17 @@ def test_theta_prime_is_the_rhs_at_every_sample(make):
 def test_stop_event_sees_accepted_states():
     # The stop angle is tested on accepted states only: the stopped run is a
     # prefix of the full one, ending on the first sample at or past the angle.
+    # It hands back the controller states of its last three samples, t first;
+    # the full run hands back none.
     from sol3._rk import solve_fixed_horizon
 
     f = ode._raw_rhs(1.0)
-    ss, ys, h, K, slopes = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
-                                               1e-10, 1e-10, 0.01, -0.5)
-    full_ss, full_ys = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0, 1e-10, 1e-10, 0.01)[:2]
+    ss, ys, h, K, slopes, controls = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
+                                                         1e-10, 1e-10, 0.01, -0.5)
+    full_ss, full_ys, *_, full_controls = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
+                                                              1e-10, 1e-10, 0.01)
     assert ss[-1] < 10.0 and len(h) == len(K) == len(ss) - 1
+    assert [c[0] for c in controls] == ss[-3:].tolist() and full_controls == ()
     assert ss.tobytes() == full_ss[:len(ss)].tobytes()
     assert ys.tobytes() == full_ys[:len(ys)].tobytes()
     assert slopes.tolist() == [list(f(*row)) for row in ys.tolist()]
@@ -494,7 +498,7 @@ def reference_solve(f, y0, s_end, abs_tol, rel_tol, max_step, stop_event=None):
     return np.array(ss), np.array(ys), segments, np.array(slopes)
 
 
-def step_segments(ss, ys, h, K, slopes):
+def step_segments(ss, ys, h, K, *_):
     """A stepper run's step rows as reference segments: step i starts at
     sample i (at the signed zero of its step for i = 0) with h[i] and K[i]."""
     return [DenseSegment(float(ss[i]) if i else math.copysign(0.0, h[i]), float(h[i]),
@@ -509,7 +513,7 @@ def run_or_error(solve, *args):
     except IntegrationError as exc:
         return str(exc), exc.last_s
     segments = run[2] if solve is reference_solve else step_segments(*run)
-    ss, ys, slopes = run[0], run[1], run[-1]
+    ss, ys, slopes = run[0], run[1], run[3 if solve is reference_solve else 4]
     return ss.tobytes(), ys.tobytes(), slopes.tobytes(), [segment_bytes(g) for g in segments]
 
 
@@ -594,8 +598,8 @@ def test_shorter_horizon_is_a_bitwise_prefix(H, x0, y0, theta0, a, extra, sign, 
     f, start = ode._raw_rhs(H), (x0, y0, theta0)
     run_a = solve_fixed_horizon(f, start, sign * a, 1e-10, 1e-10, max_step)
     run_b = solve_fixed_horizon(f, start, sign * (a + extra), 1e-10, 1e-10, max_step)
-    ss_a, ys_a, _, _, slopes_a = run_a
-    ss_b, ys_b, _, _, slopes_b = run_b
+    ss_a, ys_a, _, _, slopes_a, _ = run_a
+    ss_b, ys_b, _, _, slopes_b, _ = run_b
     n = len(ss_a) - 1
     assert len(ss_b) > n
     assert ss_a[:n].tobytes() == ss_b[:n].tobytes()
@@ -621,12 +625,44 @@ def test_backward_run_is_the_reflected_forward_run(H, y0, s_end, max_step):
     from sol3._rk import solve_fixed_horizon
 
     f, start = ode._raw_rhs(H), (0.0, y0, 0.0)
-    ss_f, ys_f, _, _, slopes_f = solve_fixed_horizon(f, start, s_end, 1e-10, 1e-10, max_step)
-    ss_b, ys_b, _, _, slopes_b = solve_fixed_horizon(f, start, -s_end, 1e-10, 1e-10, max_step)
+    ss_f, ys_f, _, _, slopes_f, _ = solve_fixed_horizon(f, start, s_end, 1e-10, 1e-10, max_step)
+    ss_b, ys_b, _, _, slopes_b, _ = solve_fixed_horizon(f, start, -s_end, 1e-10, 1e-10,
+                                                        max_step)
     flip = np.array([-1.0, 1.0, -1.0])
     assert first_difference(ss_b, -ss_f) is None
     assert first_difference(ys_b, ys_f * flip) is None
     assert first_difference(slopes_b, -slopes_f * flip) is None
+
+
+def trajectory_arrays(traj):
+    """Every array of a trajectory as bytes with its shape: samples, slopes, steps."""
+    return [(a.shape, a.tobytes()) for a in (traj.s, traj.x, traj.y, traj.theta,
+                                             traj.theta_prime, traj._h, traj._K)]
+
+
+@given(H=st.floats(-3.0, 3.0), y0=st.floats(-2.0, 2.0),
+       max_step=st.floats(-3.0, math.log10(5.0)).map(lambda e: 10.0 ** e),
+       abs_tol=st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e), w=st.floats(0.0, 1.0))
+# Continued from one of the last three samples; made afresh where max_step
+# is far above the steps taken (at either end of the step) or above s_end.
+@example(H=1.0, y0=0.6425, max_step=0.01, abs_tol=1e-10, w=0.5)
+@example(H=-2.0, y0=-0.25, max_step=5.0, abs_tol=1e-10, w=1.0)
+@example(H=2.5, y0=0.3, max_step=5.0, abs_tol=1e-6, w=0.0)
+@example(H=8.0, y0=0.0627, max_step=0.5, abs_tol=1e-10, w=0.5)
+@hsettings(derandomize=True, max_examples=60, deadline=None)
+def test_continued_run_is_the_fresh_run(H, y0, max_step, abs_tol, w):
+    # A stop-angle shot continued to any s_end inside its last step, both ends
+    # included, is bit for bit the run integrated afresh to that horizon.
+    settings = OdeSettings(abs_tol=abs_tol, max_step=max_step)
+    ic = InitialCondition(0.0, y0, 0.0)
+    shot = integrate_forward(ic, settings, H=H, stop_theta=-math.copysign(2 * math.pi, H),
+                             horizon=8.0)
+    lo, hi = shot.s[-2:].tolist()
+    s_end = hi if w == 1.0 else min(hi, lo + w * (hi - lo))
+    got = ode._continued(shot, settings, s_end)
+    want = integrate_forward(ic, settings, H=H, horizon=s_end)
+    assert trajectory_arrays(got) == trajectory_arrays(want)
+    assert (got.ic, got.H_target, got.explicit_kind) == (ic, H, None)
 
 
 def test_dense_segment_ends_reproduce_samples():
@@ -756,7 +792,7 @@ def test_mirrored_half_is_the_backward_run(x0, y0, theta0, max_step, max_s):
     f, start = ode._raw_rhs(None), (x0, y0, theta0)
     back = solve_fixed_horizon(f, start, -max_s, 1e-10, 1e-10, max_step)
     fwd = solve_fixed_horizon(f, start, max_s, 1e-10, 1e-10, max_step)
-    bs, bys, _, _, bslopes = back
+    bs, bys, _, _, bslopes, _ = back
     n = len(bs) - 1
     assert len(traj) == n + len(fwd[0])
     for got, want in ((traj.s, bs), (traj.x, bys[:, 0]), (traj.y, bys[:, 1]),
