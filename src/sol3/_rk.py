@@ -19,12 +19,14 @@ into K through one flat memoryview, several times cheaper than assigning a
 tuple to a row of K.  An accepted step records only its signed step and its
 21 stage values, appended to one bytearray; a run hands back its steps h
 and stage rows K (a view of that buffer) as arrays.  `dense_step` forms one
-step's interpolant Q = K.T P and `dense_state` evaluates it at one s; few
-steps are ever evaluated, so callers keep the former per step as they need
-it.  The slope f at each sample is its FSAL stage, returned as it came
-from f.  A backward run takes negative steps; since rounding is
-sign-symmetric, it gives exactly the negated-arc-length samples of a forward
-run of -f, and `reflected` gives the rows of the run that a point reflection
+step's interpolant Q = K.T P with two small buffers, and `dense_state`, the
+only dense-output evaluator, evaluates it at one s through them: the same
+BLAS gemv as `Q.dot(array)`, with no array made per call.  Few steps are
+ever evaluated, so callers keep the former per step as they need it.  The
+buffers make a step unfit for two threads at once.  The slope f at each
+sample is its FSAL stage, returned as it came from f.  A backward run takes
+negative steps; since rounding is sign-symmetric, it gives exactly the
+negated-arc-length samples of a forward run of -f, and `reflected` gives the rows of the run that a point reflection
 maps onto this one.  Given a stop angle, a run ends one step past it: on the
 first accepted step whose theta reaches or crosses it, and hands back the
 controller state (t, proposed step, previous error norm, remaining attempt
@@ -116,20 +118,27 @@ def reflected(s: np.ndarray, states: np.ndarray, h: np.ndarray, K: np.ndarray,
 
 
 def dense_step(t0: float, h: float, y0: list[float], K: np.ndarray) -> tuple:
-    """One step's interpolant (t0, h, y0, Q = K.T P) for `dense_state`: the
-    step starts at t0 in state y0 with signed step h and stage rows K."""
-    return t0, h, y0, K.T.dot(_P)
+    """One step's interpolant for `dense_state`: the step starts at t0 in
+    state y0 with signed step h and stage rows K.  It holds Q = K.T P and two
+    buffers that every evaluation overwrites, the powers of u and Q's
+    product with them, each with a memoryview."""
+    powers, q = np.empty(4), np.empty(3)
+    return t0, h, y0, K.T.dot(_P), powers, memoryview(powers), q, memoryview(q)
 
 
 def dense_state(step: tuple, t: float) -> list[float]:
     """y(t) = y0 + h * Q @ [u, u^2, u^3, u^4], u = (t - t0) / h, on one step.
 
     u ** 3 and u ** 4 are float powers: numpy's power rounds differently.
+    The product is the BLAS gemv of `Q.dot(array)`, written into the step's
+    buffer, so no array is made per call.
     """
-    t0, h, y0, Q = step
+    t0, h, (x, y, th), Q, powers, pv, q, qv = step
     u = (t - t0) / h
-    q = Q.dot(np.array([u, u * u, u ** 3, u ** 4])).tolist()
-    return [yj + h * qj for yj, qj in zip(y0, q)]
+    pv[0], pv[1], pv[2], pv[3] = u, u * u, u ** 3, u ** 4
+    Q.dot(powers, q)
+    q0, q1, q2 = qv
+    return [x + h * q0, y + h * q1, th + h * q2]
 
 
 def solve_fixed_horizon(

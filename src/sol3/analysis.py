@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._rk import dense_state
 from .ode import (
     EVENT_TOL,
     InitialCondition,
@@ -336,16 +337,19 @@ def _shot(H: float, y0: float,
     """Residuals (x(s1), y(s1) - y0, s1) of the orbit from (0, y0, 0) at its
     first full turn s1, and the run itself, or None when it does not turn
     within arc length max(max_s, 40).  The run stops on the step whose angle
-    crosses the turn target, so only that last step is refined."""
+    crosses the turn target, so only that last step is refined, on its own
+    interpolant: the turn lies strictly inside it or at its end, where
+    `Trajectory.state_at` evaluates the same step."""
     target = -math.copysign(2.0 * math.pi, H)
     traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H,
                              stop_theta=target, horizon=max(settings.max_s, 40.0))
+    step = traj._step(len(traj) - 2)
     s1 = _first_crossing(traj.s[-2:].tolist(), (traj.theta[-2:] - target).tolist(),
-                         lambda s: traj.state_at(s).theta - target, EVENT_TOL)
+                         lambda s: dense_state(step, s)[2] - target, EVENT_TOL)
     if s1 is None:
         return None
-    end = traj.state_at(s1)
-    return end.x, end.y - y0, s1, traj
+    x, y, _ = dense_state(step, s1)
+    return x, y - y0, s1, traj
 
 
 def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[float, tuple]]:

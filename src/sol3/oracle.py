@@ -65,28 +65,6 @@ def coord_christoffel(z: float) -> np.ndarray:
     return gam
 
 
-def coord_christoffel_fd(z: float) -> np.ndarray:
-    """Christoffels recomputed from finite differences of the metric (test anchor)."""
-
-    def g_at(dz: float) -> np.ndarray:
-        return np.diag([math.exp(2.0 * (z + dz)), math.exp(-2.0 * (z + dz)), 1.0])
-
-    g = g_at(0.0)
-    g_inv = np.linalg.inv(g)
-    # dg[l, i, j] = d g_{ij} / d x^l ; only the z-derivative is nonzero.
-    dg = np.zeros((3, 3, 3))
-    dg[2] = (g_at(FD_STEP_FIRST) - g_at(-FD_STEP_FIRST)) / (2.0 * FD_STEP_FIRST)
-    gam = np.zeros((3, 3, 3))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                val = 0.0
-                for m in range(3):
-                    val += g_inv[k, m] * (dg[i, m, j] + dg[j, m, i] - dg[m, i, j])
-                gam[k, i, j] = 0.5 * val
-    return gam
-
-
 def _riemann_tensor(z: float) -> tuple:
     """R[l][i][j][k] = R^l_{ijk} at height z as nested tuples of floats.
 
@@ -152,15 +130,6 @@ def _sectional(height: _Height, u: list, v: list, u_vec: np.ndarray,
         r_uvv.append(acc)
     num = float(np.array(r_uvv).dot(height.metric).dot(u_vec))
     return num / (E * G - F ** 2)
-
-
-def sectional_curvature_coord(z: float, u: np.ndarray, v: np.ndarray) -> float:
-    """Sectional curvature of span(u, v) at height z, from the numerical Riemann tensor."""
-    height = _height(z)
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    u_g, v_g = u.dot(height.metric), v.dot(height.metric)
-    return _sectional(height, u.tolist(), v.tolist(), u,
-                      float(u_g.dot(u)), float(u_g.dot(v)), float(v_g.dot(v)))
 
 
 def local_curve(state, theta_prime: float):

@@ -1,12 +1,14 @@
 """Readers and checks that only the tests use: parse the CSV and OBJ files
 sol3 writes, integrate a line start without snapping it, re-evaluate a
-trajectory's stored theta', and split verify's seeded draw into per-sample
-states."""
+trajectory's stored theta', split verify's seeded draw into per-sample
+states, and the oracle's Christoffel symbols and sectional curvature as
+stand-alone anchors."""
+import math
 from collections import namedtuple
 
 import numpy as np
 
-from sol3 import ode
+from sol3 import ode, oracle
 from sol3.io import CSV_HEADER
 from sol3.surface import CurveState
 from sol3.verify import random_states
@@ -63,3 +65,37 @@ def state_pairs(samples: int, seed: int) -> list[tuple[CurveState, float]]:
     states, theta_prime = random_states(samples, seed)
     rows = zip(states.x.tolist(), states.y.tolist(), states.theta.tolist(), theta_prime.tolist())
     return [(CurveState(0.0, x, y, theta), tp) for x, y, theta, tp in rows]
+
+
+def coord_christoffel_fd(z: float) -> np.ndarray:
+    """Christoffels recomputed from finite differences of the metric, against
+    `oracle.coord_christoffel`."""
+
+    def g_at(dz: float) -> np.ndarray:
+        return np.diag([math.exp(2.0 * (z + dz)), math.exp(-2.0 * (z + dz)), 1.0])
+
+    g = g_at(0.0)
+    g_inv = np.linalg.inv(g)
+    # dg[l, i, j] = d g_{ij} / d x^l ; only the z-derivative is nonzero.
+    h = oracle.FD_STEP_FIRST
+    dg = np.zeros((3, 3, 3))
+    dg[2] = (g_at(h) - g_at(-h)) / (2.0 * h)
+    gam = np.zeros((3, 3, 3))
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                val = 0.0
+                for m in range(3):
+                    val += g_inv[k, m] * (dg[i, m, j] + dg[j, m, i] - dg[m, i, j])
+                gam[k, i, j] = 0.5 * val
+    return gam
+
+
+def sectional_curvature_coord(z: float, u, v) -> float:
+    """Sectional curvature of span(u, v) at height z through the oracle's
+    numerical Riemann tensor (`oracle._sectional`)."""
+    height = oracle._height(z)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    u_g, v_g = u.dot(height.metric), v.dot(height.metric)
+    return oracle._sectional(height, u.tolist(), v.tolist(), u,
+                             float(u_g.dot(u)), float(u_g.dot(v)), float(v_g.dot(v)))

@@ -345,15 +345,9 @@ def test_first_return_matches_the_find_event_route(make):
     assert s1 is not None and first_return(traj) == (s1, traj.state_at(s1))
 
 
-@pytest.mark.parametrize("H, y0", [
-    (1.0, 0.6425), (1.0, 0.125), (2.0, 0.25), (0.8, 0.5), (-1.0, -0.5), (0.05, 0.5),
-])
-def test_shot_matches_the_find_event_route(H, y0):
-    # The shot stops on the step that crosses its turn and refines only that
-    # step; the full run to the same horizon, searched by find_event, gives the
-    # same residuals bit for bit, and no turn (H = 0.05 within 40) gives None.
-    # The shot's fourth field is its run, which the search continues.
-    settings = OdeSettings()
+def shot_and_find_event_route(H, y0, settings):
+    """`_shot`'s residuals and those of the full run to the same horizon,
+    searched by find_event and read by state_at, each as its repr."""
     traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H, horizon=40.0)
     target = -math.copysign(2.0 * math.pi, H)
     s1 = find_event(traj, lambda st: st.theta - target)
@@ -363,8 +357,32 @@ def test_shot_matches_the_find_event_route(H, y0):
         end = traj.state_at(s1)
         expected = (end.x, end.y - y0, s1)
     shot = analysis._shot(H, y0, settings)
-    assert repr(shot and shot[:3]) == repr(expected)
-    assert (expected is None) == (H == 0.05)
+    return repr(shot and shot[:3]), repr(expected)
+
+
+@pytest.mark.parametrize("H, y0", [
+    (1.0, 0.6425), (1.0, 0.125), (2.0, 0.25), (0.8, 0.5), (-1.0, -0.5), (0.05, 0.5),
+])
+def test_shot_matches_the_find_event_route(H, y0):
+    # The shot stops on the step that crosses its turn and refines only that
+    # step, on its interpolant; the full run to the same horizon, searched by
+    # find_event, gives the same residuals bit for bit, and no turn (H = 0.05
+    # within 40) gives None.  The shot's fourth field is its run, which the
+    # search continues.
+    got, expected = shot_and_find_event_route(H, y0, OdeSettings())
+    assert got == expected
+    assert (expected == "None") == (H == 0.05)
+
+
+@given(H=st.floats(0.3, 4.0), y0=st.floats(0.05, 2.0), sign=st.sampled_from([1.0, -1.0]),
+       max_step=st.floats(1e-3, 0.5))
+@hsettings(derandomize=True, max_examples=30, deadline=None)
+def test_shot_matches_the_find_event_route_on_drawn_orbits(H, y0, sign, max_step):
+    # The same on drawn orbits, y0 of H's sign; about a third of the draws
+    # (the small |H|) make no turn within 40.
+    got, expected = shot_and_find_event_route(sign * H, sign * y0,
+                                              OdeSettings(max_step=max_step))
+    assert got == expected
 
 
 @pytest.mark.parametrize("run", [
@@ -494,6 +512,20 @@ def test_closing_orbit_continues_the_final_shot(monkeypatch):
     s_end, max_step, start = starts[-1]
     assert (s_end, max_step) == (res.s1, OdeSettings().max_step)
     assert start is not None and 0.0 < start[0] and res.s1 - start[0] <= 2 * max_step
+
+
+def test_shots_refine_on_their_step_not_through_state_at(monkeypatch):
+    # Each shot finds its turn on its stopped step's interpolant: with the
+    # generic lookup gone the anchor search still gives its exact result.
+    from sol3 import ode
+
+    def refused(self, s):
+        raise AssertionError("a shot called Trajectory.state_at")
+
+    monkeypatch.setattr(ode.Trajectory, "state_at", refused)
+    res = closed_curve_search(1.0, (0.125, 0.75))
+    assert repr(_fields(res)) == repr((0.6421766758466195, 3.9326202657444984,
+                                       7.813789892896494e-11, -5.768097111058523e-11, 11))
 
 
 def _fields(res):

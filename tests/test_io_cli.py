@@ -392,6 +392,26 @@ def test_cli_shoot_negative_h_scans_the_negated_grid(tmp_path):
     assert abs(data["residual_x"]) < 1e-9 and abs(data["residual_y"]) < 1e-6
 
 
+def test_cli_negative_values_need_the_equals_form(tmp_path):
+    # argparse reads "-0.75:-0.125" and "-1e-3" after a space as option flags
+    # (only plain negative numbers like "-1" pass), so such values take the
+    # --option=VALUE form.  y0* is the reference H = 1 orbit's, reflected.
+    out = tmp_path / "shoot.json"
+    assert main(["shoot", "--H", "-1", "--bracket=-0.75:-0.125", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["y0_star"] == pytest.approx(-0.64217667565445699,
+                                                                  abs=1e-9)
+    out.unlink()
+    for argv in (["--H", "-1", "--bracket", "-0.75:-0.125"], ["--H", "-1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["shoot", *argv, "--out", str(out)])
+        assert exc.value.code == 64
+        assert os.listdir(tmp_path) == []
+    curve = tmp_path / "curve.csv"
+    assert main(["integrate", "--H=-1e-3", "--theta0", "0.3", "--max-s", "0.1",
+                 "--out", str(curve)]) == 0
+    assert read_curve_csv(str(curve))[-1].H == pytest.approx(-1e-3, abs=1e-9)
+
+
 @pytest.mark.parametrize("argv, setting", [
     (["integrate", "--theta0", "0.3", "--max-step", "1e-15"], "max_step"),
     (["shoot", "--H", "1", "--max-step", "1e-15"], "max_step"),

@@ -13,14 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from sol3 import CurveState, circle_flat, curvature_report
 from sol3 import oracle
 from sol3.verify import run_verification
-from support import state_pairs
+from support import coord_christoffel_fd, sectional_curvature_coord, state_pairs
 
 
 def test_christoffel_closed_form_matches_metric_differences():
     # Truncation scales with the entries themselves (up to e^{2|z|}).
     for z in (-1.5, -0.3, 0.0, 0.8, 2.0):
         exact = oracle.coord_christoffel(z)
-        fd = oracle.coord_christoffel_fd(z)
+        fd = coord_christoffel_fd(z)
         assert np.max(np.abs(exact - fd)) < 1e-9 * max(1.0, math.exp(2 * abs(z)))
 
 
@@ -31,10 +31,10 @@ def test_sectional_anchor_planes():
     e3 = np.array([0.0, 0.0, 1.0])
     for z in (-0.7, 0.0, 1.1):
         scale = np.array([math.exp(-z), math.exp(z), 1.0])
-        assert oracle.sectional_curvature_coord(z, e1 * scale[0], e2 * scale[1]) == \
+        assert sectional_curvature_coord(z, e1 * scale[0], e2 * scale[1]) == \
             pytest.approx(1.0, abs=1e-9)
-        assert oracle.sectional_curvature_coord(z, e1, e3) == pytest.approx(-1.0, abs=1e-9)
-        assert oracle.sectional_curvature_coord(z, e2, e3) == pytest.approx(-1.0, abs=1e-9)
+        assert sectional_curvature_coord(z, e1, e3) == pytest.approx(-1.0, abs=1e-9)
+        assert sectional_curvature_coord(z, e2, e3) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_local_curve_matches_two_jet():
@@ -264,7 +264,7 @@ _COMPONENT = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_in
        u=st.lists(_COMPONENT, min_size=3, max_size=3),
        v=st.lists(_COMPONENT, min_size=3, max_size=3))
 def test_sectional_keeps_the_bits_of_the_dense_sum(z, u, v):
-    assert _outcome(oracle.sectional_curvature_coord, z, u, v) == \
+    assert _outcome(sectional_curvature_coord, z, u, v) == \
         _outcome(reference_sectional, z, u, v)
 
 
