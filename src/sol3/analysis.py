@@ -43,6 +43,12 @@ DEFAULT_CLOSURE_TOL = 1e-6
 _MAX_SHOOT_ITER = 200
 #: The y0 values scanned for a bracket when none is given, in order.
 _SCAN_GRID = (1 / 16, 1 / 8, 0.25, 0.5, 1.0, 2.0, 4.0)
+#: Tolerance of the scan's shots that only read the sign of x(s1), run with
+#: no step cap below the horizon...
+_SIGN_TOL = 1e-7
+#: ...whose sign counts when |x(s1)| is at least this many times the largest
+#: of _SIGN_TOL and the caller's two tolerances (1e-3 at the defaults).
+_SIGN_MARGIN = 1e4
 
 
 class Axis(Enum):
@@ -355,14 +361,41 @@ def _shot(H: float, y0: float,
 def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
     """`(lo, shot_lo), (hi, shot_hi)` with lo < hi: the first adjacent pair of
     _SCAN_GRID (negated for H < 0) whose `_shot` residuals differ in the sign
-    of x(s1)."""
+    of x(s1).
+
+    Each point is first shot at _SIGN_TOL with no step cap below the horizon.
+    Its sign counts when |x(s1)| clears the margin; otherwise, or when that
+    shot does not turn, the point is shot again at the caller's settings.
+    When two adjacent signs differ, both ends are shot at the caller's
+    settings (once each), and the pair is returned only if those shots still
+    differ in sign; else the loop goes on from them.  So the returned shots
+    are the caller's, and the pair is the one an all-caller-settings scan
+    picks whenever every counted sign is the caller's too.
+    """
     grid = _SCAN_GRID if H > 0.0 else tuple(-y0 for y0 in _SCAN_GRID)
-    prev: Optional[tuple[float, tuple]] = None
+    horizon = max(settings.max_s, 40.0)
+    sign_settings = OdeSettings(abs_tol=_SIGN_TOL, rel_tol=_SIGN_TOL,
+                                max_step=horizon, max_s=settings.max_s)
+    margin = _SIGN_MARGIN * max(_SIGN_TOL, settings.abs_tol, settings.rel_tol)
+
+    def differ(a: Optional[tuple], b: Optional[tuple]) -> bool:
+        return a is not None and b is not None and a[0] * b[0] < 0.0
+
+    prev_y0, prev, prev_exact = None, None, False  # prev: the last point's shot
     for y0 in grid:
-        shot = _shot(H, y0, settings)
-        if shot is not None and prev is not None and prev[1][0] * shot[0] < 0.0:
-            return (prev, (y0, shot)) if H > 0.0 else ((y0, shot), prev)
-        prev = None if shot is None else (y0, shot)
+        shot = _shot(H, y0, sign_settings)
+        exact = shot is None or abs(shot[0]) < margin
+        if exact:
+            shot = _shot(H, y0, settings)
+        if differ(prev, shot):
+            if not prev_exact:
+                prev, prev_exact = _shot(H, prev_y0, settings), True
+            if not exact:
+                shot, exact = _shot(H, y0, settings), True
+            if differ(prev, shot):
+                pair = ((prev_y0, prev), (y0, shot))
+                return pair if H > 0.0 else pair[::-1]
+        prev_y0, prev, prev_exact = y0, shot, exact
     raise BracketError(f"no sign change of x(s1; y0) on the scan grid "
                        f"[{min(grid)}, {max(grid)}] for H = {H}")
 
@@ -372,7 +405,9 @@ def scan_bracket(H: float, settings: Optional[OdeSettings] = None) -> tuple[floa
     change of x(s1; y0), as `(lo, hi)` with lo < hi.
 
     The y-reflection (x, y, theta) -> (x, -y, -theta) maps the H system onto
-    the -H system, so for H < 0 the orbits start below the x-axis.  Raises
+    the -H system, so for H < 0 the orbits start below the x-axis.  A grid
+    point's sign is read off a shot at _SIGN_TOL with no step cap when it
+    clears `_scan`'s margin; the two ends are shot at `settings`.  Raises
     ValueError for H = 0 and BracketError when no sign change shows up;
     closure of the generating curve away from the exhibited cases is
     conjectural, so a failed scan is reported data, not a crash.
@@ -397,8 +432,9 @@ def closed_curve_search(
     raises ClosureError: simultaneous closure is observed, not guaranteed,
     and must be reported rather than assumed.  Each shot runs to arc length
     max(settings.max_s, 40).  Without a bracket, the `scan_bracket` grid (its
-    negatives for H < 0) is scanned first and its two end integrations serve
-    as the bracket's residuals; a given bracket (lo, hi) must be finite with
+    negatives for H < 0) is scanned first and its two end integrations, run
+    at `settings` like every shot whose numbers the search reads, serve as
+    the bracket's residuals; a given bracket (lo, hi) must be finite with
     lo < hi (else ValueError).  The certificate's orbit, from s = 0 to s1, is
     the final shot's run continued to s1 (`ode._continued`), bit for bit what
     integrating it afresh gives, so the closed orbit is not integrated twice;

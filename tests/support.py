@@ -1,14 +1,15 @@
 """Readers and checks that only the tests use: parse the CSV and OBJ files
 sol3 writes, integrate a line start without snapping it, re-evaluate a
 trajectory's stored theta', split verify's seeded draw into per-sample
-states, and the oracle's Christoffel symbols and sectional curvature as
-stand-alone anchors."""
+states, the oracle's Christoffel symbols and sectional curvature as
+stand-alone anchors, and the bracket scan that shoots every grid point at
+the caller's settings."""
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from sol3 import ode, oracle
+from sol3 import analysis, ode, oracle
 from sol3.io import CSV_HEADER
 from sol3.surface import CurveState
 from sol3.verify import random_states
@@ -51,6 +52,20 @@ def integrate_unsnapped(ic: ode.InitialCondition, settings: ode.OdeSettings,
     """`integrate` with the stepper run on both sides even where the start
     lies on a constant-angle line, which `integrate` snaps to the exact line."""
     return ode._trajectory(ic, settings, H, settings.max_s, both_sides=True)
+
+
+def reference_scan(H: float, settings: ode.OdeSettings):
+    """`analysis._scan` as it was before its sign-only shots: every grid
+    point shot at the caller's settings."""
+    grid = analysis._SCAN_GRID if H > 0.0 else tuple(-y0 for y0 in analysis._SCAN_GRID)
+    prev = None
+    for y0 in grid:
+        shot = analysis._shot(H, y0, settings)
+        if shot is not None and prev is not None and prev[1][0] * shot[0] < 0.0:
+            return (prev, (y0, shot)) if H > 0.0 else ((y0, shot), prev)
+        prev = None if shot is None else (y0, shot)
+    raise analysis.BracketError(f"no sign change of x(s1; y0) on the scan grid "
+                                f"[{min(grid)}, {max(grid)}] for H = {H}")
 
 
 def max_ode_residual(traj: ode.Trajectory) -> float:

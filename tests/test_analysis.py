@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from sol3 import (
     Axis,
     BracketError,
+    ClosureError,
     CurveClass,
     CurveState,
     InitialCondition,
@@ -36,6 +37,7 @@ from sol3 import (
 from sol3 import analysis, oracle
 from sol3.ode import EVENT_TOL, _bisect
 from sol3.surface import first_form
+from support import reference_scan
 
 PI8 = math.pi / 8
 
@@ -546,14 +548,38 @@ def test_scanned_bracket_spares_integrating_its_ends(monkeypatch):
     assert len(calls) == n_scan + scanned.iterations + 1
 
 
+def _record_shots(monkeypatch, alter=lambda y0, settings, shot: shot):
+    """Every `analysis._shot` call as (y0, settings, shot returned), the shot
+    first passed through `alter`."""
+    made, shoot = [], analysis._shot
+
+    def recorded(H, y0, settings):
+        made.append((y0, settings, alter(y0, settings, shoot(H, y0, settings))))
+        return made[-1][2]
+
+    monkeypatch.setattr(analysis, "_shot", recorded)
+    return made
+
+
+def _assert_same_scan(scanned, reference):
+    # Bit for bit: the y0s, the residuals and the shots' runs.
+    assert repr([(y0, shot[:3]) for y0, shot in scanned]) == \
+        repr([(y0, shot[:3]) for y0, shot in reference])
+    for (_, shot), (_, ref) in zip(scanned, reference):
+        for name in ("s", "x", "y", "theta"):
+            assert getattr(shot[3], name).tobytes() == getattr(ref[3], name).tobytes()
+
+
 @pytest.mark.parametrize("settings,horizon", [
     (OdeSettings(max_step=5e-3), 40.0),
     (OdeSettings(max_s=60.0), 60.0),
 ])
 def test_bracket_scanned_for_other_arguments_is_integrated_again(
         monkeypatch, settings, horizon):
-    # Without a bracket, the scan runs with the search's own settings, never
-    # with the defaults; each shot runs to max(max_s, 40).
+    # Without a bracket, the scan reads grid signs off shots capped only by
+    # the horizon, max(max_s, 40); every shot whose numbers reach the search,
+    # the bracket's two ends included, runs with the search's own settings,
+    # never with the defaults.
     calls = _count_integrations(monkeypatch)
     bracket = scan_bracket(2.0, settings)
     n_scan = len(calls)
@@ -562,7 +588,116 @@ def test_bracket_scanned_for_other_arguments_is_integrated_again(
     scanned = closed_curve_search(2.0, None, settings)
     assert _fields(scanned) == _fields(given)
     assert len(calls) == n_scan + scanned.iterations + 1
-    assert set(calls) == {(horizon, settings.max_step), (scanned.s1, settings.max_step)}
+    assert set(calls) == {(horizon, horizon), (horizon, settings.max_step),
+                          (scanned.s1, settings.max_step)}
+    assert set(calls[n_scan:]) == {(horizon, settings.max_step), (scanned.s1, settings.max_step)}
+    made = _record_shots(monkeypatch)
+    ends = analysis._scan(2.0, settings)
+    assert tuple(y0 for y0, _ in ends) == bracket
+    assert all(any(shot is end and used == settings for _, used, shot in made)
+               for _, end in ends)
+
+
+def test_scan_without_a_counted_sign_shoots_as_the_reference(monkeypatch):
+    # No sign clears an infinite margin: every point is shot again at the
+    # caller's settings, in the reference scan's order and with its result.
+    monkeypatch.setattr(analysis, "_SIGN_MARGIN", math.inf)
+    made = _record_shots(monkeypatch)
+    scanned = analysis._scan(2.0, OdeSettings())
+    caller = [y0 for y0, used, _ in made if used == OdeSettings()]
+    del made[:]
+    reference = reference_scan(2.0, OdeSettings())
+    assert caller == [y0 for y0, _, _ in made] == [1 / 16, 1 / 8, 0.25, 0.5]
+    _assert_same_scan(scanned, reference)
+
+
+def test_scan_point_whose_sign_shot_does_not_turn_is_shot_again(monkeypatch):
+    def unturned(y0, settings, shot):
+        return None if (y0, settings.max_step) == (1 / 8, 40.0) else shot
+
+    made = _record_shots(monkeypatch, unturned)
+    scanned = analysis._scan(2.0, OdeSettings())
+    assert [y0 for y0, used, _ in made if used == OdeSettings()] == [1 / 8, 0.25, 0.5]
+    _assert_same_scan(scanned, reference_scan(2.0, OdeSettings()))
+
+
+def test_scan_goes_on_from_a_sign_change_its_ends_do_not_confirm(monkeypatch):
+    # A sign shot flipped at y0 = 1/8 shows a false change next to 1/16;
+    # both ends, shot at the caller's settings, agree, and the scan carries
+    # on from them to the reference's bracket.
+    def flipped(y0, settings, shot):
+        return (-shot[0],) + shot[1:] if (y0, settings.max_step) == (1 / 8, 40.0) else shot
+
+    made = _record_shots(monkeypatch, flipped)
+    scanned = analysis._scan(2.0, OdeSettings())
+    assert [y0 for y0, used, _ in made if used == OdeSettings()] == [1 / 16, 1 / 8, 0.25, 0.5]
+    _assert_same_scan(scanned, reference_scan(2.0, OdeSettings()))
+
+
+@hsettings(derandomize=True, max_examples=25, deadline=None)
+@given(H=st.floats(0.4, 8.0), negative=st.booleans(),
+       abs_exp=st.floats(-12.0, -6.0), rel_exp=st.floats(-12.0, -6.0),
+       max_step=st.sampled_from([5e-3, 1e-2, 0.2, 0.5]), max_s=st.sampled_from([10.0, 60.0]))
+@example(H=0.45, negative=False, abs_exp=-10.0, rel_exp=-10.0, max_step=1e-2, max_s=10.0)
+@example(H=1.0, negative=True, abs_exp=-6.0, rel_exp=-6.0, max_step=0.5, max_s=10.0)
+def test_scan_and_search_match_the_reference_scan(H, negative, abs_exp, rel_exp,
+                                                   max_step, max_s):
+    # The sign-only shots change no bracket and no bit of the search: the
+    # same (y0, shot) pairs, or the same BracketError, and the same fields.
+    H = -H if negative else H
+    settings = OdeSettings(abs_tol=10.0 ** abs_exp, rel_tol=10.0 ** rel_exp,
+                           max_step=max_step, max_s=max_s)
+    outcomes = []
+    for scan in (analysis._scan, reference_scan):
+        scans = []
+
+        def recorded(H, settings, scan=scan):
+            scans.append(scan(H, settings))
+            return scans[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_scan", recorded)
+            try:
+                outcome = repr(_fields(closed_curve_search(H, None, settings)))
+            except (BracketError, ClosureError) as err:
+                outcome = f"{type(err).__name__}: {err}"
+        outcomes.append((scans, outcome))
+    (scanned, outcome), (reference, ref_outcome) = outcomes
+    assert outcome == ref_outcome
+    assert len(scanned) == len(reference)
+    if scanned:
+        _assert_same_scan(scanned[0], reference[0])
+
+
+def _count_rhs_calls(monkeypatch):
+    from sol3 import ode
+
+    count, raw_rhs = [0], ode._raw_rhs
+
+    def counted_rhs(H):
+        f = raw_rhs(H)
+
+        def counted(x, y, theta):
+            count[0] += 1
+            return f(x, y, theta)
+
+        return counted
+
+    monkeypatch.setattr(ode, "_raw_rhs", counted_rhs)
+    return count
+
+
+@pytest.mark.parametrize("H", [0.8, 2.0])
+def test_sign_shots_take_fewer_rhs_calls_than_the_reference_scan(monkeypatch, H):
+    # Shots that only read a sign run uncapped at _SIGN_TOL; capping them
+    # again would cost more than shooting every point at the caller's settings.
+    count = _count_rhs_calls(monkeypatch)
+    res = closed_curve_search(H)
+    n_calls, count[0] = count[0], 0
+    monkeypatch.setattr(analysis, "_scan", reference_scan)
+    ref = closed_curve_search(H)
+    assert repr(_fields(res)) == repr(_fields(ref))
+    assert 0 < n_calls < count[0]
 
 
 def test_closed_curve_search_bad_bracket():
