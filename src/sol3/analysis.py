@@ -31,10 +31,10 @@ from .ode import (
 from .surface import CurveState, first_form
 
 #: Tail of each trajectory end treated as "settled" data, as a fraction of samples.
-DEFAULT_TAIL_FRACTION = 0.1
+TAIL_FRACTION = 0.1
 #: An end counts as axis-parallel when max |sin theta| (or |cos theta|) over the
 #: tail stays below this.
-DEFAULT_SETTLE_THRESHOLD = 1e-4
+SETTLE_THRESHOLD = 1e-4
 #: Shooting drives |x(s1)| below this...
 DEFAULT_RESIDUAL_TOL = 1e-10
 #: ...and then |y(s1) - y0| must independently fall below this.
@@ -146,6 +146,11 @@ def _require_minimal(traj: Trajectory):
         raise ValueError("operation requires a minimal trajectory (H_target None)")
 
 
+def _require_both_sides(traj: Trajectory, what: str):
+    if not traj.s[0] < 0.0:
+        raise ValueError(f"{what} needs a trajectory with an s < 0 side")
+
+
 def _concavity_indicator(traj: Trajectory) -> np.ndarray:
     # F = -x cos + y sin equals cos(theta) * (y y' - x) along a graph, so its
     # zeros are the graph's inflections wherever cos(theta) != 0.
@@ -179,46 +184,34 @@ def inflection_points(traj: Trajectory) -> list[float]:
     return roots
 
 
-def check_tail_settings(tail_fraction: float, settle_threshold: float) -> None:
-    """ValueError unless 0 < tail_fraction <= 1 and 0 < settle_threshold < 1."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError(f"tail fraction must lie in (0, 1], got {tail_fraction!r}")
-    if not 0.0 < settle_threshold < 1.0:
-        raise ValueError(f"settle threshold must lie in (0, 1), got {settle_threshold!r}")
-
-
-def _tail_slice(traj: Trajectory, end: str, tail_fraction: float) -> slice:
-    n = max(2, int(math.ceil(tail_fraction * len(traj))))
+def _tail_slice(traj: Trajectory, end: str) -> slice:
+    n = max(2, int(math.ceil(TAIL_FRACTION * len(traj))))
     return slice(0, n) if end == "backward" else slice(len(traj) - n, len(traj))
 
 
-def _end_line(traj: Trajectory, end: str, tail_fraction: float,
-              settle_threshold: float) -> Line:
-    sl = _tail_slice(traj, end, tail_fraction)
+def _end_line(traj: Trajectory, end: str) -> Line:
+    sl = _tail_slice(traj, end)
     sin_span = float(np.max(np.abs(np.sin(traj.theta[sl]))))
     cos_span = float(np.max(np.abs(np.cos(traj.theta[sl]))))
-    if sin_span < settle_threshold:
+    if sin_span < SETTLE_THRESHOLD:
         ys = traj.y[sl]
         return Line(Axis.PARALLEL_TO_X, float(np.mean(ys)), float(np.std(ys)))
-    if cos_span < settle_threshold:
+    if cos_span < SETTLE_THRESHOLD:
         xs = traj.x[sl]
         return Line(Axis.PARALLEL_TO_Y, float(np.mean(xs)), float(np.std(xs)))
     raise NotSettledError(end, sin_span, cos_span)
 
 
-def asymptote_estimate(
-    traj: Trajectory,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    settle_threshold: float = DEFAULT_SETTLE_THRESHOLD,
-) -> list[Line]:
+def asymptote_estimate(traj: Trajectory) -> list[Line]:
     """Asymptotic lines of the two trajectory ends, backward end first.
 
-    An end must have settled (tail |sin theta| or |cos theta| below the
-    threshold); otherwise NotSettledError names the offending end.  Offsets
-    are tail means and carry the tail standard deviation as uncertainty.
+    An end must have settled (tail |sin theta| or |cos theta| below
+    SETTLE_THRESHOLD); otherwise NotSettledError names the offending end.
+    Offsets are tail means, with the tail standard deviation as uncertainty.
+    A trajectory without an s < 0 side raises ValueError: its start is no end.
     """
     _require_minimal(traj)
-    check_tail_settings(tail_fraction, settle_threshold)
+    _require_both_sides(traj, "asymptote estimate")
     if traj.explicit_kind is not None:
         ic, kind = traj.ic, traj.explicit_kind
         if kind == "I":
@@ -226,27 +219,20 @@ def asymptote_estimate(
         if kind == "II":
             return [Line(Axis.PARALLEL_TO_Y, ic.x0), Line(Axis.PARALLEL_TO_Y, ic.x0)]
         raise NotSettledError("both", 1.0, 1.0)  # diagonal lines are not axis-parallel
-    return [
-        _end_line(traj, "backward", tail_fraction, settle_threshold),
-        _end_line(traj, "forward", tail_fraction, settle_threshold),
-    ]
+    return [_end_line(traj, "backward"), _end_line(traj, "forward")]
 
 
-def classify_minimal(
-    traj: Trajectory,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    settle_threshold: float = DEFAULT_SETTLE_THRESHOLD,
-) -> Classification:
+def classify_minimal(traj: Trajectory) -> Classification:
     """Classify a minimal generating curve by shape.
 
     Constant-angle trajectories map to their line kind.  Otherwise: no
     inflection with ends settling onto one x-parallel and one y-parallel line
     is a corner-asymptotic curve (type A); exactly one inflection with both
     ends parallel to the same axis is a slab curve (type B).  Anything else
-    (typically a too-short horizon) is undetermined.
+    (typically a too-short horizon) is undetermined; a one-sided one raises ValueError.
     """
     _require_minimal(traj)
-    check_tail_settings(tail_fraction, settle_threshold)
+    _require_both_sides(traj, "classification")
     if traj.explicit_kind is not None:
         kind = CurveClass(f"line-{traj.explicit_kind}")
         asym: list[Line] = []
@@ -258,7 +244,7 @@ def classify_minimal(
 
     inflections = inflection_points(traj)
     try:
-        lines = asymptote_estimate(traj, tail_fraction, settle_threshold)
+        lines = asymptote_estimate(traj)
     except NotSettledError:
         return Classification(CurveClass.UNDETERMINED, inflections, [])
 
@@ -313,8 +299,7 @@ def origin_symmetry_deviation(traj: Trajectory) -> float:
 
     Raises ValueError for a trajectory without an s < 0 side (integrate_forward's).
     """
-    if not traj.s[0] < 0.0:
-        raise ValueError("origin symmetry needs a trajectory with an s < 0 side")
+    _require_both_sides(traj, "origin symmetry")
     span = min(abs(float(traj.s[0])), float(traj.s[-1]))
     devs = []
     for s in np.linspace(0.0, span, 101).tolist():

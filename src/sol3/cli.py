@@ -103,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = subs.add_parser("classify", help="classify a minimal generating curve")
     _add_common(p_cls)
-    p_cls.add_argument("--tail-fraction", type=float,
-                       default=analysis.DEFAULT_TAIL_FRACTION)
-    p_cls.add_argument("--settle-threshold", type=float,
-                       default=analysis.DEFAULT_SETTLE_THRESHOLD)
 
     p_shoot = subs.add_parser("shoot", help="search the closed CMC generating curve")
     _add_common(p_shoot, ic=())
@@ -141,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out-dir", type=_path, default=None,
                          help="directory for per-curve CSV files")
-    p_sweep.add_argument("--tail-fraction", type=float,
-                         default=analysis.DEFAULT_TAIL_FRACTION)
-    p_sweep.add_argument("--settle-threshold", type=float,
-                         default=analysis.DEFAULT_SETTLE_THRESHOLD)
 
     return parser
 
@@ -174,9 +166,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    analysis.check_tail_settings(args.tail_fraction, args.settle_threshold)
     traj = integrate(InitialCondition(args.x0, args.y0, args.theta0), settings, H=None)
-    result = analysis.classify_minimal(traj, args.tail_fraction, args.settle_threshold)
+    result = analysis.classify_minimal(traj)
     _emit(_classification_dict(result), args.out)
     return EXIT_OK
 
@@ -254,21 +245,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_task(task: tuple) -> dict:
     """One curve's classification entry, or {"theta0", "error"} if it failed."""
-    ic, settings, tail, settle, csv_path = task
+    ic, settings, csv_path = task
     try:
         traj = integrate(ic, settings, H=None)
         if csv_path is not None:
             io.write_curve_csv(csv_path, traj)
     except IntegrationError as exc:
         return {"theta0": ic.theta0, "error": str(exc)}
-    entry = _classification_dict(analysis.classify_minimal(traj, tail, settle))
+    entry = _classification_dict(analysis.classify_minimal(traj))
     entry["theta0"] = ic.theta0
     return entry
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    analysis.check_tail_settings(args.tail_fraction, args.settle_threshold)
     start, stop, count = args.theta0_range
     if count < 1:
         print("sweep: COUNT must be >= 1", file=sys.stderr)
@@ -282,8 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, theta0 in enumerate(thetas):
         csv_path = (os.path.join(args.out_dir, f"curve_{i:03d}.csv")
                     if args.out_dir is not None else None)
-        tasks.append((InitialCondition(args.x0, args.y0, theta0), settings,
-                      args.tail_fraction, args.settle_threshold, csv_path))
+        tasks.append((InitialCondition(args.x0, args.y0, theta0), settings, csv_path))
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
     # The pool starts all its workers at once: never more than curves or CPUs.

@@ -224,24 +224,17 @@ def test_asymptote_not_settled_names_end():
     assert err.value.end in ("forward", "backward")
 
 
-@pytest.mark.parametrize("tail_fraction,settle_threshold", [
-    (0.0, 1e-4), (-1.0, 1e-4), (5.0, 1e-4), (math.nan, 1e-4),
-    (0.1, 0.0), (0.1, -1.0), (0.1, 1.0), (0.1, math.inf), (0.1, math.nan),
-])
-def test_tail_settings_out_of_range_are_refused(tail_fraction, settle_threshold):
-    line = minimal(1, 2, 0.0, OdeSettings())
-    curve = minimal(0, 0, PI8, OdeSettings(max_s=5.0))
-    for traj in (line, curve):
-        with pytest.raises(ValueError, match="must lie in"):
-            classify_minimal(traj, tail_fraction, settle_threshold)
-    with pytest.raises(ValueError, match="must lie in"):
-        asymptote_estimate(curve, tail_fraction, settle_threshold)
-
-
-def test_tail_settings_at_their_bounds_are_accepted():
-    # A whole-curve tail at a loose threshold is meaningful, if coarse.
-    traj = minimal(0, 0, PI8, OdeSettings(max_s=5.0))
-    assert len(asymptote_estimate(traj, 1.0, 0.5)) == 2
+@pytest.mark.parametrize("x0, y0, theta0", [(0, 0, PI8), (1, 2, 0.5)])
+def test_one_sided_trajectories_are_refused(x0, y0, theta0):
+    # A one-sided run's start is no end of the curve: it is neither classified
+    # nor given an asymptote, while the two-sided run is a settled slab.
+    ic = InitialCondition(x0, y0, theta0)
+    assert classify_minimal(integrate(ic, LONG)).kind is CurveClass.TYPE_B
+    one_sided = integrate_forward(ic, LONG)
+    with pytest.raises(ValueError, match="classification needs a trajectory with an s < 0"):
+        classify_minimal(one_sided)
+    with pytest.raises(ValueError, match="asymptote estimate needs a trajectory with an s < 0"):
+        asymptote_estimate(one_sided)
 
 
 def test_slab_width_examples():

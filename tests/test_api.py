@@ -1,6 +1,7 @@
 """The package exports only what the pipeline, its demos, the benchmark or the
-README read, so the public API does not grow back helpers that only their own
-tests call."""
+README read, and the CLI has only options that they pass, so the public API
+does not grow back helpers or knobs that only their own tests call."""
+import argparse
 import ast
 import dataclasses
 import re
@@ -20,6 +21,13 @@ KEPT = {
     # its isometries are described by
     "group_mul", "inverse", "metric_eval", "TangentVector", "left_translate",
     "isometry_apply", "AXIS_SWAP_FLIP", "IsometryDescriptor", "IsometryFamily",
+}
+
+# CLI options that no README example, demo or benchmark workload passes:
+KEPT_OPTIONS = {
+    # OdeSettings fields, each of which must be an option (see
+    # test_every_integrator_setting_is_a_cli_option)
+    "--abs-tol", "--rel-tol",
 }
 
 
@@ -65,3 +73,23 @@ def test_every_integrator_setting_is_a_cli_option():
     # A setting that no option reaches could only ever be set by tests.
     fields = {field.name for field in dataclasses.fields(OdeSettings)}
     assert fields == set(cli._SETTINGS_OPTIONS)
+
+
+def _cli_options() -> set[str]:
+    """The long options of every `sol3` subcommand, --help aside."""
+    subs = next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return {option for sub in subs.choices.values() for action in sub._actions
+            for option in action.option_strings if option.startswith("--")} - {"--help"}
+
+
+def test_every_cli_option_has_a_caller():
+    # An option that nothing but the tests passes is a knob only tests turn.
+    readme = (ROOT / "README.md").read_text()
+    callers = [readme.split("## Command line", 1)[1].split("```")[1],
+               (ROOT / "perfbench" / "workloads.py").read_text(),
+               *(path.read_text() for path in (ROOT / "demos").glob("*.py"))]
+    uncalled = sorted(option for option in _cli_options() - KEPT_OPTIONS
+                      if not any(re.search(re.escape(option) + r"(?![\w-])", text)
+                                 for text in callers))
+    assert not uncalled, f"options that no example, demo or workload passes: {uncalled}"

@@ -280,6 +280,14 @@ def test_cli_mesh_golden_digest(tmp_path, kind, digest):
      "13ed3b89fcee09976344f9e3bef8b1cf3719a4eb6bbbea995ee6006f01e8ac88"),
     (["shoot", "--H", "-1"],
      "869298b1eab62120535c1980438dbba9d11d038fda4d0f714f270c158a5c3a2d"),
+    # A slab (type B), a start that snaps to line I modulo 2 pi, and a horizon
+    # too short for either end to settle.
+    (["classify", "--theta0", str(PI8), "--max-s", "600", "--max-step", "0.5"],
+     "24668ebe59eaf851dbc791514730fa2a9e42627e09473a4a37c18ced57392da5"),
+    (["classify", "--x0", "1", "--y0", "2", "--theta0", str(2 * math.pi)],
+     "ba1ce0f029e92282b2f236aab6c2f02deea45042dac964463b9c034032e04e7b"),
+    (["classify", "--theta0", "0.3", "--max-s", "5"],
+     "31e94da80ade49d99ee145e3b3fd68207a8401d39ff52fcfb98b1e86bb580580"),
 ])
 def test_cli_integrated_golden_digest(tmp_path, argv, digest):
     out = tmp_path / "out"
@@ -975,20 +983,22 @@ def test_cli_circle_radius_too_small_for_grid(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("option,value", [
-    ("--tail-fraction", "5"), ("--tail-fraction", "-1"), ("--tail-fraction", "0"),
-    ("--tail-fraction", "nan"), ("--settle-threshold", "-1"),
-    ("--settle-threshold", "nan"), ("--settle-threshold", "inf"),
-])
-def test_cli_meaningless_tail_settings_are_usage_errors(tmp_path, monkeypatch, option, value):
+@pytest.mark.parametrize("option,value", [("--tail-fraction", "0.1"),
+                                          ("--settle-threshold", "1e-4")])
+def test_cli_retired_tail_options_are_rejected(tmp_path, monkeypatch, capsys, option, value):
+    # The settle rule is fixed (analysis.TAIL_FRACTION and SETTLE_THRESHOLD), so
+    # argparse refuses either option, at any value, before anything is
+    # integrated or written.
     integrated = []
     monkeypatch.setattr(cli, "integrate", lambda *args, **kw: integrated.append(args))
     common = ["--max-s", "50", "--max-step", "0.5", option, value]
-    assert main(["classify", "--theta0", "0.3", *common,
-                 "--out", str(tmp_path / "c.json")]) == 64
-    assert main(["sweep", "--theta0-range", "0.3:1.0:2", *common,
-                 "--out", str(tmp_path / "s.json"),
-                 "--out-dir", str(tmp_path / "curves")]) == 64
+    for argv in (["classify", "--theta0", "0.3", *common, "--out", str(tmp_path / "c.json")],
+                 ["sweep", "--theta0-range", "0.3:1.0:2", *common,
+                  "--out", str(tmp_path / "s.json"), "--out-dir", str(tmp_path / "curves")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
     assert integrated == [] and os.listdir(tmp_path) == []
 
 
@@ -1004,9 +1014,9 @@ FUZZ_ARGV = st.one_of(
     st.builds(lambda theta0: ["integrate", f"--theta0={theta0}", "--max-s", "1"], FUZZ_VALUES),
     # A bracket is always given: tiny |H| would otherwise scan to horizon 40.
     st.builds(lambda H: ["shoot", f"--H={H}", "--bracket", "0.125:0.75"], FUZZ_VALUES),
-    st.builds(lambda tail, settle: ["classify", "--theta0", "0.3", "--max-s", "2",
-                                    f"--tail-fraction={tail}", f"--settle-threshold={settle}"],
-              FUZZ_VALUES, FUZZ_VALUES),
+    st.builds(lambda x0, y0, theta0: ["classify", f"--x0={x0}", f"--y0={y0}",
+                                      f"--theta0={theta0}", "--max-s", "2"],
+              FUZZ_VALUES, FUZZ_VALUES, FUZZ_VALUES),
 )
 SUFFIX = {"mesh": ".obj", "integrate": ".csv", "shoot": ".json", "classify": ".json"}
 
@@ -1025,7 +1035,7 @@ def _numbers(text: str) -> list[float]:
 @example(argv=["integrate", "--H=1e308", "--max-s", "1"])
 @example(argv=["integrate", "--theta0=1e308", "--max-s", "1"])
 @example(argv=["shoot", "--H=inf", "--bracket", "0.125:0.75"])
-@example(argv=["classify", "--theta0", "0.3", "--max-s", "2", "--tail-fraction=nan"])
+@example(argv=["classify", "--max-s", "2", "--theta0=nan"])
 @settings(derandomize=True, max_examples=100, deadline=None)
 def test_cli_fuzz_numeric_arguments(argv):
     # Every run ends in a documented exit code, prints no traceback, leaves no
