@@ -983,11 +983,16 @@ def test_cli_circle_radius_too_small_for_grid(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("option,value", [("--tail-fraction", "0.1"),
-                                          ("--settle-threshold", "1e-4")])
-def test_cli_retired_tail_options_are_rejected(tmp_path, monkeypatch, capsys, option, value):
+@pytest.mark.parametrize("option,value", [
+    ("--tail-fraction", "5"), ("--tail-fraction", "-1"), ("--tail-fraction", "0"),
+    ("--tail-fraction", "nan"), ("--settle-threshold", "-1"),
+    ("--settle-threshold", "nan"), ("--settle-threshold", "inf"),
+    ("--tail-fraction", "0.1"), ("--settle-threshold", "1e-4"),
+])
+def test_cli_meaningless_tail_settings_are_usage_errors(tmp_path, monkeypatch, capsys, option,
+                                                        value):
     # The settle rule is fixed (analysis.TAIL_FRACTION and SETTLE_THRESHOLD), so
-    # argparse refuses either option, at any value, before anything is
+    # argparse refuses either retired option, at any value, before anything is
     # integrated or written.
     integrated = []
     monkeypatch.setattr(cli, "integrate", lambda *args, **kw: integrated.append(args))
