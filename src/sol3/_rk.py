@@ -21,9 +21,9 @@ tuple to a row of K.  An accepted step records only its signed step and its
 and stage rows K (a view of that buffer) as arrays.  `dense_step` forms one
 step's interpolant Q = K.T P with two small buffers, and `dense_state`, the
 only dense-output evaluator, evaluates it at one s through them: the same
-BLAS gemv as `Q.dot(array)`, with no array made per call.  Few steps are
-ever evaluated, so callers keep the former per step as they need it.  The
-buffers make a step unfit for two threads at once.  The slope f at each
+BLAS gemv as `Q.dot(array)`, with no array made per call.  A caller
+builds a step's interpolant for the evaluations it makes and shares it with
+no other thread.  The slope f at each
 sample is its FSAL stage, returned as it came from f.  A backward run takes
 negative steps; since rounding is sign-symmetric, it gives exactly the
 negated-arc-length samples of a forward run of -f, and `reflected` gives the rows of the run that a point reflection

@@ -18,7 +18,6 @@ import numpy as np
 
 from ._rk import dense_state
 from .ode import (
-    EVENT_TOL,
     InitialCondition,
     OdeSettings,
     Trajectory,
@@ -180,7 +179,7 @@ def inflection_points(traj: Trajectory) -> list[float]:
     for i, j in zip(a[flips].tolist(), b[flips].tolist()):
         lo = float(traj.s[j - 1])
         roots.append(lo if j - i > 1 else
-                     _bisect(concavity, lo, float(traj.s[j]), concavity(lo), EVENT_TOL))
+                     _bisect(concavity, lo, float(traj.s[j]), concavity(lo)))
     return roots
 
 
@@ -218,7 +217,7 @@ def asymptote_estimate(traj: Trajectory) -> list[Line]:
             return [Line(Axis.PARALLEL_TO_X, ic.y0), Line(Axis.PARALLEL_TO_X, ic.y0)]
         if kind == "II":
             return [Line(Axis.PARALLEL_TO_Y, ic.x0), Line(Axis.PARALLEL_TO_Y, ic.x0)]
-        raise NotSettledError("both", 1.0, 1.0)  # diagonal lines are not axis-parallel
+    # A diagonal is not axis-parallel: `_end_line` refuses its backward end.
     return [_end_line(traj, "backward"), _end_line(traj, "forward")]
 
 
@@ -336,7 +335,7 @@ def _shot(H: float, y0: float,
                              stop_theta=target, horizon=max(settings.max_s, 40.0))
     step = traj._step(len(traj) - 2)
     s1 = _first_crossing(traj.s[-2:].tolist(), (traj.theta[-2:] - target).tolist(),
-                         lambda s: dense_state(step, s)[2] - target, EVENT_TOL)
+                         lambda s: dense_state(step, s)[2] - target)
     if s1 is None:
         return None
     x, y, _ = dense_state(step, s1)

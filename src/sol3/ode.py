@@ -24,7 +24,6 @@ Events are refined by bisection to EVENT_TOL in arc length.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,7 +112,9 @@ class Trajectory:
     interpolants, step i's from h[i] and K[i] of `steps = (h, K)`.  A
     stop-angle run also keeps its stepper's `controls`, the controller states
     of its last samples, from which `_continued` goes on.
-    Instances are immutable after construction.
+    Instances are read-only values: nothing is written after construction,
+    and each evaluation builds the interpolant of its step for itself, so one
+    trajectory may be shared between threads.
     """
 
     def __init__(
@@ -140,10 +141,7 @@ class Trajectory:
         self.H_target = H_target
         self._line = line  # a snapped line's _LINE_DIRECTIONS row, at its own angle
         self.explicit_kind: Optional[str] = None if line is None else line[1]
-        self._h, self._K = steps or (None, None)
-        # Step i ends at s[i + 1]; a snapped line has no steps and no lookup.
-        self._his = s[1:].tolist() if steps else []
-        self._steps: dict[int, tuple] = {}  # step index -> its _rk.dense_step
+        self._h, self._K = steps or (None, None)  # a snapped line has no steps
         self._controls = controls
 
     def __len__(self) -> int:
@@ -167,21 +165,21 @@ class Trajectory:
             return CurveState(s, x, y, float(self.theta[0]))
         if len(self) == 1:  # a zero horizon: the start alone
             return CurveState(s, float(self.x[0]), float(self.y[0]), float(self.theta[0]))
-        if not self._his:
+        if self._K is None:
             raise ValueError("trajectory has no dense output")
-        i = min(bisect.bisect_left(self._his, s), len(self._his) - 1)
-        x, y, theta = _rk.dense_state(self._steps.get(i) or self._step(i), s)
+        # Step i ends at s[i + 1].
+        i = min(int(self.s[1:].searchsorted(s)), len(self) - 2)
+        x, y, theta = _rk.dense_state(self._step(i), s)
         return CurveState(s, x, y, theta)
 
     def _step(self, i: int) -> tuple:
-        """Step i's interpolant, kept for the bisections that reuse it.  A step
-        starts at its sample nearest s = 0, or at h's signed zero if that is 0."""
+        """Step i's interpolant, built afresh on every call.  A step starts at
+        its sample nearest s = 0, or at h's signed zero if that is 0."""
         h = float(self._h[i])
         j = i if h > 0.0 else i + 1
         t0 = float(self.s[j]) or math.copysign(0.0, h)
         y0 = [float(self.x[j]), float(self.y[j]), float(self.theta[j])]
-        step = self._steps[i] = _rk.dense_step(t0, h, y0, self._K[i])
-        return step
+        return _rk.dense_step(t0, h, y0, self._K[i])
 
 
 # Constant-angle solutions: exact angle, exact direction components (so the
@@ -407,11 +405,11 @@ def find_event(
     idx = int(np.searchsorted(traj.s, 0.0, side="left"))
     vals = (predicate(traj.sample(i)[0]) for i in range(idx, len(traj)))
     return _first_crossing(traj.s[idx:].tolist(), vals,
-                           lambda s: predicate(traj.state_at(s)), EVENT_TOL)
+                           lambda s: predicate(traj.state_at(s)))
 
 
-def _first_crossing(s: list[float], vals: Iterable[float], f: Callable[[float], float],
-                    tol: float) -> Optional[float]:
+def _first_crossing(s: list[float], vals: Iterable[float],
+                    f: Callable[[float], float]) -> Optional[float]:
     """First s > 0 where the sampled values `vals` of f change sign, refined on f.
 
     `vals` is consumed lazily, so nothing past the crossing is evaluated.
@@ -420,14 +418,14 @@ def _first_crossing(s: list[float], vals: Iterable[float], f: Callable[[float], 
         if p_b == 0.0 and s_b > 0.0:
             return s_b
         if p_a != 0.0 and p_a * p_b < 0.0:
-            return _bisect(f, s_a, s_b, p_a, tol)
+            return _bisect(f, s_a, s_b, p_a)
     return None
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
-            tol: float) -> float:
-    """Zero of f between lo and hi, where f(lo) = f_lo and f(hi) differ in sign."""
-    while hi - lo > tol:
+def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float) -> float:
+    """Zero of f between lo and hi, where f(lo) = f_lo and f(hi) differ in sign,
+    to EVENT_TOL."""
+    while hi - lo > EVENT_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if f_mid == 0.0:

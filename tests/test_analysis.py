@@ -35,7 +35,7 @@ from sol3 import (
     theorem_checks,
 )
 from sol3 import analysis, oracle
-from sol3.ode import EVENT_TOL, _bisect
+from sol3.ode import _bisect
 from sol3.surface import first_form
 from support import reference_scan
 
@@ -99,7 +99,7 @@ def reference_inflection_points(traj):
                 roots.append(zero_at)
             else:
                 lo = float(s[i - 1])
-                roots.append(_bisect(concavity, lo, float(s[i]), concavity(lo), EVENT_TOL))
+                roots.append(_bisect(concavity, lo, float(s[i]), concavity(lo)))
         last_sign = sign
         zero_at = None
     return roots
@@ -222,6 +222,16 @@ def test_asymptote_not_settled_names_end():
     with pytest.raises(NotSettledError) as err:
         asymptote_estimate(minimal(0, 0, PI8, OdeSettings(max_s=10.0)))
     assert err.value.end in ("forward", "backward")
+
+
+@pytest.mark.parametrize("x0, y0, theta0", [(1, 1, math.pi / 4), (0, 0, 3 * math.pi / 4)])
+def test_diagonal_line_asymptotes_name_the_backward_end(x0, y0, theta0):
+    # Lines III and IV settle onto no axis-parallel line: the backward end is
+    # refused with the line's own spans, |sin theta| = |cos theta| = 1/sqrt2.
+    with pytest.raises(NotSettledError, match="^backward end not settled: tail max "
+                       r"\|sin theta\| = 7\.071e-01, max \|cos theta\| = 7\.071e-01$") as err:
+        asymptote_estimate(minimal(x0, y0, theta0, OdeSettings(max_s=10.0)))
+    assert err.value.end == "backward"
 
 
 @pytest.mark.parametrize("x0, y0, theta0", [(0, 0, PI8), (1, 2, 0.5)])

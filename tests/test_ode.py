@@ -1,8 +1,11 @@
 """Integrator behaviour: explicit solutions, convergence, events, cross-checks."""
 import ast
 import bisect
+import dataclasses
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -685,7 +688,39 @@ def test_dense_segment_ends_reproduce_samples():
             assert np.array(state).tobytes() == np.array(seg.eval(t)).tobytes()
             assert np.max(np.abs(np.array(state) - rows[index[t]])) < 1e-12
     assert step_signs == {-1.0, 1.0}
-    assert traj._his == [max(seg.t0, seg.t0 + seg.h) for seg in trajectory_steps(traj)]
+
+
+def test_one_trajectory_is_safe_to_share_between_threads():
+    # Each evaluation builds its own step interpolant, so four threads that
+    # evaluate one trajectory, switching as often as the interpreter lets
+    # them, read the same states, bit for bit, as one thread does.
+    traj = integrate(InitialCondition(0, 1, 0.3), OdeSettings(max_s=2, max_step=0.5))
+    assert len(traj) == 57
+    points = np.linspace(-1.9, 1.9, 1000).tolist()
+
+    def states():  # the bits of each state, one row per point
+        return np.array([dataclasses.astuple(traj.state_at(s)) for s in points]).view(np.int64)
+
+    serial = states()
+    found = [[] for _ in range(4)]
+
+    def evaluate(out):
+        out.extend(states() for _ in range(3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate, args=(out,)) for out in found]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(out) for out in found] == [3] * 4
+    mismatches = sum(int(np.any(run != serial, axis=1).sum()) for out in found for run in out)
+    assert mismatches == 0
 
 
 def test_determinism_bitwise():

@@ -241,7 +241,7 @@ _ANGLE = st.one_of(st.floats(-math.pi, math.pi), st.floats(-20.0, 20.0), _ZEROS,
 _RATE = st.one_of(st.floats(-2.0, 2.0), st.floats(-50.0, 50.0), _ZEROS)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(derandomize=True, max_examples=400, deadline=None)
 @given(x=_COORD, y=_COORD, theta=_ANGLE, theta_prime=_RATE)
 @example(x=-0.0, y=0.0, theta=0.0, theta_prime=0.0)
 @example(x=0.0, y=-0.0, theta=-math.pi / 4, theta_prime=-0.0)
@@ -259,7 +259,7 @@ def test_oracle_keeps_the_bits_of_the_dense_sums(x, y, theta, theta_prime):
 _COMPONENT = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(z=st.one_of(st.floats(-2.0, 2.0), st.floats(-400.0, 400.0)),
        u=st.lists(_COMPONENT, min_size=3, max_size=3),
        v=st.lists(_COMPONENT, min_size=3, max_size=3))
