@@ -5,12 +5,13 @@ observed shapes: asymptotic to a quadrant corner (one x-parallel and one
 y-parallel line, no inflection) or squeezed between two parallel lines with
 a single inflection.  The classifier reports which, `asymptote_estimate`
 extracts the bounding lines, and `closed_curve_search` hunts the closed
-constant-mean-curvature generating curve by shooting on its y-intercept.
+constant-mean-curvature generating curve by shooting on its y-intercept,
+with shot settings built once per search: the caller's, max_s at least 40.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -322,17 +323,23 @@ def first_return(traj: Trajectory) -> Optional[tuple[float, CurveState]]:
     return None if s1 is None else (s1, traj.state_at(s1))
 
 
+def _shot_settings(settings: Optional[OdeSettings]) -> OdeSettings:
+    """The settings of a search's shots, built once per search: `settings`
+    (the defaults if None) with max_s raised to at least 40."""
+    settings = settings or OdeSettings()
+    return replace(settings, max_s=max(settings.max_s, 40.0))
+
+
 def _shot(H: float, y0: float,
-          settings: OdeSettings) -> Optional[tuple[float, float, float, Trajectory]]:
+          shots: OdeSettings) -> Optional[tuple[float, float, float, Trajectory]]:
     """Residuals (x(s1), y(s1) - y0, s1) of the orbit from (0, y0, 0) at its
     first full turn s1, and the run itself, or None when it does not turn
-    within arc length max(max_s, 40).  The run stops on the step whose angle
-    crosses the turn target, so only that last step is refined, on its own
-    interpolant: the turn lies strictly inside it or at its end, where
-    `Trajectory.state_at` evaluates the same step."""
+    within arc length `shots.max_s` (`_shot_settings`).  The run stops on the
+    step whose angle crosses the turn target, so only that last step is
+    refined, on its own interpolant: the turn lies strictly inside it or at
+    its end, where `Trajectory.state_at` evaluates the same step."""
     target = -math.copysign(2.0 * math.pi, H)
-    traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H,
-                             stop_theta=target, horizon=max(settings.max_s, 40.0))
+    traj = integrate_forward(InitialCondition(0.0, y0, 0.0), shots, H=H, stop_theta=target)
     step = traj._step(len(traj) - 2)
     s1 = _first_crossing(traj.s[-2:].tolist(), (traj.theta[-2:] - target).tolist(),
                          lambda s: dense_state(step, s)[2] - target)
@@ -342,10 +349,10 @@ def _shot(H: float, y0: float,
     return x, y - y0, s1, traj
 
 
-def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
+def _scan(H: float, shots: OdeSettings) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
     """`(lo, shot_lo), (hi, shot_hi)` with lo < hi: the first adjacent pair of
     _SCAN_GRID (negated for H < 0) whose `_shot` residuals differ in the sign
-    of x(s1).
+    of x(s1), at the caller's shot settings `shots` (`_shot_settings`).
 
     Each point is first shot at _SIGN_TOL with no step cap below the horizon.
     Its sign counts when |x(s1)| clears the margin; otherwise, or when that
@@ -357,10 +364,9 @@ def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[f
     picks whenever every counted sign is the caller's too.
     """
     grid = _SCAN_GRID if H > 0.0 else tuple(-y0 for y0 in _SCAN_GRID)
-    horizon = max(settings.max_s, 40.0)
     sign_settings = OdeSettings(abs_tol=_SIGN_TOL, rel_tol=_SIGN_TOL,
-                                max_step=horizon, max_s=settings.max_s)
-    margin = _SIGN_MARGIN * max(_SIGN_TOL, settings.abs_tol, settings.rel_tol)
+                                max_step=shots.max_s, max_s=shots.max_s)
+    margin = _SIGN_MARGIN * max(_SIGN_TOL, shots.abs_tol, shots.rel_tol)
 
     def differ(a: Optional[tuple], b: Optional[tuple]) -> bool:
         return a is not None and b is not None and a[0] * b[0] < 0.0
@@ -370,12 +376,12 @@ def _scan(H: float, settings: OdeSettings) -> tuple[tuple[float, tuple], tuple[f
         shot = _shot(H, y0, sign_settings)
         exact = shot is None or abs(shot[0]) < margin
         if exact:
-            shot = _shot(H, y0, settings)
+            shot = _shot(H, y0, shots)
         if differ(prev, shot):
             if not prev_exact:
-                prev, prev_exact = _shot(H, prev_y0, settings), True
+                prev, prev_exact = _shot(H, prev_y0, shots), True
             if not exact:
-                shot, exact = _shot(H, y0, settings), True
+                shot, exact = _shot(H, y0, shots), True
             if differ(prev, shot):
                 pair = ((prev_y0, prev), (y0, shot))
                 return pair if H > 0.0 else pair[::-1]
@@ -398,7 +404,7 @@ def scan_bracket(H: float, settings: Optional[OdeSettings] = None) -> tuple[floa
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")
-    (lo, _), (hi, _) = _scan(H, settings or OdeSettings())
+    (lo, _), (hi, _) = _scan(H, _shot_settings(settings))
     return lo, hi
 
 
@@ -426,17 +432,17 @@ def closed_curve_search(
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")
-    settings = settings or OdeSettings()
+    shots = _shot_settings(settings)
 
     def residual(y0: float) -> tuple[float, float, float, Trajectory]:
-        shot = _shot(H, y0, settings)
+        shot = _shot(H, y0, shots)
         if shot is None:
             raise BracketError(f"no angular return within arc length max(max_s, 40) "
                                f"from y0 = {y0!r}")
         return shot
 
     if bracket is None:
-        (lo, end_lo), (hi, end_hi) = _scan(H, settings)
+        (lo, end_lo), (hi, end_hi) = _scan(H, shots)
     else:
         lo, hi = bracket
         if not -math.inf < lo < hi < math.inf:
@@ -481,7 +487,7 @@ def closed_curve_search(
     if abs(ry) >= DEFAULT_CLOSURE_TOL:
         raise ClosureError(y0, s1, ry)
 
-    orbit = _continued(traj, settings, s1)
+    orbit = _continued(traj, shots, s1)
     end = orbit.sample(len(orbit) - 1)[0]
     return ShootingResult(
         y0_star=y0, s1=s1,

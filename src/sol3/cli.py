@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -49,10 +48,7 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("bracket must be LO:HI")
-    lo, hi = float(parts[0]), float(parts[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise argparse.ArgumentTypeError("bracket LO:HI must be finite with LO < HI")
-    return lo, hi
+    return float(parts[0]), float(parts[1])
 
 
 def _path(text: str) -> str:

@@ -20,7 +20,9 @@ Minimal starts within 1e-14 of a constant-angle solution (theta0 = 0, +-pi/4,
 +-pi/2, +-3 pi/4 or pi, modulo 2 pi, on the diagonal for the diagonal
 angles) always snap to the exact line, where nearby numerics would look
 spuriously stiff.
-Events are refined by bisection to EVENT_TOL in arc length.
+Events are refined by bisection to EVENT_TOL in arc length.  A public run's
+horizon is its settings' max_s, which `OdeSettings` checks; only the private
+`_trajectory` and `_continued` take another (s1, for a certificate orbit).
 """
 from __future__ import annotations
 
@@ -49,9 +51,10 @@ _MAX_ABS_THETA0 = 2.0 ** 20
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Integrator tolerances and horizons, one `sol3` option each; all entries
-    must be finite and positive, and max_step at least the stepper's smallest
-    step, STEP_FLOOR."""
+    """Integrator tolerances and horizon, one `sol3` option each; all entries
+    must be finite and positive, and max_step and max_s at least the
+    stepper's smallest step, STEP_FLOOR.  max_s is the horizon of every
+    public run."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -63,9 +66,9 @@ class OdeSettings:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
-        if self.max_step < STEP_FLOOR:
-            raise ValueError(f"max_step = {self.max_step!r} is below the stepper's "
-                             f"smallest step {STEP_FLOOR!r}")
+            if name.startswith("max_") and value < STEP_FLOOR:
+                raise ValueError(f"{name} = {value!r} is below the stepper's "
+                                 f"smallest step {STEP_FLOOR!r}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,6 @@ class Trajectory:
         if self.explicit_kind is not None:
             x, y = _line_xy(self._line, self.ic.x0, self.ic.y0, s)
             return CurveState(s, x, y, float(self.theta[0]))
-        if len(self) == 1:  # a zero horizon: the start alone
-            return CurveState(s, float(self.x[0]), float(self.y[0]), float(self.theta[0]))
         if self._K is None:
             raise ValueError("trajectory has no dense output")
         # Step i ends at s[i + 1].
@@ -230,6 +231,8 @@ def _line_xy(line: tuple, x0: float, y0: float, s):
 def _line_trajectory(
     ic: InitialCondition, settings: OdeSettings, line: tuple, s_lo: float, s_hi: float,
 ) -> Trajectory:
+    if s_hi - s_lo == math.inf:  # max_s above half the largest float
+        raise IntegrationError("line samples overflow: 2 max_s is not finite", 0.0)
     n = max(2, int(math.ceil((s_hi - s_lo) / settings.max_step)) + 1)
     s = np.linspace(s_lo, s_hi, n)
     if s_lo < 0.0 < s_hi and 0.0 not in s:
@@ -250,18 +253,13 @@ def check_step_budget(settings: OdeSettings, horizon: float) -> None:
                          f"steps of max_step = {settings.max_step!r}")
 
 
-def _check_run(settings: OdeSettings, H: Optional[float], horizon: float,
-               stop_theta: Optional[float]) -> None:
-    """ValueError for a run that `_trajectory` refuses before its first step."""
+def _check_run(settings: OdeSettings, H: Optional[float],
+               stop_theta: Optional[float] = None) -> None:
+    """ValueError for a public run refused before its first step or sample."""
     if H is not None and not math.isfinite(H):
         raise ValueError("H must be finite")
-    if not horizon >= 0.0:
-        raise ValueError(f"horizon (max_s) = {horizon!r} must be non-negative")
-    if 0.0 < horizon < STEP_FLOOR:
-        raise ValueError(f"horizon (max_s) = {horizon!r} is below the stepper's "
-                         f"smallest step {STEP_FLOOR!r}")
     if stop_theta is None:
-        check_step_budget(settings, horizon)
+        check_step_budget(settings, settings.max_s)
 
 
 def _trajectory(
@@ -269,7 +267,6 @@ def _trajectory(
     stop_theta: Optional[float] = None, both_sides: bool = False,
 ) -> Trajectory:
     """Trajectory over [0, horizon], or over [-horizon, horizon] with both_sides."""
-    _check_run(settings, H, horizon, stop_theta)
     raw = _raw_rhs(H)
 
     def side(s_end: float):
@@ -292,9 +289,10 @@ def _trajectory(
 
 
 def _continued(shot: Trajectory, settings: OdeSettings, horizon: float) -> Trajectory:
-    """`integrate_forward(shot.ic, settings, shot.H_target, horizon=horizon)`,
-    bit for bit, from `shot`: a stop-angle run of that start and system, made
-    with these settings and a horizon of at least `horizon`.
+    """`integrate_forward(shot.ic, replace(settings, max_s=horizon),
+    shot.H_target)`, bit for bit, from `shot`: a stop-angle run of that start
+    and system, made with these settings and a horizon of at least `horizon`.
+    The shot reached `horizon` within its step budget, so no check is made.
 
     A step from a sample at s with horizon - s >= max_step (as rounded) is
     never clipped by either horizon, so both runs agree up to the end of the
@@ -302,7 +300,6 @@ def _continued(shot: Trajectory, settings: OdeSettings, horizon: float) -> Traje
     controller state that the shot kept for sample m.  When it kept none
     (or m is the start), the run is made afresh.
     """
-    _check_run(settings, shot.H_target, horizon, None)
     n, kept = len(shot), shot._controls
     m = next((i for i in range(n - 1, max(n - len(kept), 1) - 1, -1)
               if horizon - float(shot.s[i - 1]) >= settings.max_step), None)
@@ -334,12 +331,12 @@ def integrate(
     integrating it numerically.
     """
     settings = settings or OdeSettings()
-    if H is None:
-        line = _snap_line_kind(ic)
-        if line is not None:
-            # A line takes as many samples as an integrated curve takes steps.
-            check_step_budget(settings, settings.max_s)
-            return _line_trajectory(ic, settings, line, -settings.max_s, settings.max_s)
+    # A line takes as many samples as an integrated curve takes steps: both
+    # are held to the step budget.
+    _check_run(settings, H)
+    line = _snap_line_kind(ic) if H is None else None
+    if line is not None:
+        return _line_trajectory(ic, settings, line, -settings.max_s, settings.max_s)
     return _trajectory(ic, settings, H, settings.max_s, both_sides=True)
 
 
@@ -348,19 +345,16 @@ def integrate_forward(
     settings: Optional[OdeSettings] = None,
     H: Optional[float] = None,
     stop_theta: Optional[float] = None,
-    horizon: Optional[float] = None,
 ) -> Trajectory:
-    """One-sided variant of `integrate` over [0, horizon or max_s].
-
-    A negative or NaN horizon raises ValueError: s only ever runs upwards.
+    """One-sided variant of `integrate` over [0, max_s].
 
     Given `stop_theta`, integration halts on the first step whose end angle
     reaches or crosses it, one step past the crossing, which the final two
-    samples bracket.
+    samples bracket; such a run is not held to the step budget up front.
     """
     settings = settings or OdeSettings()
-    span = settings.max_s if horizon is None else horizon
-    return _trajectory(ic, settings, H, span, stop_theta)
+    _check_run(settings, H, stop_theta)
+    return _trajectory(ic, settings, H, settings.max_s, stop_theta)
 
 
 def explicit_solution(kind: str, x0: float, y0: float, s: float) -> CurveState:

@@ -1,4 +1,5 @@
 """Classification, asymptotes, theorem checks and the shooting search."""
+import dataclasses
 import math
 import warnings
 
@@ -42,6 +43,8 @@ from support import reference_scan
 PI8 = math.pi / 8
 
 LONG = OdeSettings(max_step=0.5, max_s=600.0)
+# The default settings as a search's shots run them, to arc length 40.
+SHOTS = OdeSettings(max_s=40.0)
 MEDIUM = OdeSettings(max_step=1.0, max_s=1000.0)
 
 
@@ -351,9 +354,10 @@ def test_first_return_matches_the_find_event_route(make):
 
 
 def shot_and_find_event_route(H, y0, settings):
-    """`_shot`'s residuals and those of the full run to the same horizon,
+    """`_shot`'s residuals and those of the full run to the same horizon, 40,
     searched by find_event and read by state_at, each as its repr."""
-    traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H, horizon=40.0)
+    settings = dataclasses.replace(settings, max_s=40.0)
+    traj = integrate_forward(InitialCondition(0.0, y0, 0.0), settings, H=H)
     target = -math.copysign(2.0 * math.pi, H)
     s1 = find_event(traj, lambda st: st.theta - target)
     if s1 is None:
@@ -521,16 +525,21 @@ def test_closing_orbit_continues_the_final_shot(monkeypatch):
 
 def test_shots_refine_on_their_step_not_through_state_at(monkeypatch):
     # Each shot finds its turn on its stopped step's interpolant: with the
-    # generic lookup gone the anchor search still gives its exact result.
+    # generic lookup gone the anchor search gives, bit for bit, the fields
+    # and orbit of the same search with it.  The CLI golden digest of
+    # `shoot --H 1 --bracket 0.125:0.75` pins those bytes themselves.
     from sol3 import ode
 
     def refused(self, s):
         raise AssertionError("a shot called Trajectory.state_at")
 
+    want = closed_curve_search(1.0, (0.125, 0.75))
     monkeypatch.setattr(ode.Trajectory, "state_at", refused)
-    res = closed_curve_search(1.0, (0.125, 0.75))
-    assert repr(_fields(res)) == repr((0.6421766758466195, 3.9326202657444984,
-                                       7.813789892896494e-11, -5.768097111058523e-11, 11))
+    got = closed_curve_search(1.0, (0.125, 0.75))
+    assert repr(_fields(got)) == repr(_fields(want))
+    for name in ("s", "x", "y", "theta", "theta_prime"):
+        assert getattr(got.trajectory, name).tobytes() == \
+            getattr(want.trajectory, name).tobytes()
 
 
 def _fields(res):
@@ -595,9 +604,10 @@ def test_bracket_scanned_for_other_arguments_is_integrated_again(
                           (scanned.s1, settings.max_step)}
     assert set(calls[n_scan:]) == {(horizon, settings.max_step), (scanned.s1, settings.max_step)}
     made = _record_shots(monkeypatch)
-    ends = analysis._scan(2.0, settings)
+    shots = dataclasses.replace(settings, max_s=horizon)
+    ends = analysis._scan(2.0, shots)
     assert tuple(y0 for y0, _ in ends) == bracket
-    assert all(any(shot is end and used == settings for _, used, shot in made)
+    assert all(any(shot is end and used == shots for _, used, shot in made)
                for _, end in ends)
 
 
@@ -606,10 +616,10 @@ def test_scan_without_a_counted_sign_shoots_as_the_reference(monkeypatch):
     # caller's settings, in the reference scan's order and with its result.
     monkeypatch.setattr(analysis, "_SIGN_MARGIN", math.inf)
     made = _record_shots(monkeypatch)
-    scanned = analysis._scan(2.0, OdeSettings())
-    caller = [y0 for y0, used, _ in made if used == OdeSettings()]
+    scanned = analysis._scan(2.0, SHOTS)
+    caller = [y0 for y0, used, _ in made if used == SHOTS]
     del made[:]
-    reference = reference_scan(2.0, OdeSettings())
+    reference = reference_scan(2.0, SHOTS)
     assert caller == [y0 for y0, _, _ in made] == [1 / 16, 1 / 8, 0.25, 0.5]
     _assert_same_scan(scanned, reference)
 
@@ -619,9 +629,9 @@ def test_scan_point_whose_sign_shot_does_not_turn_is_shot_again(monkeypatch):
         return None if (y0, settings.max_step) == (1 / 8, 40.0) else shot
 
     made = _record_shots(monkeypatch, unturned)
-    scanned = analysis._scan(2.0, OdeSettings())
-    assert [y0 for y0, used, _ in made if used == OdeSettings()] == [1 / 8, 0.25, 0.5]
-    _assert_same_scan(scanned, reference_scan(2.0, OdeSettings()))
+    scanned = analysis._scan(2.0, SHOTS)
+    assert [y0 for y0, used, _ in made if used == SHOTS] == [1 / 8, 0.25, 0.5]
+    _assert_same_scan(scanned, reference_scan(2.0, SHOTS))
 
 
 def test_scan_goes_on_from_a_sign_change_its_ends_do_not_confirm(monkeypatch):
@@ -632,9 +642,9 @@ def test_scan_goes_on_from_a_sign_change_its_ends_do_not_confirm(monkeypatch):
         return (-shot[0],) + shot[1:] if (y0, settings.max_step) == (1 / 8, 40.0) else shot
 
     made = _record_shots(monkeypatch, flipped)
-    scanned = analysis._scan(2.0, OdeSettings())
-    assert [y0 for y0, used, _ in made if used == OdeSettings()] == [1 / 16, 1 / 8, 0.25, 0.5]
-    _assert_same_scan(scanned, reference_scan(2.0, OdeSettings()))
+    scanned = analysis._scan(2.0, SHOTS)
+    assert [y0 for y0, used, _ in made if used == SHOTS] == [1 / 16, 1 / 8, 0.25, 0.5]
+    _assert_same_scan(scanned, reference_scan(2.0, SHOTS))
 
 
 @hsettings(derandomize=True, max_examples=25, deadline=None)

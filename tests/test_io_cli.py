@@ -1,4 +1,5 @@
 """CSV/OBJ round-trips, mesh invariants, CLI exit codes and determinism."""
+import argparse
 import concurrent.futures
 import contextlib
 import hashlib
@@ -420,17 +421,41 @@ def test_cli_negative_values_need_the_equals_form(tmp_path):
     assert read_curve_csv(str(curve))[-1].H == pytest.approx(-1e-3, abs=1e-9)
 
 
+def _subcommands_taking(option: str) -> list[str]:
+    """The subcommands of `cli.build_parser()` that take `option`, sorted."""
+    subs = next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return sorted(name for name, sub in subs.choices.items()
+                  if any(option in action.option_strings for action in sub._actions))
+
+
+# What each subcommand needs besides its settings: integrate starts on a
+# line, which takes no step, and sweep writes a curve directory.  A new
+# subcommand that takes --max-s runs with none, and must refuse all the same.
+_FLOOR_ARGS = {"integrate": ["--theta0", "0"],
+               "shoot": ["--H", "1", "--bracket", "0.125:0.75"],
+               "sweep": ["--theta0-range", "0:0.5:2", "--out-dir", "curves"],
+               "mesh": ["--grid=-1:1:-1:1:3:3"]}
+
+
 @pytest.mark.parametrize("argv, setting", [
     (["integrate", "--theta0", "0.3", "--max-step", "1e-15"], "max_step"),
     (["shoot", "--H", "1", "--max-step", "1e-15"], "max_step"),
     (["integrate", "--theta0", "0.3", "--max-s", "5e-15"], "max_s"),
+    *(([name, *_FLOOR_ARGS.get(name, []), "--max-s", "5e-15"], "max_s")
+      for name in _subcommands_taking("--max-s")),
 ])
-def test_cli_settings_below_the_step_floor_are_usage_errors(tmp_path, capsys, argv, setting):
-    out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 64
+def test_cli_settings_below_the_step_floor_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                             argv, setting):
+    # OdeSettings refuses the setting before anything is integrated or
+    # written, on every subcommand that takes it; mesh, whose horizon is its
+    # grid's s span, refuses any --max-s.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out"]) == 64
     err = capsys.readouterr().err
-    assert setting in err and "smallest step 1e-14" in err
-    assert not out.exists()
+    assert (f"{setting} = " in err and "smallest step 1e-14" in err
+            or argv[0] == "mesh" and "--max-s not used" in err)
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -477,10 +502,13 @@ def test_cli_shoot_usage_error():
 
 
 @pytest.mark.parametrize("bracket", ["0.75:0.125", "0.5:0.5", "nan:0.75", "0.125:inf"])
-def test_cli_shoot_bad_bracket_is_usage_error(bracket):
-    with pytest.raises(SystemExit) as exc:
-        main(["shoot", "--H", "1", "--bracket", bracket])
-    assert exc.value.code == 64
+def test_cli_shoot_bad_bracket_is_usage_error(tmp_path, capsys, bracket):
+    # The parser checks only the LO:HI form; closed_curve_search refuses the
+    # values before any shot, and nothing is written.
+    out = tmp_path / "shoot.json"
+    assert main(["shoot", "--H", "1", "--bracket", bracket, "--out", str(out)]) == 64
+    assert "must be finite with lo < hi" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("option", ["--max-s", "--max-step", "--abs-tol", "--rel-tol"])
@@ -1022,8 +1050,13 @@ FUZZ_ARGV = st.one_of(
     st.builds(lambda x0, y0, theta0: ["classify", f"--x0={x0}", f"--y0={y0}",
                                       f"--theta0={theta0}", "--max-s", "2"],
               FUZZ_VALUES, FUZZ_VALUES, FUZZ_VALUES),
+    # The test adds an --out-dir inside its temporary directory.
+    st.builds(lambda max_s, max_step: ["sweep", "--theta0-range", "0:0.5:2",
+                                       f"--max-s={max_s}", f"--max-step={max_step}"],
+              FUZZ_VALUES, FUZZ_VALUES),
 )
-SUFFIX = {"mesh": ".obj", "integrate": ".csv", "shoot": ".json", "classify": ".json"}
+SUFFIX = {"mesh": ".obj", "integrate": ".csv", "shoot": ".json", "classify": ".json",
+          "sweep": ".json"}
 
 
 def _numbers(text: str) -> list[float]:
@@ -1041,12 +1074,17 @@ def _numbers(text: str) -> list[float]:
 @example(argv=["integrate", "--theta0=1e308", "--max-s", "1"])
 @example(argv=["shoot", "--H=inf", "--bracket", "0.125:0.75"])
 @example(argv=["classify", "--max-s", "2", "--theta0=nan"])
-@settings(derandomize=True, max_examples=100, deadline=None)
+@example(argv=["sweep", "--theta0-range", "0:0.5:2", "--max-s=5e-15", "--max-step=0.5"])
+@example(argv=["sweep", "--theta0-range", "0:0.5:2", "--max-s=1e308", "--max-step=1e308"])
+@settings(derandomize=True, max_examples=140, deadline=None)
 def test_cli_fuzz_numeric_arguments(argv):
     # Every run ends in a documented exit code, prints no traceback, leaves no
-    # temp file, and writes either finite numbers or (CSV/OBJ) no file at all.
+    # temp file, writes either finite numbers or (CSV/OBJ) no file at all,
+    # and on a usage error (64) writes nothing at all.
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out" + SUFFIX[argv[0]])
+        if argv[0] == "sweep":
+            argv = argv + ["--out-dir", os.path.join(tmp, "curves")]
         err = StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
             try:
@@ -1057,6 +1095,8 @@ def test_cli_fuzz_numeric_arguments(argv):
         assert "Traceback" not in err.getvalue()
         assert "math domain error" not in err.getvalue()
         assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")]
+        if code == 64:
+            assert os.listdir(tmp) == []
         if code == 0:
             with open(out) as handle:
                 assert all(map(math.isfinite, _numbers(handle.read())))

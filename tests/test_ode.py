@@ -220,40 +220,22 @@ def test_state_at_refuses_arc_length_outside_the_samples():
 
 
 def test_step_cap_and_horizon_below_the_step_floor_are_refused():
-    # Below the stepper's smallest step no step can be taken: a usage error,
-    # not an integration failure.  A zero horizon still gives the start alone.
-    with pytest.raises(ValueError, match="max_step = 1e-15 is below"):
-        OdeSettings(max_step=1e-15)
-    OdeSettings(max_step=1e-14)
+    # Below the stepper's smallest step no step can be taken.  OdeSettings
+    # refuses such a max_step or max_s, as it refuses a negative, zero or NaN
+    # one: a usage error, not an integration failure.  Every run's horizon is
+    # a max_s so checked; at the floor a run takes one step.
+    for name in ("max_step", "max_s"):
+        with pytest.raises(ValueError, match=f"{name} = 5e-15 is below the stepper's "
+                                             "smallest step 1e-14"):
+            OdeSettings(**{name: 5e-15})
+        for value in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                OdeSettings(**{name: value})
     ic = InitialCondition(0.0, 0.5, 0.3)
-    for run in (lambda: integrate(ic, OdeSettings(max_s=5e-15)),
-                lambda: integrate_forward(ic, horizon=5e-15, H=1.0)):
-        with pytest.raises(ValueError, match=r"horizon \(max_s\) = 5e-15 is below"):
-            run()
-    assert len(integrate_forward(ic, horizon=0.0)) == 1
-
-
-@pytest.mark.parametrize("horizon", [-1.0, math.nan])
-def test_negative_or_nan_horizon_is_refused(horizon):
-    # A negative horizon used to give samples with s running downwards, which
-    # state_at and find_event do not handle; NaN silently gave the start alone.
-    ic = InitialCondition(0.0, 0.5, 0.3)
-    for run in (lambda: integrate_forward(ic, horizon=horizon),
-                lambda: integrate_forward(ic, horizon=horizon, H=1.0),
-                lambda: integrate_forward(ic, horizon=horizon, stop_theta=10.0)):
-        with pytest.raises(ValueError, match=rf"horizon \(max_s\) = {horizon!r} must be non-neg"):
-            run()
-
-
-def test_state_at_on_a_zero_horizon_gives_the_start():
-    # The start alone has no step to interpolate on; s = 0 (within the
-    # sampled range's slack) is still its state.
+    floor = OdeSettings(max_step=1e-14, max_s=1e-14)
     for H in (None, 1.0):
-        traj = integrate_forward(InitialCondition(0.0, 0.5, 0.3), H=H, horizon=0.0)
-        for s in (0.0, -0.0, 1e-12, -1e-12):
-            assert traj.state_at(s) == CurveState(s, 0.0, 0.5, 0.3)
-        with pytest.raises(ValueError, match="outside sampled range"):
-            traj.state_at(1e-11)
+        assert integrate_forward(ic, floor, H=H).s.tolist() == [0.0, 1e-14]
+    assert "horizon" not in inspect.signature(integrate_forward).parameters
 
 
 def test_dense_output_matches_nodes():
@@ -335,14 +317,22 @@ def test_horizon_beyond_the_step_budget_is_refused_before_stepping(monkeypatch):
         for run in (lambda: integrate(ic, OdeSettings(max_s=0.51)),
                     lambda: integrate(line, OdeSettings(max_s=0.51)),
                     lambda: integrate_forward(ic, OdeSettings(max_s=0.51), H=1.0),
-                    lambda: integrate_forward(ic, horizon=0.51)):
+                    lambda: integrate_forward(ic, OdeSettings(max_s=0.51))):
             with pytest.raises(ValueError, match=refused):
                 run()
     # A stop angle may end the run in time: it still steps, and runs out when
     # the angle (theta decreases from 0.3 here) is out of reach.
+    settings = OdeSettings(max_s=0.51)
     with pytest.raises(IntegrationError, match="50 attempted steps"):
-        integrate_forward(ic, horizon=0.51, H=1.0, stop_theta=10.0)
-    assert len(integrate_forward(ic, horizon=0.51, H=1.0, stop_theta=0.299)) < 50
+        integrate_forward(ic, settings, H=1.0, stop_theta=10.0)
+    assert len(integrate_forward(ic, settings, H=1.0, stop_theta=0.299)) < 50
+
+
+def test_line_whose_span_overflows_ends_in_integration_error():
+    # [-max_s, max_s] spans more than the largest float: the line's samples
+    # cannot be counted, and the run fails like an overflowing integration.
+    with pytest.raises(IntegrationError, match="line samples overflow"):
+        integrate(InitialCondition(0.0, 0.5, 0.0), OdeSettings(max_step=1e308, max_s=1e308))
 
 
 def test_integration_error_is_one_class():
@@ -384,7 +374,8 @@ def test_non_finite_stage_names_the_last_accepted_s():
     lambda: integrate(InitialCondition(0.0, 0.6, 0.0), OdeSettings(max_s=3.0), H=1.0),
     lambda: integrate_forward(InitialCondition(0.0, 0.6, 0.0), OdeSettings(max_s=10.0),
                               H=1.0, stop_theta=-2 * math.pi),
-    lambda: integrate_forward(InitialCondition(0.0, 0.5, 0.1), H=1.0, horizon=0.0),
+    lambda: integrate_forward(InitialCondition(0.0, 0.5, 0.1), OdeSettings(max_s=1e-14),
+                              H=1.0),
 ])
 def test_theta_prime_is_the_rhs_at_every_sample(make):
     traj = make()
@@ -656,14 +647,13 @@ def trajectory_arrays(traj):
 def test_continued_run_is_the_fresh_run(H, y0, max_step, abs_tol, w):
     # A stop-angle shot continued to any s_end inside its last step, both ends
     # included, is bit for bit the run integrated afresh to that horizon.
-    settings = OdeSettings(abs_tol=abs_tol, max_step=max_step)
+    settings = OdeSettings(abs_tol=abs_tol, max_step=max_step, max_s=8.0)
     ic = InitialCondition(0.0, y0, 0.0)
-    shot = integrate_forward(ic, settings, H=H, stop_theta=-math.copysign(2 * math.pi, H),
-                             horizon=8.0)
+    shot = integrate_forward(ic, settings, H=H, stop_theta=-math.copysign(2 * math.pi, H))
     lo, hi = shot.s[-2:].tolist()
     s_end = hi if w == 1.0 else min(hi, lo + w * (hi - lo))
     got = ode._continued(shot, settings, s_end)
-    want = integrate_forward(ic, settings, H=H, horizon=s_end)
+    want = integrate_forward(ic, dataclasses.replace(settings, max_s=s_end), H=H)
     assert trajectory_arrays(got) == trajectory_arrays(want)
     assert (got.ic, got.H_target, got.explicit_kind) == (ic, H, None)
 
