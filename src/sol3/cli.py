@@ -262,7 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("sweep: --workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    check_step_budget(settings, settings.max_s)  # before any curve or directory is written
+    check_step_budget(settings)  # before any curve or directory is written
     thetas = [start + (stop - start) * i / max(count - 1, 1) for i in range(count)]
     tasks = []
     for i, theta0 in enumerate(thetas):

@@ -1,9 +1,13 @@
 """Persistence: curve CSV files, surface meshes, OBJ export.
 
-All floats are serialized with `repr`, i.e. the shortest string that
+Every float is written as its `repr` text, i.e. the shortest string that
 round-trips exactly, so identical inputs produce byte-identical files and
-files parse back to the exact binary values.  Writes go through a temp file
-and an atomic rename; failed commands leave nothing behind.
+files parse back to the exact binary values.  orjson prints that text for
+zeros and finite values with 1e-4 <= |v| < 1e16, in one call per block;
+`repr` prints every other value, where orjson's text differs (`1e-05`,
+`1e+16`, `nan`); tests hold the two routes to the same bytes.  Writes go
+through a temp file and an atomic rename; failed commands leave nothing
+behind.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from .ode import IntegrationError, Trajectory, circle_flat, explicit_solution
 # `immersion` is not called here (surface_mesh inlines it, bit for bit) but
@@ -83,19 +88,29 @@ def trajectory_records(traj: Trajectory) -> np.ndarray:
                             rep.H, rep.K])
 
 
-def _chunks(line: str, rows: np.ndarray, shift: int = 0) -> Iterator[str]:
-    """`line` %-formatted with each row plus `shift`, _CHUNK_ROWS rows to a chunk."""
-    for i in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[i:i + _CHUNK_ROWS]
-        if shift:  # per block, so rows is never copied whole (+ 0 would turn -0.0 to 0.0)
-            block = block + shift
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+def _float_texts(values: np.ndarray) -> list[str]:
+    """`repr` of each float in a 1-d array: orjson where its text is repr's, repr elsewhere."""
+    a = np.ascontiguousarray(values, np.float64)
+    if not a.size:
+        return []
+    mag = np.abs(a)
+    other = ~((mag == 0.0) | ((mag >= 1e-4) & (mag < 1e16)))  # NaN compares False: other
+    texts = orjson.dumps(np.where(other, 0.0, a),
+                         option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    for i in np.flatnonzero(other).tolist():
+        texts[i] = repr(float(a[i]))
+    return texts
 
 
 def format_curve_csv(rows: np.ndarray) -> str:
     """CSV text of an (n, 7) table."""
     table = np.asarray(rows, dtype=float).reshape(-1, 7)
-    return "".join([CSV_HEADER + "\n", *_chunks("%r,%r,%r,%r,%r,%r,%r\n", table)])
+    chunks = [CSV_HEADER + "\n"]
+    for i in range(0, len(table), _CHUNK_ROWS):
+        block = table[i:i + _CHUNK_ROWS]
+        chunks.append(("%s,%s,%s,%s,%s,%s,%s\n" * len(block))
+                      % tuple(_float_texts(block.ravel())))
+    return "".join(chunks)
 
 
 def write_curve_csv(path: str, traj: Trajectory) -> None:
@@ -186,19 +201,15 @@ def format_obj(vertices: np.ndarray, faces: np.ndarray) -> Iterator[str]:
 
     Vertices print as `repr` of each float and faces as 1-based indices.  The
     text is produced lazily, _CHUNK_ROWS rows at a time, so a large mesh
-    is never held in memory as one string.  A mesh's z column repeats a few
-    values (one per t sample), so each chunk formats every distinct z once.
+    is never held in memory as one string.
     """
     for i in range(0, len(vertices), _CHUNK_ROWS):
-        block = np.asarray(vertices[i:i + _CHUNK_ROWS], dtype=np.float64)
-        # Keyed on the bit pattern: a float key would merge -0.0 with 0.0.
-        keys, inverse = np.unique(block[:, 2].view(np.int64), return_inverse=True)
-        z_text = np.array([repr(z) for z in keys.view(np.float64).tolist()], dtype=object)
-        fields = [None] * (3 * len(block))
-        fields[0::3], fields[1::3] = block[:, 0].tolist(), block[:, 1].tolist()
-        fields[2::3] = z_text[inverse].tolist()
-        yield ("v %r %r %s\n" * len(block)) % tuple(fields)
-    yield from _chunks("f %d %d %d\n", faces, shift=1)
+        block = vertices[i:i + _CHUNK_ROWS]
+        yield ("v %s %s %s\n" * len(block)) % tuple(_float_texts(np.ravel(block)))
+    for i in range(0, len(faces), _CHUNK_ROWS):
+        block = np.ascontiguousarray(faces[i:i + _CHUNK_ROWS], np.int64) + 1
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        yield "f " + text[2:-2].replace("],[", "\nf ").replace(",", " ") + "\n"
 
 
 def write_mesh_obj(path: str, vertices: np.ndarray, faces: np.ndarray) -> None:

@@ -244,13 +244,13 @@ def _line_trajectory(
     return Trajectory(s, x, y, th, tp, ic, None, line=line)
 
 
-def check_step_budget(settings: OdeSettings, horizon: float) -> None:
+def check_step_budget(settings: OdeSettings) -> None:
     """Raise ValueError when the stepper's MAX_STEPS steps, each at most
-    max_step, cannot reach horizon: a run without a stop event would only
-    find that out at the end of its step budget."""
-    if horizon > _rk.MAX_STEPS * settings.max_step:
-        raise ValueError(f"horizon (max_s) = {horizon!r} needs more than {_rk.MAX_STEPS} "
-                         f"steps of max_step = {settings.max_step!r}")
+    max_step, cannot reach the horizon max_s: a run without a stop event
+    would only find that out at the end of its step budget."""
+    if settings.max_s > _rk.MAX_STEPS * settings.max_step:
+        raise ValueError(f"horizon (max_s) = {settings.max_s!r} needs more than "
+                         f"{_rk.MAX_STEPS} steps of max_step = {settings.max_step!r}")
 
 
 def _check_run(settings: OdeSettings, H: Optional[float],
@@ -259,7 +259,7 @@ def _check_run(settings: OdeSettings, H: Optional[float],
     if H is not None and not math.isfinite(H):
         raise ValueError("H must be finite")
     if stop_theta is None:
-        check_step_budget(settings, settings.max_s)
+        check_step_budget(settings)
 
 
 def _trajectory(

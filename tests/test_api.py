@@ -5,6 +5,8 @@ import argparse
 import ast
 import dataclasses
 import re
+import sys
+import tomllib
 from pathlib import Path
 
 from sol3 import OdeSettings, cli
@@ -93,3 +95,24 @@ def test_every_cli_option_has_a_caller():
                       if not any(re.search(re.escape(option) + r"(?![\w-])", text)
                                  for text in callers))
     assert not uncalled, f"options that no example, demo or workload passes: {uncalled}"
+
+
+def _imported_top_level_modules() -> set[str]:
+    """Top-level names of every absolute import in the package's modules."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    return {name.split(".")[0] for name in names}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"__future__"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    assert third_party >= {"numpy", "orjson"}  # the walk sees the imports it must
+    assert third_party <= declared

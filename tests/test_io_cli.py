@@ -32,6 +32,7 @@ from sol3 import cli
 from sol3.cli import main
 from sol3.io import (
     _CHUNK_ROWS,
+    _float_texts,
     CSV_HEADER,
     MeshGrid,
     atomic_write_text,
@@ -219,8 +220,9 @@ def test_mesh_matches_scalar_reference(curve, grid, flipped):
     assert "".join(format_obj(vertices, faces)) == _reference_obj_text(vertices, faces)
 
 
-# z values whose repr is easy to get wrong once shared: both zeros (a float
-# key would merge them), the least subnormal and floats near 2**53.
+# z values on the boundaries between the orjson and repr routes: both zeros
+# (orjson's), the least subnormal, 1e-5 and 1e16 (repr's) and 1e16's lower
+# neighbour (orjson's).
 _Z_POOL = [0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5]
 
 
@@ -239,6 +241,33 @@ def test_format_obj_matches_reference_text(data, n, flip):
     # Compared as lines, so a failure reports the first bad line, not a text diff.
     assert text.splitlines() == _reference_obj_text(vertices, faces).splitlines()
     assert text.endswith("\n")
+
+
+def test_float_texts_match_repr_on_random_bit_patterns():
+    # Every exponent field (subnormals, inf and NaN included) in one half, the
+    # exponents around the orjson route's range [1e-4, 1e16) in the other.
+    rng = np.random.default_rng(29)
+    n = 100_000
+    bits = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64)
+    exponents = np.concatenate([np.arange(n) % 2048, rng.integers(1009, 1077, size=n)])
+    bits = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponents.astype(np.uint64) << 52)
+    values = np.concatenate([bits.view(np.float64), [0.0, -0.0, math.inf, -math.inf,
+                                                     math.nan, 5e-324, -5e-324]])
+    assert _float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_float_texts_match_repr_at_the_routing_boundaries():
+    values = np.array([v for b in (1e-4, 1e16) for sign in (1.0, -1.0)
+                       for v in (sign * np.nextafter(b, 0.0), sign * b,
+                                 sign * np.nextafter(b, math.inf))])
+    assert _float_texts(values) == list(map(repr, values.tolist()))
+    assert _float_texts(np.array([])) == []
+
+
+def test_csv_prints_repr_where_orjson_differs():
+    row = [1e-05, 1e16, math.nan, math.inf, -math.inf, -0.0, 0.1]
+    assert format_curve_csv(np.array([row])) == (
+        f"{CSV_HEADER}\n1e-05,1e+16,nan,inf,-inf,-0.0,0.1\n")
 
 
 def test_format_obj_yields_bounded_chunks_of_whole_lines():
