@@ -1,7 +1,10 @@
 """Command-line interface: integrate | classify | shoot | mesh | verify | sweep.
 
 Exit codes are part of the contract: 0 success, 1 integration failure,
-2 shooting-bracket failure, 3 closure-certificate failure, 64 usage error.
+2 shooting-bracket failure, 3 closure-certificate failure, 64 usage error;
+`main` alone maps errors to them.  A handler refuses an input by raising
+ValueError, which `main` prints as one `sol3 <command>: <message>` line;
+argparse refuses a malformed value with its usage line and the reason.
 Identical arguments produce byte-identical output files.  `main` may be
 called repeatedly in one process and gives the same bytes each time; the
 parser it reads is built on the first call and then shared.
@@ -14,7 +17,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import analysis, io, verify
 from .ode import (InitialCondition, IntegrationError, OdeSettings, check_step_budget,
@@ -33,35 +36,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_grid(text: str) -> io.MeshGrid:
-    parts = text.split(":")
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError("grid must be sMIN:sMAX:tMIN:tMAX:NS:NT")
-    try:
-        return io.MeshGrid(float(parts[0]), float(parts[1]), float(parts[2]),
-                           float(parts[3]), int(parts[4]), int(parts[5]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_bracket(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("bracket must be LO:HI")
-    return float(parts[0]), float(parts[1])
+def _fields(form: str, build: Callable, *kinds: type) -> Callable[[str], object]:
+    """The argparse type of a colon-separated value FORM: each field is read
+    with its kind and the fields are passed to `build`."""
+    def parse(text: str):
+        parts = text.split(":")
+        if len(parts) != len(kinds):
+            raise argparse.ArgumentTypeError(f"must be {form}")
+        try:
+            return build(*(kind(part) for kind, part in zip(kinds, parts)))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
-
-
-def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("range must be START:STOP:COUNT")
-    return float(parts[0]), float(parts[1]), int(parts[2])
 
 
 # The OdeSettings fields the CLI sets; an option not given (None) keeps the
@@ -103,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shoot = subs.add_parser("shoot", help="search the closed CMC generating curve")
     _add_common(p_shoot, ic=())
     p_shoot.add_argument("--H", type=float, required=True)
-    p_shoot.add_argument("--bracket", type=_parse_bracket, default=None,
+    p_shoot.add_argument("--bracket", type=_fields("LO:HI", lambda *f: f, float, float),
                          help="y0 bracket LO:HI (scanned automatically if omitted)")
 
     p_mesh = subs.add_parser("mesh", help="export a swept surface as OBJ")
@@ -116,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     # None marks "not given", so that cmd_mesh can refuse the options its
     # curve does not read; it fills in the defaults afterwards.
     p_mesh.set_defaults(**dict.fromkeys(_MESH_DEFAULTS))
-    p_mesh.add_argument("--grid", type=_parse_grid, required=True,
-                        metavar="sMIN:sMAX:tMIN:tMAX:NS:NT")
+    p_mesh.add_argument("--grid", required=True, metavar="sMIN:sMAX:tMIN:tMAX:NS:NT",
+                        type=_fields("sMIN:sMAX:tMIN:tMAX:NS:NT", io.MeshGrid,
+                                     float, float, float, float, int, int))
 
     p_ver = subs.add_parser("verify", help="frame-vs-oracle curvature verification")
     p_ver.add_argument("--samples", type=int, default=100)
@@ -128,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="classify over a theta0 range in parallel",
                               allow_abbrev=False)
     _add_common(p_sweep, ic=("x0", "y0"))
-    p_sweep.add_argument("--theta0-range", type=_parse_range, required=True,
-                         metavar="START:STOP:COUNT")
+    p_sweep.add_argument("--theta0-range", required=True, metavar="START:STOP:COUNT",
+                         type=_fields("START:STOP:COUNT", lambda *f: f, float, float, int))
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out-dir", type=_path, default=None,
                          help="directory for per-curve CSV files")
@@ -154,8 +147,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     settings = _settings(args)
     ic = InitialCondition(args.x0, args.y0, args.theta0)
     if args.out is None:
-        print("integrate: --out PATH is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--out PATH is required")
     io.write_curve_csv(args.out, integrate(ic, settings, H=args.H))
     return EXIT_OK
 
@@ -205,8 +197,7 @@ def cmd_shoot(args: argparse.Namespace) -> int:
 
 def cmd_mesh(args: argparse.Namespace) -> int:
     if args.out is None:
-        print("mesh: --out PATH is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--out PATH is required")
     grid = args.grid
     reads = _MESH_READS.get(args.kind, ("x0", "y0"))
     given = [name for name in _MESH_DEFAULTS
@@ -214,8 +205,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     if given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
         what = f"--kind {args.kind}" if args.kind else "an integrated curve"
-        print(f"mesh: {flags} not used with {what}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{flags} not used with {what}")
     for name, default in _MESH_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -257,11 +247,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _settings(args)
     start, stop, count = args.theta0_range
     if count < 1:
-        print("sweep: COUNT must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("COUNT must be >= 1")
     if args.workers < 1:
-        print("sweep: --workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--workers must be >= 1")
     check_step_budget(settings)  # before any curve or directory is written
     thetas = [start + (stop - start) * i / max(count - 1, 1) for i in range(count)]
     tasks = []

@@ -20,9 +20,10 @@ Minimal starts within 1e-14 of a constant-angle solution (theta0 = 0, +-pi/4,
 +-pi/2, +-3 pi/4 or pi, modulo 2 pi, on the diagonal for the diagonal
 angles) always snap to the exact line, where nearby numerics would look
 spuriously stiff.
-Events are refined by bisection to EVENT_TOL in arc length.  A public run's
-horizon is its settings' max_s, which `OdeSettings` checks; only the private
-`_trajectory` and `_continued` take another (s1, for a certificate orbit).
+Events are refined by bisection to EVENT_TOL in arc length, or to one ulp of
+s where that is wider.  A public run's horizon is its settings' max_s, which
+`OdeSettings` checks; only the private `_trajectory` and `_continued` take
+another (s1, for a certificate orbit).
 """
 from __future__ import annotations
 
@@ -393,8 +394,8 @@ def find_event(
 
     The stored samples are scanned from s = 0, one predicate call each, up
     to the first sign change, which is refined by bisection on the dense
-    output to EVENT_TOL.  Returns None when no sign change exists on the
-    sampled horizon.
+    output to EVENT_TOL (or one ulp of s, where that is wider).  Returns None
+    when no sign change exists on the sampled horizon.
     """
     idx = int(np.searchsorted(traj.s, 0.0, side="left"))
     vals = (predicate(traj.sample(i)[0]) for i in range(idx, len(traj)))
@@ -418,9 +419,11 @@ def _first_crossing(s: list[float], vals: Iterable[float],
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float) -> float:
     """Zero of f between lo and hi, where f(lo) = f_lo and f(hi) differ in sign,
-    to EVENT_TOL."""
+    to EVENT_TOL, or to one ulp where that is wider (from |s| = 8192 on)."""
     while hi - lo > EVENT_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is one ulp wide
+            break
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid

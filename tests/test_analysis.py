@@ -340,6 +340,27 @@ def test_first_return_small_y0_overshoots():
     assert s1 == pytest.approx(4.174436, abs=1e-4)
 
 
+def test_first_return_at_large_arc_length_ends(monkeypatch):
+    # The turn lies near s = 10376, where one ulp of s is wider than
+    # EVENT_TOL; its refinement ends on a bracket one ulp wide.  Every
+    # predicate call is counted, so a loop that does not end fails.
+    traj = integrate_forward(InitialCondition(0, 6000, 0),
+                             OdeSettings(max_s=12000, max_step=20), H=0.5)
+    calls = []
+
+    def counted_find_event(traj, predicate):
+        def counted(state):
+            calls.append(state.s)
+            assert len(calls) < len(traj) + 200, "the bisection does not end"
+            return predicate(state)
+        return find_event(traj, counted)
+
+    monkeypatch.setattr(analysis, "find_event", counted_find_event)
+    s1, state = first_return(traj)
+    assert s1 == pytest.approx(10375.98, abs=0.01)
+    assert state.theta == pytest.approx(-2 * math.pi, abs=1e-8)
+
+
 @pytest.mark.parametrize("make", [
     lambda: integrate_forward(InitialCondition(0, 0.6425, 0), OdeSettings(max_s=10.0), H=1.0),
     lambda: integrate_forward(InitialCondition(0, 0.3, 0), OdeSettings(max_s=10.0), H=1.5,
@@ -729,6 +750,66 @@ def test_closed_curve_search_refuses_a_malformed_bracket(monkeypatch, bracket):
     with pytest.raises(ValueError, match=r"bracket \(.*\) must be finite with lo < hi"):
         closed_curve_search(1.0, bracket)
     assert calls == []
+
+
+# The start of the closed reference H = 1 orbit.
+Y0_STAR = 0.64217667565445699
+
+
+def _fake_shots(monkeypatch, rx_of):
+    """Make every `analysis._shot` return x(s1) = rx_of(y0) with the real
+    reference orbit's shot otherwise, so that the certificate passes and the
+    final shot's stop-angle run is continued; returns the y0s shot."""
+    _, ry, s1, traj = analysis._shot(1.0, Y0_STAR, SHOTS)
+    shot = []
+
+    def fake(H, y0, settings):
+        shot.append(y0)
+        return rx_of(y0), ry, s1, traj
+
+    monkeypatch.setattr(analysis, "_shot", fake)
+    return shot
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_search_takes_an_end_with_zero_residual(monkeypatch, end):
+    bracket = (0.5, 0.75)
+    shot = _fake_shots(monkeypatch,
+                       lambda y0: 0.0 if y0 == bracket[end] else (-1.0, 1.0)[1 - end])
+    res = closed_curve_search(1.0, bracket)
+    assert (res.y0_star, res.iterations) == (bracket[end], 0)
+    assert shot == list(bracket)
+    assert res.trajectory.s[-1] == res.s1 == pytest.approx(3.9326, abs=1e-3)
+
+
+def test_search_bisects_when_the_secant_rounds_onto_an_end(monkeypatch):
+    # With x(s1) = -1e-300 at lo and 1 at hi, the secant step rounds to lo
+    # exactly, so the midpoint is shot instead.
+    shot = _fake_shots(monkeypatch, lambda y0: {0.5: -1e-300, 0.75: 1.0}.get(y0, 0.0))
+    res = closed_curve_search(1.0, (0.5, 0.75))
+    assert shot == [0.5, 0.75, 0.625]
+    assert (res.y0_star, res.iterations) == (0.625, 1)
+
+
+def _step_at(c):
+    """x(s1) as a step from -1 to 1 at y0 = c, never within the residual tolerance."""
+    return lambda y0: -1.0 if y0 < c else 1.0
+
+
+def test_search_gives_up_after_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(analysis, "_MAX_SHOOT_ITER", 5)
+    shot = _fake_shots(monkeypatch, _step_at(0.6))
+    with pytest.raises(BracketError, match=r"in 5 iterations"):
+        closed_curve_search(1.0, (0.5, 0.75))
+    assert len(shot) == 2 + 5
+
+
+def test_search_reports_a_collapsed_bracket(monkeypatch):
+    # Bisection of a step halves the bracket until it is a few ulps wide.
+    shot = _fake_shots(monkeypatch, _step_at(0.6))
+    with pytest.raises(BracketError, match=r"bracket collapsed at y0 = 0\.6"):
+        closed_curve_search(1.0, (0.5, 0.75))
+    assert 40 < len(shot) - 2 < analysis._MAX_SHOOT_ITER
 
 
 def test_closed_curve_search_rejects_zero_h():

@@ -116,3 +116,25 @@ def test_every_third_party_import_is_a_declared_dependency():
                 for dep in project["dependencies"]}
     assert third_party >= {"numpy", "orjson"}  # the walk sees the imports it must
     assert third_party <= declared
+
+
+def test_only_main_maps_errors_to_exit_codes():
+    # A handler refuses its input by raising; `cli.main` alone prints the
+    # message and picks the exit code, so no handler touches stderr or
+    # returns the usage exit code.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert {handler.name for handler in handlers} == \
+        {handler.__name__ for handler in cli._HANDLERS.values()}
+    offences = []
+    for handler in handlers:
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Attribute) and node.attr == "stderr":
+                offences.append(f"{handler.name} line {node.lineno}: sys.stderr")
+            elif isinstance(node, ast.Return) and node.value is not None and any(
+                    isinstance(leaf, ast.Name) and leaf.id == "EXIT_USAGE"
+                    or isinstance(leaf, ast.Constant) and leaf.value == cli.EXIT_USAGE
+                    for leaf in ast.walk(node.value)):
+                offences.append(f"{handler.name} line {node.lineno}: returns EXIT_USAGE")
+    assert not offences, offences

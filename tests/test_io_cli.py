@@ -526,6 +526,75 @@ def test_cli_shoot_bracket_failure(tmp_path):
     assert data["error"] == "bracket"
 
 
+def test_cli_shoot_closure_failure(tmp_path, monkeypatch):
+    # x(s1) is driven to zero as usual; a certificate bound that no orbit
+    # meets makes the search raise ClosureError, reported as exit 3.
+    from sol3 import analysis
+
+    monkeypatch.setattr(analysis, "DEFAULT_CLOSURE_TOL", 0.0)
+    out = tmp_path / "fail.json"
+    assert main(["shoot", "--H", "1", "--bracket", "0.125:0.75", "--out", str(out)]) == 3
+    data = json.loads(out.read_text())
+    assert data["error"] == "closure"
+    assert data["y0_star"] == pytest.approx(0.6421766756544570, abs=1e-9)
+    assert data["s1"] == pytest.approx(3.9326, abs=1e-3)
+    assert abs(data["residual_y"]) < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--theta0", "0.3", "--max-s", "5"],
+    ["verify", "--samples", "5"],
+])
+def test_cli_report_without_out_goes_to_stdout(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "--theta0", "0.1"], "sol3 integrate: --out PATH is required"),
+    (["mesh", "--kind", "III", "--grid=-1:1:-1:1:3:3"], "sol3 mesh: --out PATH is required"),
+    (["mesh", "--kind", "circle", "--H", "1", "--grid=-1:1:-1:1:3:3", "--out", "m.obj"],
+     "sol3 mesh: --H not used with --kind circle"),
+    (["sweep", "--theta0-range", "0:1:0", "--out", "s.json"], "sol3 sweep: COUNT must be >= 1"),
+    (["sweep", "--theta0-range", "0:1:2", "--workers", "0", "--out", "s.json"],
+     "sol3 sweep: --workers must be >= 1"),
+])
+def test_cli_handler_usage_error_prints_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["shoot", "--H", "1", "--bracket", "a:b"],
+     "argument --bracket: could not convert string to float: 'a'"),
+    (["shoot", "--H", "1", "--bracket", "0.5"], "argument --bracket: must be LO:HI"),
+    (["sweep", "--theta0-range", "0:1:x"],
+     "argument --theta0-range: invalid literal for int() with base 10: 'x'"),
+    (["sweep", "--theta0-range", "0:1"], "argument --theta0-range: must be START:STOP:COUNT"),
+    (["mesh", "--grid=-1:1:-1:1:3"], "argument --grid: must be sMIN:sMAX:tMIN:tMAX:NS:NT"),
+    (["mesh", "--grid=-1:1:-1:1:3:3.5"],
+     "argument --grid: invalid literal for int() with base 10: '3.5'"),
+    (["mesh", "--grid=-1:1:-1:1:1:3"],
+     "argument --grid: mesh grid needs at least 2 samples per direction"),
+])
+def test_cli_malformed_colon_value_names_its_reason(tmp_path, monkeypatch, capsys, argv,
+                                                    reason):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", "out"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sol3 {argv[0]} ")
+    assert err.endswith(f"\nsol3 {argv[0]}: error: {reason}\n")
+    assert "_fields" not in err and "_parse" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_shoot_usage_error():
     assert main(["shoot", "--H", "0"]) == 64
 

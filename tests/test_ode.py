@@ -1029,6 +1029,31 @@ def test_find_event_stops_at_the_first_crossing(monkeypatch):
     assert max(calls) <= traj.s[crossing]
 
 
+@pytest.mark.parametrize("step, root", [
+    (lambda s: 10.0 * (s - 9000.0) - 3.0, 9000.3),  # no float is its zero
+    (lambda s: 10.0 * (s + 9000.0) + 3.0, -9000.3),
+    (lambda s: -1.0 if s < 9000.3 else 1.0, 9000.3),
+    (lambda s: -1.0 if s < -9000.3 else 1.0, -9000.3),
+])
+def test_bisect_ends_on_a_bracket_one_ulp_wide(step, root):
+    # From |s| = 8192 on, one ulp of s (1.8e-12 here) is wider than EVENT_TOL,
+    # so the bracket stops shrinking above the tolerance; the refinement ends
+    # there, within an ulp of the root.  The predicate fails on its 200th
+    # call, so a loop that does not end fails instead of stalling the suite.
+    assert math.ulp(root) > ode.EVENT_TOL
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        assert len(calls) < 200, "the bisection does not end"
+        return step(s)
+
+    lo, hi = root - 2.0, root + 2.0
+    s = ode._bisect(f, lo, hi, f(lo))
+    assert abs(s - root) <= math.ulp(root)
+    assert len(calls) < 60
+
+
 def test_find_event_cmc_regression():
     # Baseline from an independent solve_ivp run at rtol=atol=1e-12.
     traj = integrate_forward(InitialCondition(0.0, 0.6425, 0.0),
