@@ -47,7 +47,7 @@ _SCAN_GRID = (1 / 16, 1 / 8, 0.25, 0.5, 1.0, 2.0, 4.0)
 #: no step cap below the horizon...
 _SIGN_TOL = 1e-7
 #: ...whose sign counts when |x(s1)| is at least this many times the largest
-#: of _SIGN_TOL and the caller's two tolerances (1e-3 at the defaults).
+#: of _SIGN_TOL and the caller's tolerance (1e-3 at the defaults).
 _SIGN_MARGIN = 1e4
 
 
@@ -364,9 +364,8 @@ def _scan(H: float, shots: OdeSettings) -> tuple[tuple[float, tuple], tuple[floa
     picks whenever every counted sign is the caller's too.
     """
     grid = _SCAN_GRID if H > 0.0 else tuple(-y0 for y0 in _SCAN_GRID)
-    sign_settings = OdeSettings(abs_tol=_SIGN_TOL, rel_tol=_SIGN_TOL,
-                                max_step=shots.max_s, max_s=shots.max_s)
-    margin = _SIGN_MARGIN * max(_SIGN_TOL, shots.abs_tol, shots.rel_tol)
+    sign_settings = OdeSettings(tol=_SIGN_TOL, max_step=shots.max_s, max_s=shots.max_s)
+    margin = _SIGN_MARGIN * max(_SIGN_TOL, shots.tol)
 
     def differ(a: Optional[tuple], b: Optional[tuple]) -> bool:
         return a is not None and b is not None and a[0] * b[0] < 0.0

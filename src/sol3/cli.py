@@ -58,7 +58,7 @@ def _path(text: str) -> str:
 
 # The OdeSettings fields the CLI sets; an option not given (None) keeps the
 # OdeSettings default.
-_SETTINGS_OPTIONS = ("max_s", "abs_tol", "rel_tol", "max_step")
+_SETTINGS_OPTIONS = ("max_s", "tol", "max_step")
 
 # The mesh options that only some curves read, with their defaults, and the
 # ones each --kind reads (None: an integrated curve, whose horizon is the
@@ -66,7 +66,7 @@ _SETTINGS_OPTIONS = ("max_s", "abs_tol", "rel_tol", "max_step")
 _MESH_DEFAULTS = {"x0": 0.0, "y0": 0.0, "r": 1.0, "H": None, "theta0": 0.0,
                   **dict.fromkeys(_SETTINGS_OPTIONS)}
 _MESH_READS = {"circle": ("r",),
-               None: ("x0", "y0", "H", "theta0", "abs_tol", "rel_tol", "max_step")}
+               None: ("x0", "y0", "H", "theta0", "tol", "max_step")}
 
 
 def _add_common(sub: argparse.ArgumentParser, ic: tuple[str, ...] = ("x0", "y0", "theta0")):

@@ -52,18 +52,18 @@ _MAX_ABS_THETA0 = 2.0 ** 20
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Integrator tolerances and horizon, one `sol3` option each; all entries
-    must be finite and positive, and max_step and max_s at least the
-    stepper's smallest step, STEP_FLOOR.  max_s is the horizon of every
-    public run."""
+    """Integrator tolerance, step cap and horizon, one `sol3` option each;
+    all entries must be finite and positive, and max_step and max_s at least
+    the stepper's smallest step, STEP_FLOOR.  tol is both the absolute and
+    the relative tolerance of each step's error, and max_s is the horizon of
+    every public run."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10
     max_step: float = 1e-2
     max_s: float = 10.0
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "max_step", "max_s"):
+        for name in ("tol", "max_step", "max_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
@@ -271,8 +271,8 @@ def _trajectory(
     raw = _raw_rhs(H)
 
     def side(s_end: float):
-        return solve_fixed_horizon(raw, (ic.x0, ic.y0, ic.theta0), s_end, settings.abs_tol,
-                                   settings.rel_tol, settings.max_step, stop_theta)
+        return solve_fixed_horizon(raw, (ic.x0, ic.y0, ic.theta0), s_end, settings.tol,
+                                   settings.max_step, stop_theta)
 
     s, states, h, K, slopes, controls = side(horizon)
     if both_sides:
@@ -309,8 +309,8 @@ def _continued(shot: Trajectory, settings: OdeSettings, horizon: float) -> Traje
     start = (float(shot.x[m]), float(shot.y[m]), float(shot.theta[m]))
     # kept[-1] is the state of the last sample, n - 1.
     cs, cstates, h, K, slopes, _ = solve_fixed_horizon(
-        _raw_rhs(shot.H_target), start, horizon, settings.abs_tol, settings.rel_tol,
-        settings.max_step, start=kept[m - n])
+        _raw_rhs(shot.H_target), start, horizon, settings.tol, settings.max_step,
+        start=kept[m - n])
     s, x, y, theta, theta_prime, h, K = (
         np.concatenate([a[:m], b]) for a, b in (
             (shot.s, cs), (shot.x, cstates[:, 0]), (shot.y, cstates[:, 1]),

@@ -490,7 +490,7 @@ def test_closed_curve_search_stability_under_tolerances():
     base = closed_curve_search(1.0, (0.125, 0.75))
     tight = closed_curve_search(
         1.0, (0.125, 0.75),
-        OdeSettings(abs_tol=5e-11, rel_tol=5e-11, max_step=5e-3))
+        OdeSettings(tol=5e-11, max_step=5e-3))
     assert abs(base.y0_star - tight.y0_star) < 1e-6
 
 
@@ -519,7 +519,7 @@ def _count_integrations(monkeypatch):
     calls, solve = [], ode.solve_fixed_horizon
 
     def counted(*args, **kwargs):
-        calls.append((args[2], args[5]))  # (s_end, max_step)
+        calls.append((args[2], args[4]))  # (s_end, max_step)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(ode, "solve_fixed_horizon", counted)
@@ -534,7 +534,7 @@ def test_closing_orbit_continues_the_final_shot(monkeypatch):
     starts, solve = [], ode.solve_fixed_horizon
 
     def recorded(*args, **kwargs):
-        starts.append((args[2], args[5], kwargs.get("start")))  # (s_end, max_step, start)
+        starts.append((args[2], args[4], kwargs.get("start")))  # (s_end, max_step, start)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(ode, "solve_fixed_horizon", recorded)
@@ -670,17 +670,15 @@ def test_scan_goes_on_from_a_sign_change_its_ends_do_not_confirm(monkeypatch):
 
 @hsettings(derandomize=True, max_examples=25, deadline=None)
 @given(H=st.floats(0.4, 8.0), negative=st.booleans(),
-       abs_exp=st.floats(-12.0, -6.0), rel_exp=st.floats(-12.0, -6.0),
+       tol_exp=st.floats(-12.0, -6.0),
        max_step=st.sampled_from([5e-3, 1e-2, 0.2, 0.5]), max_s=st.sampled_from([10.0, 60.0]))
-@example(H=0.45, negative=False, abs_exp=-10.0, rel_exp=-10.0, max_step=1e-2, max_s=10.0)
-@example(H=1.0, negative=True, abs_exp=-6.0, rel_exp=-6.0, max_step=0.5, max_s=10.0)
-def test_scan_and_search_match_the_reference_scan(H, negative, abs_exp, rel_exp,
-                                                   max_step, max_s):
+@example(H=0.45, negative=False, tol_exp=-10.0, max_step=1e-2, max_s=10.0)
+@example(H=1.0, negative=True, tol_exp=-6.0, max_step=0.5, max_s=10.0)
+def test_scan_and_search_match_the_reference_scan(H, negative, tol_exp, max_step, max_s):
     # The sign-only shots change no bracket and no bit of the search: the
     # same (y0, shot) pairs, or the same BracketError, and the same fields.
     H = -H if negative else H
-    settings = OdeSettings(abs_tol=10.0 ** abs_exp, rel_tol=10.0 ** rel_exp,
-                           max_step=max_step, max_s=max_s)
+    settings = OdeSettings(tol=10.0 ** tol_exp, max_step=max_step, max_s=max_s)
     outcomes = []
     for scan in (analysis._scan, reference_scan):
         scans = []

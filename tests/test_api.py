@@ -29,7 +29,7 @@ KEPT = {
 KEPT_OPTIONS = {
     # OdeSettings fields, each of which must be an option (see
     # test_every_integrator_setting_is_a_cli_option)
-    "--abs-tol", "--rel-tol",
+    "--tol",
 }
 
 

@@ -2,6 +2,7 @@
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -609,7 +610,7 @@ def test_cli_shoot_bad_bracket_is_usage_error(tmp_path, capsys, bracket):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("option", ["--max-s", "--max-step", "--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize("option", ["--max-s", "--max-step", "--tol"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_cli_non_finite_settings_are_usage_errors(tmp_path, option, value):
     out = str(tmp_path / "c.csv")
@@ -650,8 +651,8 @@ def test_cli_mesh_degenerate_grid():
     ["mesh", "--kind", "circle", "--H", "1", "--grid=-1:1:-1:1:3:3"],
     ["mesh", "--kind", "circle", "--theta0", "5", "--grid=-1:1:-1:1:3:3"],
     ["mesh", "--kind", "III", "--max-s", "3", "--grid=-1:1:-1:1:3:3"],
-    ["mesh", "--kind", "circle", "--abs-tol", "1", "--grid=-1:1:-1:1:3:3"],
-    ["mesh", "--kind", "circle", "--rel-tol", "1e-6", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "circle", "--tol", "1", "--grid=-1:1:-1:1:3:3"],
+    ["mesh", "--kind", "III", "--tol", "1e-6", "--grid=-1:1:-1:1:3:3"],
     ["mesh", "--kind", "I", "--max-step", "0.1", "--grid=-1:1:-1:1:3:3"],
     ["mesh", "--kind", "circle", "--theta0", "0", "--grid=-1:1:-1:1:3:3"],  # even a default
     ["mesh", "--kind", "circle", "--x0", "5", "--y0", "2", "--grid=-1:1:-1:1:3:3"],
@@ -747,8 +748,7 @@ def test_cli_mesh_integrated_defaults_unchanged(tmp_path):
     grid = "--grid=-2:2:-1:1:5:5"
     implicit, explicit = tmp_path / "implicit.obj", tmp_path / "explicit.obj"
     assert main(["mesh", "--theta0", "0.3", grid, "--out", str(implicit)]) == 0
-    assert main(["mesh", "--theta0", "0.3", "--abs-tol", "1e-10",
-                 "--rel-tol", "1e-10", "--max-step", "0.01", grid,
+    assert main(["mesh", "--theta0", "0.3", "--tol", "1e-10", "--max-step", "0.01", grid,
                  "--out", str(explicit)]) == 0
     assert implicit.read_bytes() == explicit.read_bytes()
 
@@ -779,7 +779,7 @@ def test_cli_integrate_step_budget_exits_1(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv,err", [
-    (["--theta0", "0.3", "--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-s", "1"],
+    (["--theta0", "0.3", "--tol", "1e-300", "--max-s", "1"],
      "generating-curve integration failed (last good s = 0.0)"),
     (["--theta0", "0.3", "--max-s", "1"],  # with a budget of 100 steps
      "generating-curve integration failed: horizon not reached in 100 attempted steps"
@@ -801,7 +801,7 @@ def test_cli_integrate_reaches_horizon_within_rounding(tmp_path):
     out = tmp_path / "c.csv"
     max_s = 0.05758781706271127
     assert main(["integrate", "--theta0", "0.46115644479097556", "--max-s", repr(max_s),
-                 "--max-step", "10", "--abs-tol", "1e-6", "--rel-tol", "1e-6",
+                 "--max-step", "10", "--tol", "1e-6",
                  "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     for row in (rows[1], rows[-1]):
@@ -870,7 +870,7 @@ def test_cli_mesh_non_finite_grid_is_usage_error(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-TINY_TOLS = ["--abs-tol", "1e-300", "--rel-tol", "1e-300"]
+TINY_TOLS = ["--tol", "1e-300"]
 
 
 def test_cli_shoot_integration_failure_exits_1(tmp_path, capsys):
@@ -1130,6 +1130,96 @@ def test_cli_meaningless_tail_settings_are_usage_errors(tmp_path, monkeypatch, c
             main(argv)
         assert exc.value.code == 64
         assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+    assert integrated == [] and os.listdir(tmp_path) == []
+
+
+# One run of each integrating command, --tol and --out aside.  Each sets a
+# step cap loose enough that the tolerance, not the cap, picks the steps.
+TOL_RUNS = {
+    "integrate": ["--theta0", "0.3", "--max-s", "2", "--max-step", "0.5"],
+    "classify": ["--x0", "1", "--y0", "2", "--theta0", "0.3", "--max-s", "600",
+                 "--max-step", "0.5"],
+    "shoot": ["--H", "1", "--bracket", "0.125:0.75"],
+    "mesh": ["--theta0", "0.3", "--max-step", "0.5", "--grid=-2:2:-1:1:5:5"],
+    "sweep": ["--x0", "1", "--y0", "2", "--theta0-range", "0.3:1.0:2", "--max-s", "600",
+              "--max-step", "0.5"],
+}
+
+
+def _cli_tol_run(directory, command, *tol):
+    """What `sol3 COMMAND` writes for its TOL_RUNS run, as comparable values."""
+    directory.mkdir()
+    out, curves = directory / "out", directory / "curves"
+    extra = ["--out-dir", str(curves)] if command == "sweep" else []
+    assert main([command, *TOL_RUNS[command], *tol, "--out", str(out), *extra]) == 0
+    if command in ("integrate", "mesh"):
+        return out.read_bytes()
+    report = json.loads(out.read_text())
+    if command == "shoot":
+        return [report[name] for name in ("y0_star", "s1", "residual_x", "residual_y",
+                                          "iterations")]
+    if command == "sweep":
+        return report["curves"], [path.read_bytes() for path in sorted(curves.iterdir())]
+    return report
+
+
+def _library_tol_run(directory, command, settings):
+    """The library's run of the same command at `settings`, as _cli_tol_run returns it."""
+    from sol3 import analysis
+
+    directory.mkdir()
+    out = directory / "out"
+    if command == "shoot":
+        result = analysis.closed_curve_search(1.0, (0.125, 0.75), settings)
+        return [result.y0_star, result.s1, result.residual_x, result.residual_y,
+                result.iterations]
+    if command in ("integrate", "mesh"):
+        traj = integrate(InitialCondition(0.0, 0.0, 0.3),
+                         dataclasses.replace(settings, max_s=2.0, max_step=0.5))
+        if command == "mesh":
+            write_mesh_obj(str(out), *surface_mesh(traj.state_at, MeshGrid(-2, 2, -1, 1, 5, 5)))
+        else:
+            write_curve_csv(str(out), traj)
+        return out.read_bytes()
+    settings = dataclasses.replace(settings, max_s=600.0, max_step=0.5)
+    entries, csvs = [], []
+    for theta0 in (0.3, 1.0) if command == "sweep" else (0.3,):
+        traj = integrate(InitialCondition(1.0, 2.0, theta0), settings)
+        write_curve_csv(str(out), traj)
+        csvs.append(out.read_bytes())
+        entries.append(cli._classification_dict(analysis.classify_minimal(traj)))
+        if command == "sweep":
+            entries[-1]["theta0"] = theta0
+    return (entries, csvs) if command == "sweep" else entries[0]
+
+
+@pytest.mark.parametrize("command", sorted(TOL_RUNS))
+def test_cli_tol_reaches_every_integrating_command(tmp_path, command):
+    # --tol sets OdeSettings.tol: the command writes what the library gives at
+    # that tolerance, and not what it writes at the default one.
+    tight = _cli_tol_run(tmp_path / "tol", command, "--tol", "1e-7")
+    assert tight == _library_tol_run(tmp_path / "library", command, OdeSettings(tol=1e-7))
+    assert tight != _cli_tol_run(tmp_path / "default", command)
+
+
+@pytest.mark.parametrize("option", ["--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize("command", sorted(TOL_RUNS))
+def test_cli_retired_tolerance_options_are_refused(tmp_path, monkeypatch, capsys, command,
+                                                   option):
+    # --tol is the one tolerance, absolute and relative at once, so argparse
+    # refuses the two options it replaced before anything is integrated or
+    # written.
+    from sol3 import ode
+
+    integrated = []
+    monkeypatch.setattr(ode, "solve_fixed_horizon", lambda *args, **kw: integrated.append(args))
+    argv = [command, *TOL_RUNS[command], option, "1e-8", "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--out-dir", str(tmp_path / "curves")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert f"unrecognized arguments: {option} 1e-8" in capsys.readouterr().err
     assert integrated == [] and os.listdir(tmp_path) == []
 
 

@@ -43,19 +43,28 @@ def scipy_reference(ic, s_end, H=None):
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        OdeSettings(abs_tol=0.0)
+        OdeSettings(tol=0.0)
     with pytest.raises(ValueError):
         OdeSettings(max_step=-1.0)
     defaults = OdeSettings()
-    assert defaults.abs_tol == 1e-10 and defaults.rel_tol == 1e-10
+    assert defaults.tol == 1e-10
     assert defaults.max_step == 1e-2 and ode.EVENT_TOL == 1e-12
 
 
-@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "max_step", "max_s"])
+@pytest.mark.parametrize("field", ["tol", "max_step", "max_s"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_settings_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         OdeSettings(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+def test_settings_have_one_tolerance(field):
+    # tol is both the absolute and the relative tolerance; the two fields it
+    # replaced are gone.
+    assert [f.name for f in dataclasses.fields(OdeSettings)] == ["tol", "max_step", "max_s"]
+    with pytest.raises(TypeError):
+        OdeSettings(**{field: 1e-8})
 
 
 @pytest.mark.parametrize("theta0", [2.0 ** 20 + 1.0, -1e308, 1e308])
@@ -254,7 +263,7 @@ def test_step_size_underflow_raises():
 
     with pytest.raises(IntegrationError, match=r"integration failed \(last good s") as err:
         solve_fixed_horizon(lambda x, y, th: (1.0 + x * x, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
-                            1e-10, 1e-10, 0.1)
+                            1e-10, 0.1)
     assert 0.0 < err.value.last_s < 2.0
 
 
@@ -267,12 +276,12 @@ def test_horizon_within_rounding_is_reached(sign):
     f = ode._raw_rhs(None)
     span = 3.6365642928673023
     ss, _, h, K = solve_fixed_horizon(f, (0.0, 0.0, 0.0), sign * span,
-                                      1e-10, 1e-10, 1000.0)[:4]
+                                      1e-10, 1000.0)[:4]
     assert abs(abs(ss[-1]) - span) <= math.ulp(span)
     assert len(h) == len(K) == len(ss) - 1 == 5
     # A horizon below step resolution from s = 0 is still an underflow.
     with pytest.raises(IntegrationError, match=r"integration failed \(last good s = -?0\.0\)"):
-        solve_fixed_horizon(f, (0.0, 0.0, 0.3), sign * 1e-15, 1e-10, 1e-10, 0.01)
+        solve_fixed_horizon(f, (0.0, 0.0, 0.3), sign * 1e-15, 1e-10, 0.01)
 
 
 def test_tiny_tolerances_reject_steps_without_overflow():
@@ -281,9 +290,9 @@ def test_tiny_tolerances_reject_steps_without_overflow():
     from sol3._rk import solve_fixed_horizon
 
     with pytest.raises(IntegrationError, match=r"integration failed \(last good s"):
-        solve_fixed_horizon(ode._raw_rhs(None), (0.0, 0.0, 0.3), 1.0, 1e-300, 1e-300, 0.01)
+        solve_fixed_horizon(ode._raw_rhs(None), (0.0, 0.0, 0.3), 1.0, 1e-300, 0.01)
     with pytest.raises(IntegrationError):
-        integrate(InitialCondition(0, 0, 0.3), OdeSettings(abs_tol=1e-300, rel_tol=1e-300))
+        integrate(InitialCondition(0, 0, 0.3), OdeSettings(tol=1e-300))
 
 
 def test_step_budget_ends_in_integration_error(monkeypatch):
@@ -291,11 +300,11 @@ def test_step_budget_ends_in_integration_error(monkeypatch):
 
     f = ode._raw_rhs(None)
     monkeypatch.setattr(_rk, "MAX_STEPS", 50)
-    ss = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 1e-10, 0.01)[0]
+    ss = _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), 0.4, 1e-10, 0.01)[0]
     assert ss[-1] == 0.4  # 41 steps, none rejected, fit the budget
     budget = "horizon not reached in 50 attempted steps"
     with pytest.raises(IntegrationError, match=budget) as err:
-        _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), -1.0, 1e-10, 1e-10, 0.01)
+        _rk.solve_fixed_horizon(f, (0.0, 0.0, 0.3), -1.0, 1e-10, 0.01)
     assert -1.0 < err.value.last_s < 0.0
     # 50 steps of max_step = 0.01 could reach 0.5, but the first steps are shorter.
     with pytest.raises(IntegrationError, match="50 attempted steps"):
@@ -365,7 +374,7 @@ def test_non_finite_stage_names_the_last_accepted_s():
         return (math.sin(x * math.inf if x > 0.5 else x) + 1.0, 0.0, 0.0)
 
     with pytest.raises(IntegrationError, match="a stage state is not finite") as err:
-        solve_fixed_horizon(f, (0.0, 0.0, 0.0), 2.0, 1e-10, 1e-10, 0.01)
+        solve_fixed_horizon(f, (0.0, 0.0, 0.0), 2.0, 1e-10, 0.01)
     assert 0.0 < err.value.last_s <= 0.5
 
 
@@ -394,9 +403,9 @@ def test_stop_event_sees_accepted_states():
 
     f = ode._raw_rhs(1.0)
     ss, ys, h, K, slopes, controls = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
-                                                         1e-10, 1e-10, 0.01, -0.5)
+                                                         1e-10, 0.01, -0.5)
     full_ss, full_ys, *_, full_controls = solve_fixed_horizon(f, (0.0, 0.6, 0.0), 10.0,
-                                                              1e-10, 1e-10, 0.01)
+                                                              1e-10, 0.01)
     assert ss[-1] < 10.0 and len(h) == len(K) == len(ss) - 1
     assert [c[0] for c in controls] == ss[-3:].tolist() and full_controls == ()
     assert ss.tobytes() == full_ss[:len(ss)].tobytes()
@@ -426,7 +435,9 @@ class DenseSegment:
 def reference_solve(f, y0, s_end, abs_tol, rel_tol, max_step, stop_event=None):
     """The stepper on a list-of-floats state of any length: `_rk` before it was
     specialised to three floats, kept to pin the specialised loop bit for bit.
-    Returns (s samples, state samples, dense segments, slopes)."""
+    It keeps the two-tolerance scale abs_tol + rel_tol * max(...): called with
+    (tol, tol), it pins the stepper's one-tolerance scale to it.  Returns (s
+    samples, state samples, dense segments, slopes)."""
     from sol3._rk import (_A, _B, _BETA, _E, _EXP1, _FAILED, _MAX_FACTOR, _MIN_FACTOR,
                           _SAFETY, MAX_STEPS)
 
@@ -537,9 +548,10 @@ def test_stepper_matches_reference_loop_bit_for_bit(H, x0, y0, theta0, span, sig
     # The reference keeps a stop callable; the stepper tests the angle inline.
     stop_theta = None if event is None else theta0 + event
     stop = None if event is None else (lambda s, yv: yv[2] - stop_theta)
-    args = (ode._raw_rhs(H), (x0, y0, theta0), sign * span, 1e-10, 1e-10, max_step)
-    assert (run_or_error(solve_fixed_horizon, *args, stop_theta)
-            == run_or_error(reference_solve, *args, stop))
+    # The stepper's one tolerance is the reference's absolute and relative one.
+    f, start, s_end = ode._raw_rhs(H), (x0, y0, theta0), sign * span
+    assert (run_or_error(solve_fixed_horizon, f, start, s_end, 1e-10, max_step, stop_theta)
+            == run_or_error(reference_solve, f, start, s_end, 1e-10, 1e-10, max_step, stop))
 
 
 @pytest.mark.parametrize("H, start, s_end, tol, max_step", [
@@ -564,8 +576,9 @@ def test_stepper_matches_reference_loop_bit_for_bit(H, x0, y0, theta0, span, sig
 def test_stepper_matches_reference_loop_at_edge_values(H, start, s_end, tol, max_step):
     from sol3._rk import solve_fixed_horizon
 
-    args = (ode._raw_rhs(H), start, s_end, tol, tol, max_step)
-    assert run_or_error(solve_fixed_horizon, *args) == run_or_error(reference_solve, *args)
+    f = ode._raw_rhs(H)
+    assert (run_or_error(solve_fixed_horizon, f, start, s_end, tol, max_step)
+            == run_or_error(reference_solve, f, start, s_end, tol, tol, max_step))
 
 
 def test_step_loop_calls_no_min_max_or_abs():
@@ -590,8 +603,8 @@ def test_shorter_horizon_is_a_bitwise_prefix(H, x0, y0, theta0, a, extra, sign, 
     from sol3._rk import solve_fixed_horizon
 
     f, start = ode._raw_rhs(H), (x0, y0, theta0)
-    run_a = solve_fixed_horizon(f, start, sign * a, 1e-10, 1e-10, max_step)
-    run_b = solve_fixed_horizon(f, start, sign * (a + extra), 1e-10, 1e-10, max_step)
+    run_a = solve_fixed_horizon(f, start, sign * a, 1e-10, max_step)
+    run_b = solve_fixed_horizon(f, start, sign * (a + extra), 1e-10, max_step)
     ss_a, ys_a, _, _, slopes_a, _ = run_a
     ss_b, ys_b, _, _, slopes_b, _ = run_b
     n = len(ss_a) - 1
@@ -619,9 +632,8 @@ def test_backward_run_is_the_reflected_forward_run(H, y0, s_end, max_step):
     from sol3._rk import solve_fixed_horizon
 
     f, start = ode._raw_rhs(H), (0.0, y0, 0.0)
-    ss_f, ys_f, _, _, slopes_f, _ = solve_fixed_horizon(f, start, s_end, 1e-10, 1e-10, max_step)
-    ss_b, ys_b, _, _, slopes_b, _ = solve_fixed_horizon(f, start, -s_end, 1e-10, 1e-10,
-                                                        max_step)
+    ss_f, ys_f, _, _, slopes_f, _ = solve_fixed_horizon(f, start, s_end, 1e-10, max_step)
+    ss_b, ys_b, _, _, slopes_b, _ = solve_fixed_horizon(f, start, -s_end, 1e-10, max_step)
     flip = np.array([-1.0, 1.0, -1.0])
     assert first_difference(ss_b, -ss_f) is None
     assert first_difference(ys_b, ys_f * flip) is None
@@ -636,18 +648,18 @@ def trajectory_arrays(traj):
 
 @given(H=st.floats(-3.0, 3.0), y0=st.floats(-2.0, 2.0),
        max_step=st.floats(-3.0, math.log10(5.0)).map(lambda e: 10.0 ** e),
-       abs_tol=st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e), w=st.floats(0.0, 1.0))
+       tol=st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e), w=st.floats(0.0, 1.0))
 # Continued from one of the last three samples; made afresh where max_step
 # is far above the steps taken (at either end of the step) or above s_end.
-@example(H=1.0, y0=0.6425, max_step=0.01, abs_tol=1e-10, w=0.5)
-@example(H=-2.0, y0=-0.25, max_step=5.0, abs_tol=1e-10, w=1.0)
-@example(H=2.5, y0=0.3, max_step=5.0, abs_tol=1e-6, w=0.0)
-@example(H=8.0, y0=0.0627, max_step=0.5, abs_tol=1e-10, w=0.5)
+@example(H=1.0, y0=0.6425, max_step=0.01, tol=1e-10, w=0.5)
+@example(H=-2.0, y0=-0.25, max_step=5.0, tol=1e-10, w=1.0)
+@example(H=2.5, y0=0.3, max_step=5.0, tol=1e-6, w=0.0)
+@example(H=8.0, y0=0.0627, max_step=0.5, tol=1e-10, w=0.5)
 @hsettings(derandomize=True, max_examples=60, deadline=None)
-def test_continued_run_is_the_fresh_run(H, y0, max_step, abs_tol, w):
+def test_continued_run_is_the_fresh_run(H, y0, max_step, tol, w):
     # A stop-angle shot continued to any s_end inside its last step, both ends
     # included, is bit for bit the run integrated afresh to that horizon.
-    settings = OdeSettings(abs_tol=abs_tol, max_step=max_step, max_s=8.0)
+    settings = OdeSettings(tol=tol, max_step=max_step, max_s=8.0)
     ic = InitialCondition(0.0, y0, 0.0)
     shot = integrate_forward(ic, settings, H=H, stop_theta=-math.copysign(2 * math.pi, H))
     lo, hi = shot.s[-2:].tolist()
@@ -745,7 +757,7 @@ def test_against_independent_integrator_cmc():
 def test_tolerance_convergence():
     ic = InitialCondition(0, 0, PI8)
     base = integrate(ic, OdeSettings(max_s=10.0)).state_at(10.0)
-    half = integrate(ic, OdeSettings(abs_tol=5e-11, rel_tol=5e-11, max_s=10.0)).state_at(10.0)
+    half = integrate(ic, OdeSettings(tol=5e-11, max_s=10.0)).state_at(10.0)
     tol = 1e-10
     assert abs(base.x - half.x) < 10 * tol
     assert abs(base.y - half.y) < 10 * tol
@@ -815,8 +827,8 @@ def test_mirrored_half_is_the_backward_run(x0, y0, theta0, max_step, max_s):
     settings = OdeSettings(max_s=max_s, max_step=max_step)
     traj = integrate_unsnapped(InitialCondition(x0, y0, theta0), settings)
     f, start = ode._raw_rhs(None), (x0, y0, theta0)
-    back = solve_fixed_horizon(f, start, -max_s, 1e-10, 1e-10, max_step)
-    fwd = solve_fixed_horizon(f, start, max_s, 1e-10, 1e-10, max_step)
+    back = solve_fixed_horizon(f, start, -max_s, 1e-10, max_step)
+    fwd = solve_fixed_horizon(f, start, max_s, 1e-10, max_step)
     bs, bys, _, _, bslopes, _ = back
     n = len(bs) - 1
     assert len(traj) == n + len(fwd[0])
@@ -913,7 +925,7 @@ def test_flip_covariance_of_trajectories(x0, y0, theta0, H):
     # different steps, so they differ by their global error: at the default
     # tolerances CMC curves that wind past 10 rad reach 1.3e-8; at 1e-12 the
     # worst draw is 1.3e-10, well inside the bound.
-    settings = OdeSettings(abs_tol=1e-12, rel_tol=1e-12, max_s=8.0, max_step=0.1)
+    settings = OdeSettings(tol=1e-12, max_s=8.0, max_step=0.1)
     traj = integrate(InitialCondition(x0, y0, theta0), settings, H=H)
     flipped = integrate(InitialCondition(y0, x0, math.pi / 2 - theta0), settings,
                         H=None if H is None else -H)
@@ -930,7 +942,7 @@ def test_cmc_samples_have_target_mean_curvature():
     for H in (0.5, 1.0, -1.0):
         traj = integrate(InitialCondition(0.0, 0.25, 0.0), settings, H=H)
         worst = max(abs(mean_curvature(state, tp) - H) for state, tp in traj.samples)
-        assert worst < 100 * settings.abs_tol
+        assert worst < 100 * settings.tol
 
 
 def test_circle_flat_examples():
