@@ -51,10 +51,13 @@ def test_settings_validation():
     assert defaults.max_step == 1e-2 and ode.EVENT_TOL == 1e-12
 
 
-@pytest.mark.parametrize("field", ["tol", "max_step", "max_s"])
+@pytest.mark.parametrize("field", ["tol", "max_step", "max_s", "abs_tol", "rel_tol"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_settings_reject_non_finite(field, value):
-    with pytest.raises(ValueError, match=field):
+    # abs_tol and rel_tol are retired, tol replaced both: the keyword itself is
+    # refused, at any value.
+    error = TypeError if field in ("abs_tol", "rel_tol") else ValueError
+    with pytest.raises(error, match=field):
         OdeSettings(**{field: value})
 
 
