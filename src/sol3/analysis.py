@@ -17,14 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._rk import dense_state
 from .ode import (
     InitialCondition,
     OdeSettings,
     Trajectory,
     _bisect,
     _continued,
-    _first_crossing,
+    _stop_crossing,
     find_event,
     integrate_forward,
 )
@@ -234,13 +233,9 @@ def classify_minimal(traj: Trajectory) -> Classification:
     _require_minimal(traj)
     _require_both_sides(traj, "classification")
     if traj.explicit_kind is not None:
-        kind = CurveClass(f"line-{traj.explicit_kind}")
-        asym: list[Line] = []
-        if kind is CurveClass.LINE_I:
-            asym = [Line(Axis.PARALLEL_TO_X, traj.ic.y0)]
-        elif kind is CurveClass.LINE_II:
-            asym = [Line(Axis.PARALLEL_TO_Y, traj.ic.x0)]
-        return Classification(kind, [], asym)
+        diagonal = traj.explicit_kind in ("III", "IV")  # no axis-parallel asymptote
+        return Classification(CurveClass(f"line-{traj.explicit_kind}"), [],
+                              [] if diagonal else asymptote_estimate(traj)[:1])
 
     inflections = inflection_points(traj)
     try:
@@ -335,17 +330,14 @@ def _shot(H: float, y0: float,
     """Residuals (x(s1), y(s1) - y0, s1) of the orbit from (0, y0, 0) at its
     first full turn s1, and the run itself, or None when it does not turn
     within arc length `shots.max_s` (`_shot_settings`).  The run stops on the
-    step whose angle crosses the turn target, so only that last step is
-    refined, on its own interpolant: the turn lies strictly inside it or at
-    its end, where `Trajectory.state_at` evaluates the same step."""
+    step whose angle crosses the turn target, and `ode._stop_crossing`
+    refines the turn on that step alone."""
     target = -math.copysign(2.0 * math.pi, H)
     traj = integrate_forward(InitialCondition(0.0, y0, 0.0), shots, H=H, stop_theta=target)
-    step = traj._step(len(traj) - 2)
-    s1 = _first_crossing(traj.s[-2:].tolist(), (traj.theta[-2:] - target).tolist(),
-                         lambda s: dense_state(step, s)[2] - target)
-    if s1 is None:
+    turn = _stop_crossing(traj, target)
+    if turn is None:
         return None
-    x, y, _ = dense_state(step, s1)
+    s1, x, y = turn
     return x, y - y0, s1, traj
 
 

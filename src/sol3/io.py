@@ -129,12 +129,12 @@ def write_curve_csv(path: str, traj: Trajectory) -> None:
 
 def curve_from_kind(kind: str, x0: float = 0.0, y0: float = 0.0,
                     r: float = 1.0) -> Callable[[float], CurveState]:
-    """Closed-form curve evaluators for mesh generation without integration."""
-    if kind in ("I", "II", "III", "IV"):
-        return lambda s: explicit_solution(kind, x0, y0, s)
+    """Closed-form curve evaluators for mesh generation without integration;
+    a line's kind and start are checked here, before any evaluation."""
     if kind == "circle":
         return lambda s: circle_flat(r, s)[0]
-    raise ValueError(f"unknown explicit curve kind {kind!r}")
+    explicit_solution(kind, x0, y0, 0.0)  # ValueError for an unknown kind or start
+    return lambda s: explicit_solution(kind, x0, y0, s)
 
 
 def surface_mesh(
@@ -178,18 +178,17 @@ def surface_mesh(
     b = a + grid.n_t
     faces_arr = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(-1, 3)
 
-    if _center_alignment(states, svals, tvals, vertices, faces_arr, grid) < 0.0:
+    if _center_alignment(states, tvals, vertices, faces_arr, grid) < 0.0:
         faces_arr = faces_arr[:, ::-1]
     return vertices, faces_arr
 
 
-def _center_alignment(states, svals, tvals, vertices, faces, grid) -> float:
+def _center_alignment(states, tvals, vertices, faces, grid) -> float:
     """Sign of (Euclidean face normal) . (surface normal in coordinates) at center, or nan."""
     ic, jc = (grid.n_s - 1) // 2, (grid.n_t - 1) // 2
     state, t = states[ic], float(tvals[jc])
     n_frame = unit_normal(state)
-    z = t
-    n_coords = np.array([n_frame.a1 * math.exp(-z), n_frame.a2 * math.exp(z), n_frame.a3])
+    n_coords = np.array([n_frame.a1 * math.exp(-t), n_frame.a2 * math.exp(t), n_frame.a3])
     face = faces[2 * (ic * (grid.n_t - 1) + jc)]
     v0, v1, v2 = vertices[face[0]], vertices[face[1]], vertices[face[2]]
     with np.errstate(over="ignore", invalid="ignore"):

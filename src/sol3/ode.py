@@ -16,10 +16,10 @@ integrated).  The stepper (`_rk`) hands back each side's samples, slopes and
 step rows, theta' being the third slope column, and raises IntegrationError
 itself; this module re-exports it.  theta is kept unwrapped so closure
 events (theta returning to theta0 - 2 pi) reduce to a plain sign test.
-Minimal starts within 1e-14 of a constant-angle solution (theta0 = 0, +-pi/4,
-+-pi/2, +-3 pi/4 or pi, modulo 2 pi, on the diagonal for the diagonal
-angles) always snap to the exact line, where nearby numerics would look
-spuriously stiff.
+`integrate` snaps a minimal start within 1e-14 of a constant-angle solution
+(theta0 = 0, +-pi/4, +-pi/2, +-3 pi/4 or pi, modulo 2 pi, on the diagonal
+for the diagonal angles) to the exact line, where nearby numerics would look
+spuriously stiff; `integrate_forward` steps every start, such a one included.
 Events are refined by bisection to EVENT_TOL in arc length, or to one ulp of
 s where that is wider.  A public run's horizon is its settings' max_s, which
 `OdeSettings` checks; only the private `_trajectory` and `_continued` take
@@ -229,14 +229,12 @@ def _line_xy(line: tuple, x0: float, y0: float, s):
     return x, (y0 + s * dy if dy else y0)
 
 
-def _line_trajectory(
-    ic: InitialCondition, settings: OdeSettings, line: tuple, s_lo: float, s_hi: float,
-) -> Trajectory:
-    if s_hi - s_lo == math.inf:  # max_s above half the largest float
+def _line_trajectory(ic: InitialCondition, settings: OdeSettings, line: tuple) -> Trajectory:
+    if 2.0 * settings.max_s == math.inf:  # max_s above half the largest float
         raise IntegrationError("line samples overflow: 2 max_s is not finite", 0.0)
-    n = max(2, int(math.ceil((s_hi - s_lo) / settings.max_step)) + 1)
-    s = np.linspace(s_lo, s_hi, n)
-    if s_lo < 0.0 < s_hi and 0.0 not in s:
+    n = max(2, int(math.ceil(2.0 * settings.max_s / settings.max_step)) + 1)
+    s = np.linspace(-settings.max_s, settings.max_s, n)
+    if 0.0 not in s:
         s = np.sort(np.append(s, 0.0))
     x, y = (np.full_like(s, c) if np.ndim(c) == 0 else c
             for c in _line_xy(line, ic.x0, ic.y0, s))
@@ -319,6 +317,16 @@ def _continued(shot: Trajectory, settings: OdeSettings, horizon: float) -> Traje
     return Trajectory(s, x, y, theta, theta_prime, shot.ic, shot.H_target, steps=(h, K))
 
 
+def _stop_crossing(traj: Trajectory, stop_theta: float) -> Optional[tuple[float, float, float]]:
+    """(s1, x, y) where a stop-angle run's angle crosses stop_theta, or None if
+    it did not: the run ends on the crossing step, so only that step is refined,
+    on its own interpolant, the one `Trajectory.state_at` evaluates there."""
+    step = traj._step(len(traj) - 2)
+    s1 = _first_crossing(traj.s[-2:].tolist(), (traj.theta[-2:] - stop_theta).tolist(),
+                         lambda s: _rk.dense_state(step, s)[2] - stop_theta)
+    return None if s1 is None else (s1, *_rk.dense_state(step, s1)[:2])
+
+
 def integrate(
     ic: InitialCondition,
     settings: Optional[OdeSettings] = None,
@@ -337,7 +345,7 @@ def integrate(
     _check_run(settings, H)
     line = _snap_line_kind(ic) if H is None else None
     if line is not None:
-        return _line_trajectory(ic, settings, line, -settings.max_s, settings.max_s)
+        return _line_trajectory(ic, settings, line)
     return _trajectory(ic, settings, H, settings.max_s, both_sides=True)
 
 
@@ -347,12 +355,12 @@ def integrate_forward(
     H: Optional[float] = None,
     stop_theta: Optional[float] = None,
 ) -> Trajectory:
-    """One-sided variant of `integrate` over [0, max_s].
+    """One-sided variant of `integrate` over [0, max_s] that steps every
+    start, one on a constant-angle line too (`integrate` snaps that one).
 
     Given `stop_theta`, integration halts on the first step whose end angle
     reaches or crosses it, one step past the crossing, which the final two
-    samples bracket; such a run is not held to the step budget up front.
-    """
+    samples bracket; such a run is not held to the step budget up front."""
     settings = settings or OdeSettings()
     _check_run(settings, H, stop_theta)
     return _trajectory(ic, settings, H, settings.max_s, stop_theta)

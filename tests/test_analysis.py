@@ -154,11 +154,25 @@ def test_classification_type_b_offset_diagonal_start():
     assert classify_minimal(minimal(1, 1, PI8, MEDIUM)).kind is CurveClass.TYPE_B
 
 
+def _check_line_asymptotes(traj, result):
+    """A snapped line I or II reports itself, the first line `asymptote_estimate`
+    gives, as its one asymptote; a diagonal reports none."""
+    want = {CurveClass.LINE_I: [Line(Axis.PARALLEL_TO_X, traj.ic.y0)],
+            CurveClass.LINE_II: [Line(Axis.PARALLEL_TO_Y, traj.ic.x0)]}.get(result.kind, [])
+    assert result.asymptotes == want
+    if want:
+        assert result.asymptotes == asymptote_estimate(traj)[:1]
+
+
 def test_classification_lines():
-    assert classify_minimal(minimal(1, 2, 0.0, OdeSettings())).kind is CurveClass.LINE_I
-    assert classify_minimal(minimal(1, 2, math.pi / 2, OdeSettings())).kind is CurveClass.LINE_II
-    assert classify_minimal(minimal(1, 1, math.pi / 4, OdeSettings())).kind is CurveClass.LINE_III
-    assert classify_minimal(minimal(1, -1, -math.pi / 4, OdeSettings())).kind is CurveClass.LINE_IV
+    for x0, y0, theta0, kind in ((1, 2, 0.0, CurveClass.LINE_I),
+                                 (1, 2, math.pi / 2, CurveClass.LINE_II),
+                                 (1, 1, math.pi / 4, CurveClass.LINE_III),
+                                 (1, -1, -math.pi / 4, CurveClass.LINE_IV)):
+        traj = minimal(x0, y0, theta0, OdeSettings())
+        result = classify_minimal(traj)
+        assert result.kind is kind and result.inflection_s == []
+        _check_line_asymptotes(traj, result)
 
 
 @pytest.mark.parametrize("x0,y0,theta0,kind,direction", [
@@ -171,13 +185,18 @@ def test_classification_lines():
     (1.0, 1.0, -2 * math.pi, CurveClass.LINE_I, (1.0, 0.0)),
     (1.0, 1.0, math.pi / 2 + 2 * math.pi, CurveClass.LINE_II, (0.0, 1.0)),
     (1.0, 1.0, math.pi / 4 + 2 * math.pi, CurveClass.LINE_III, (1.0, 1.0)),
+    # Unequal offsets, so an asymptote on the wrong coordinate shows.
+    (2.0, -3.0, math.pi, CurveClass.LINE_I, (-1.0, 0.0)),
+    (2.0, -3.0, 1.5 * math.pi, CurveClass.LINE_II, (0.0, -1.0)),
 ])
 def test_reversed_line_starts_snap(x0, y0, theta0, kind, direction):
     # The constant-angle lines run backwards, or from an angle a full turn
     # away; integrated, they would pick up a spurious inflection and read
     # type B or undetermined.
     traj = minimal(x0, y0, theta0, OdeSettings(max_s=50.0, max_step=0.5))
-    assert classify_minimal(traj).kind is kind
+    result = classify_minimal(traj)
+    assert result.kind is kind
+    _check_line_asymptotes(traj, result)
     dx, dy = (c / math.hypot(*direction) for c in direction)
     for s in np.linspace(-50.0, 50.0, 41).tolist():
         got = traj.state_at(s)

@@ -138,3 +138,43 @@ def test_only_main_maps_errors_to_exit_codes():
                     for leaf in ast.walk(node.value)):
                 offences.append(f"{handler.name} line {node.lineno}: returns EXIT_USAGE")
     assert not offences, offences
+
+
+def _imports_module(path: Path, name: str) -> bool:
+    """Whether a package file imports the sibling module `name`, or from it."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == name \
+                    or any(alias.name == name for alias in node.names):
+                return True
+        elif isinstance(node, ast.Import) \
+                and any(alias.name.split(".")[-1] == name for alias in node.names):
+            return True
+    return False
+
+
+def test_only_ode_imports_the_stepper():
+    # How a step's interpolant is built and read is known to `_rk` and to
+    # its one client, `ode`, alone.
+    assert _imports_module(PACKAGE / "analysis.py", "ode")  # the scan sees imports
+    assert [path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if _imports_module(path, "_rk")] == ["ode"]
+
+
+def test_every_parameter_is_read():
+    # A parameter that its function never reads is an input that changes
+    # nothing; a name starting with "_" marks one kept on purpose.
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(arg for arg in (args.vararg, args.kwarg) if arg is not None)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {leaf.id for statement in body for leaf in ast.walk(statement)
+                    if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)}
+            unread += [f"{path.name} line {node.lineno}: {arg.arg}" for arg in params
+                       if not arg.arg.startswith("_") and arg.arg not in read]
+    assert not unread, f"parameters never read: {unread}"

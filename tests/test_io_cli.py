@@ -140,6 +140,17 @@ def test_mesh_x_parallel_rows_are_lines(tmp_path):
         assert np.all(np.diff(col[:, 0]) > 0)
 
 
+def test_curve_from_kind_checks_a_line_when_built():
+    # `explicit_solution` refuses an off-diagonal start or an unknown kind
+    # as the curve is built, before any vertex is evaluated.
+    with pytest.raises(ValueError, match="kind III requires y0 == x0"):
+        curve_from_kind("III", x0=1.0, y0=2.0)
+    with pytest.raises(ValueError, match="kind IV requires y0 == -x0"):
+        curve_from_kind("IV", x0=1.0, y0=1.0)
+    with pytest.raises(ValueError, match="unknown line kind 'V'"):
+        curve_from_kind("V")
+
+
 def test_mesh_flat_circle_curvature():
     grid = MeshGrid(0.0, 2 * math.pi, -0.5, 0.5, 25, 5)
     svals = np.linspace(grid.s_min, grid.s_max, grid.n_s)
@@ -561,6 +572,8 @@ def test_cli_report_without_out_goes_to_stdout(tmp_path, capsys, argv):
     (["sweep", "--theta0-range", "0:1:0", "--out", "s.json"], "sol3 sweep: COUNT must be >= 1"),
     (["sweep", "--theta0-range", "0:1:2", "--workers", "0", "--out", "s.json"],
      "sol3 sweep: --workers must be >= 1"),
+    (["mesh", "--kind", "IV", "--x0", "1", "--y0", "2", "--grid=-1:1:-1:1:3:3",
+      "--out", "m.obj"], "sol3 mesh: kind IV requires y0 == -x0"),
 ])
 def test_cli_handler_usage_error_prints_one_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -192,6 +192,18 @@ def test_explicit_solution_preconditions():
         explicit_solution("V", 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("theta0", [0.0, math.pi / 4, math.pi / 2])
+def test_integrate_forward_steps_a_line_start(theta0):
+    # Only `integrate` snaps a start on a constant-angle line; the one-sided
+    # run steps it like any other start.
+    ic, settings = InitialCondition(0.0, 0.0, theta0), OdeSettings(max_s=5.0)
+    assert integrate(ic, settings).explicit_kind is not None
+    traj = integrate_forward(ic, settings)
+    assert traj.explicit_kind is None
+    assert len(traj) == 502 and len(traj._h) == 501
+    assert traj.s[0] == 0.0 and traj.s[-1] == 5.0
+
+
 def test_trajectory_shape_and_monotone_samples():
     traj = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=5.0))
     assert np.all(np.diff(traj.s) > 0)
