@@ -2,10 +2,11 @@
 
 Every float is written as its `repr` text, i.e. the shortest string that
 round-trips exactly, so identical inputs produce byte-identical files and
-files parse back to the exact binary values.  orjson prints that text for
-zeros and finite values with 1e-4 <= |v| < 1e16, in one call per block;
-`repr` prints every other value, where orjson's text differs (`1e-05`,
-`1e+16`, `nan`); tests hold the two routes to the same bytes.  Writes go
+files parse back to the exact binary values.  The writers produce bytes in
+whole-block passes: orjson prints zeros, |v| < 1e-9 and 1e-4 <= |v| < 1e16
+as `repr` does, and 1e-9 <= |v| < 1e-5 once its one-digit exponent is
+padded (`1e-7` -> `1e-07`); `repr` prints the rest ([1e-5, 1e-4), |v| >=
+1e16, inf, NaN); tests hold every route to `repr`'s bytes.  Writes go
 through a temp file and an atomic rename; failed commands leave nothing
 behind.
 """
@@ -29,6 +30,9 @@ from .surface import CurveState, curvature_report, immersion, unit_normal  # noq
 CSV_HEADER = "s,x,y,theta,theta_prime,H,K"
 _CHUNK_ROWS = 4096
 _MAX_EXP_ARG = math.log(sys.float_info.max)  # e^t is finite for t up to this
+_SLOT = -1e300  # orjson's b"-1e300"; every other |v| >= 1e16 is a slot, so no value prints it
+_PADDED_EXPONENTS = [(b"e-%d," % d, b"e-0%d," % d) for d in range(6, 10)]
+_OBJ_BYTES = bytes.maketrans(b",n", b" v")  # commas to spaces; with b"ul" deleted, `null` to `v`
 
 
 @dataclass(frozen=True)
@@ -54,24 +58,25 @@ class MeshGrid:
             raise ValueError(f"mesh grid |t| must not exceed {_MAX_EXP_ARG!r}")
 
 
-def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write text, or an iterable of text chunks, to path atomically.
+def atomic_write_text(path: str, data: str | bytes | Iterable[bytes]) -> None:
+    """Write str (as UTF-8), bytes, or an iterable of bytes chunks to path atomically.
 
-    The data goes to a same-directory temp file, which is renamed over path
-    only once every chunk is written; on any failure, including one raised by
-    the chunk iterable, the temp file is removed and path is left untouched.
-    The temp file is created with mode 0o666 and the process umask applied,
-    as `open` would create path itself.
+    The name predates the bytes writers; it stays because the benchmark's
+    layer tracer (perfbench/layertrace.py) binds it, as it binds `format_obj`
+    and `format_curve_csv`.  The data goes to a same-directory temp file,
+    which is renamed over path only once every chunk is written; on any
+    failure, including one raised by the chunk iterable, the temp file is
+    removed and path is left untouched.  The temp file is created with mode
+    0o666 and the process umask applied, as `open` would create path itself.
     """
+    if isinstance(data, str):
+        data = data.encode()
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            if isinstance(text, str):
-                handle.write(text)
-            else:
-                handle.writelines(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -88,29 +93,41 @@ def trajectory_records(traj: Trajectory) -> np.ndarray:
                             rep.H, rep.K])
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
-    """`repr` of each float in a 1-d array: orjson where its text is repr's, repr elsewhere."""
-    a = np.ascontiguousarray(values, np.float64)
-    if not a.size:
-        return []
-    mag = np.abs(a)
-    other = ~((mag == 0.0) | ((mag >= 1e-4) & (mag < 1e16)))  # NaN compares False: other
-    texts = orjson.dumps(np.where(other, 0.0, a),
-                         option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    for i in np.flatnonzero(other).tolist():
-        texts[i] = repr(float(a[i]))
-    return texts
+def _float_lines(block: np.ndarray, obj: bool) -> bytes:
+    """CSV lines, or OBJ `v` lines when obj, of a non-empty 2-d float block,
+    each float as its `repr` text.
+
+    One orjson call prints the block with an extra NaN column, whose `null`
+    marks each line end, and its one-digit negative exponents are padded
+    (`1e-7` -> `1e-07`).  `repr` prints the slots, the values whose orjson
+    text still differs: [1e-5, 1e-4), |v| >= 1e16, inf and NaN.
+    """
+    mag = np.abs(block)
+    slots = ~((mag < 1e-5) | ((mag >= 1e-4) & (mag < 1e16)))  # NaN compares False: a slot
+    flat = np.pad(np.where(slots, _SLOT, block), ((0, 0), (0, 1)), constant_values=math.nan)
+    text = orjson.dumps(flat.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+    if ((mag >= 1e-9) & (mag < 1e-5)).any():  # a comma follows every value
+        for short, padded in _PADDED_EXPONENTS:
+            text = text.replace(short, padded)
+    if obj:  # `,null,` -> `\nv `: a same-length replace, then one translate
+        text = b"v " + text.replace(b",null", b"\nnull").translate(_OBJ_BYTES, b"ul")[1:-2]
+    else:
+        text = text[1:-6].replace(b",null,", b"\n") + b"\n"
+    if slots.any():
+        parts = text.split(b"-1e300")
+        joined = [b""] * (2 * len(parts) - 1)
+        joined[::2] = parts
+        joined[1::2] = [repr(v).encode() for v in block[slots].tolist()]
+        text = b"".join(joined)
+    return text
 
 
-def format_curve_csv(rows: np.ndarray) -> str:
-    """CSV text of an (n, 7) table."""
+def format_curve_csv(rows: np.ndarray) -> bytes:
+    """CSV bytes of an (n, 7) table."""
     table = np.asarray(rows, dtype=float).reshape(-1, 7)
-    chunks = [CSV_HEADER + "\n"]
-    for i in range(0, len(table), _CHUNK_ROWS):
-        block = table[i:i + _CHUNK_ROWS]
-        chunks.append(("%s,%s,%s,%s,%s,%s,%s\n" * len(block))
-                      % tuple(_float_texts(block.ravel())))
-    return "".join(chunks)
+    return b"".join([CSV_HEADER.encode() + b"\n"]
+                    + [_float_lines(table[i:i + _CHUNK_ROWS], obj=False)
+                       for i in range(0, len(table), _CHUNK_ROWS)])
 
 
 def write_curve_csv(path: str, traj: Trajectory) -> None:
@@ -130,11 +147,12 @@ def write_curve_csv(path: str, traj: Trajectory) -> None:
 def curve_from_kind(kind: str, x0: float = 0.0, y0: float = 0.0,
                     r: float = 1.0) -> Callable[[float], CurveState]:
     """Closed-form curve evaluators for mesh generation without integration;
-    a line's kind and start are checked here, before any evaluation."""
-    if kind == "circle":
-        return lambda s: circle_flat(r, s)[0]
-    explicit_solution(kind, x0, y0, 0.0)  # ValueError for an unknown kind or start
-    return lambda s: explicit_solution(kind, x0, y0, s)
+    one evaluation at s = 0 checks a circle's radius and a line's kind and
+    start here, before any vertex is made."""
+    curve = ((lambda s: circle_flat(r, s)[0]) if kind == "circle"
+             else (lambda s: explicit_solution(kind, x0, y0, s)))
+    curve(0.0)  # ValueError for a bad radius, an unknown kind or an off-diagonal start
+    return curve
 
 
 def surface_mesh(
@@ -195,20 +213,21 @@ def _center_alignment(states, tvals, vertices, faces, grid) -> float:
         return float(np.cross(v1 - v0, v2 - v0) @ n_coords)
 
 
-def format_obj(vertices: np.ndarray, faces: np.ndarray) -> Iterator[str]:
-    """OBJ text of the mesh as chunks of whole lines, to be joined or streamed.
+def format_obj(vertices: np.ndarray, faces: np.ndarray) -> Iterator[bytes]:
+    """OBJ bytes of the mesh as chunks of whole lines, to be joined or streamed.
 
-    Vertices print as `repr` of each float and faces as 1-based indices.  The
-    text is produced lazily, _CHUNK_ROWS rows at a time, so a large mesh
-    is never held in memory as one string.
+    Vertices print as `repr` of each float and faces as 1-based indices, one
+    orjson call per face chunk with an extra column of 0, which no 1-based
+    index is, marking each line end.  The bytes are produced lazily,
+    _CHUNK_ROWS rows at a time, so a large mesh is never held in memory whole.
     """
+    vertices = np.asarray(vertices, np.float64)
     for i in range(0, len(vertices), _CHUNK_ROWS):
-        block = vertices[i:i + _CHUNK_ROWS]
-        yield ("v %s %s %s\n" * len(block)) % tuple(_float_texts(np.ravel(block)))
+        yield _float_lines(vertices[i:i + _CHUNK_ROWS], obj=True)
     for i in range(0, len(faces), _CHUNK_ROWS):
-        block = np.ascontiguousarray(faces[i:i + _CHUNK_ROWS], np.int64) + 1
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        yield "f " + text[2:-2].replace("],[", "\nf ").replace(",", " ") + "\n"
+        flat = np.pad(np.asarray(faces[i:i + _CHUNK_ROWS], np.int64) + 1, ((0, 0), (0, 1)))
+        text = orjson.dumps(flat.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        yield b"f " + text[1:-3].replace(b",0,", b"\nf ").translate(_OBJ_BYTES) + b"\n"
 
 
 def write_mesh_obj(path: str, vertices: np.ndarray, faces: np.ndarray) -> None:

@@ -33,7 +33,6 @@ from sol3 import cli
 from sol3.cli import main
 from sol3.io import (
     _CHUNK_ROWS,
-    _float_texts,
     CSV_HEADER,
     MeshGrid,
     atomic_write_text,
@@ -69,7 +68,7 @@ def test_csv_header_and_order(tmp_path, short_traj):
 def test_csv_round_trip_identity(tmp_path, short_traj):
     path = str(tmp_path / "curve.csv")
     write_curve_csv(path, short_traj)
-    text = open(path).read()
+    text = open(path, "rb").read()
     records = read_curve_csv(path)
     assert format_curve_csv(records) == text
 
@@ -107,7 +106,7 @@ def test_csv_table_matches_per_sample_reference(ic, H):
         rep = curvature_report(state, tp)
         lines.append(",".join(map(repr, (state.s, state.x, state.y, state.theta, tp,
                                          rep.H, rep.K))))
-    assert format_curve_csv(trajectory_records(traj)) == "\n".join(lines) + "\n"
+    assert format_curve_csv(trajectory_records(traj)) == ("\n".join(lines) + "\n").encode()
 
 
 def test_mesh_grid_validation():
@@ -149,6 +148,12 @@ def test_curve_from_kind_checks_a_line_when_built():
         curve_from_kind("IV", x0=1.0, y0=1.0)
     with pytest.raises(ValueError, match="unknown line kind 'V'"):
         curve_from_kind("V")
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+def test_curve_from_kind_checks_a_circle_when_built(r):
+    with pytest.raises(ValueError, match="circle radius must be positive and finite"):
+        curve_from_kind("circle", r=r)
 
 
 def test_mesh_flat_circle_curvature():
@@ -204,9 +209,9 @@ def _reference_surface_mesh(curve, grid):
 
 
 def _reference_obj_text(vertices, faces):
-    lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in vertices]
-    lines += [f"f {int(f[0]) + 1} {int(f[1]) + 1} {int(f[2]) + 1}" for f in faces]
-    return "\n".join(lines) + "\n"
+    lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n" for v in vertices]
+    lines += [f"f {int(f[0]) + 1} {int(f[1]) + 1} {int(f[2]) + 1}\n" for f in faces]
+    return "".join(lines)
 
 
 _PI8_TRAJ = integrate(InitialCondition(0, 0, PI8), OdeSettings(max_s=3.0))
@@ -229,13 +234,15 @@ def test_mesh_matches_scalar_reference(curve, grid, flipped):
     assert vertices.tobytes() == ref_vertices.tobytes()
     assert faces.dtype == ref_faces.dtype
     assert np.array_equal(faces, ref_faces)
-    assert "".join(format_obj(vertices, faces)) == _reference_obj_text(vertices, faces)
+    assert b"".join(format_obj(vertices, faces)) == _reference_obj_text(vertices, faces).encode()
 
 
-# z values on the boundaries between the orjson and repr routes: both zeros
-# (orjson's), the least subnormal, 1e-5 and 1e16 (repr's) and 1e16's lower
-# neighbour (orjson's).
-_Z_POOL = [0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5]
+# z values on the boundaries between the text routes: both zeros and the least
+# subnormal (orjson's), 1e-9's lower neighbour (orjson's, two-digit exponent),
+# 1e-9 and 9.5e-6 (orjson's, exponent padded), 1e-5 and 1e16 (repr's) and
+# 1e16's lower neighbour (orjson's).
+_Z_POOL = [0.0, -0.0, 5e-324, float(np.nextafter(1e-9, 0.0)), 1e-9, 9.5e-6, 1e16,
+           9999999999999998.0, 1e-5]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -249,37 +256,77 @@ def test_format_obj_matches_reference_text(data, n, flip):
     if flip:
         faces = faces[:, ::-1]
     vertices = np.column_stack([xy, z])
-    text = "".join(format_obj(vertices, faces))
+    text = b"".join(format_obj(vertices, faces))
     # Compared as lines, so a failure reports the first bad line, not a text diff.
-    assert text.splitlines() == _reference_obj_text(vertices, faces).splitlines()
-    assert text.endswith("\n")
+    assert text.splitlines() == _reference_obj_text(vertices, faces).encode().splitlines()
+    assert text.endswith(b"\n")
 
 
-def test_float_texts_match_repr_on_random_bit_patterns():
-    # Every exponent field (subnormals, inf and NaN included) in one half, the
-    # exponents around the orjson route's range [1e-4, 1e16) in the other.
-    rng = np.random.default_rng(29)
-    n = 100_000
-    bits = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64)
-    exponents = np.concatenate([np.arange(n) % 2048, rng.integers(1009, 1077, size=n)])
+def _reference_csv(table):
+    return (CSV_HEADER + "\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())).encode()
+
+
+def _assert_both_writers_print_repr(values):
+    """CSV and OBJ bytes of the values against per-value `repr`: as 7-column
+    table rows and as vertex rows, compared line by line."""
+    table = values[:len(values) // 7 * 7].reshape(-1, 7)
+    vertices = values[:len(values) // 3 * 3].reshape(-1, 3)
+    faces = np.arange(3 * min(len(vertices), 5)).reshape(-1, 3) % max(len(vertices), 1)
+    assert format_curve_csv(table).splitlines() == _reference_csv(table).splitlines()
+    assert (b"".join(format_obj(vertices, faces)).splitlines()
+            == _reference_obj_text(vertices, faces).encode().splitlines())
+
+
+def _bit_patterns(exponents, rng):
+    bits = rng.integers(0, 2**64, size=len(exponents), dtype=np.uint64)
     bits = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponents.astype(np.uint64) << 52)
-    values = np.concatenate([bits.view(np.float64), [0.0, -0.0, math.inf, -math.inf,
-                                                     math.nan, 5e-324, -5e-324]])
-    assert _float_texts(values) == list(map(repr, values.tolist()))
+    return bits.view(np.float64)
 
 
-def test_float_texts_match_repr_at_the_routing_boundaries():
-    values = np.array([v for b in (1e-4, 1e16) for sign in (1.0, -1.0)
+def test_writers_match_repr_on_random_bit_patterns():
+    # Every exponent field (subnormals, inf and NaN included) in one third; the
+    # exponents of the padded and orjson routes, 2^-34 .. 2^54, in another; the
+    # last third holds one in five values in [1e-5, 1e-4) or above 1e16, so
+    # slots fall at line starts and ends and next to padded exponents.
+    rng = np.random.default_rng(29)
+    n = 70_000
+    mixed = _bit_patterns(rng.integers(989, 1078, size=n), rng)
+    slot = rng.random(n) < 0.2
+    mixed[slot] = (rng.uniform(1e-5, 1e-4, size=slot.sum())
+                   * rng.choice([1.0, -1.0, 1e21, -1e22], size=slot.sum()))
+    values = np.concatenate([_bit_patterns(np.arange(n) % 2048, rng),
+                             _bit_patterns(rng.integers(989, 1078, size=n), rng), mixed,
+                             [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                              2.2250738585072014e-308, -1e300, 1e300]])
+    _assert_both_writers_print_repr(values)
+
+
+def test_writers_match_repr_at_the_routing_boundaries():
+    values = np.array([v for b in (1e-9, 1e-5, 1e-4, 1e16) for sign in (1.0, -1.0)
                        for v in (sign * np.nextafter(b, 0.0), sign * b,
-                                 sign * np.nextafter(b, math.inf))])
-    assert _float_texts(values) == list(map(repr, values.tolist()))
-    assert _float_texts(np.array([])) == []
+                                 sign * np.nextafter(b, math.inf))]
+                      + [1e-6, 9.999999999999999e-07, 1e-7, 1e-8, -1e300, math.nan])
+    _assert_both_writers_print_repr(np.concatenate([values, values[::-1]]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+def test_writers_match_repr_at_every_chunk_size(n):
+    # Values drawn from slots (about 1e-5, 1e16 and inf), padded exponents and
+    # orjson values, so each kind falls at line starts, line ends and chunk edges.
+    rng = np.random.default_rng(n)
+    pool = np.array([1e-5, -1e16, 3.5e-7, -9.5e-6, 0.25, -0.0, 1e-12, math.inf])
+    values = rng.choice(pool, size=21 * n) * rng.uniform(1.0, 1.5, size=21 * n)
+    table, vertices = values[:7 * n].reshape(-1, 7), values[7 * n:10 * n].reshape(-1, 3)
+    assert format_curve_csv(table) == _reference_csv(table)
+    faces = np.arange(3 * n).reshape(-1, 3) % max(n, 1)
+    assert b"".join(format_obj(vertices, faces)) == _reference_obj_text(vertices, faces).encode()
 
 
 def test_csv_prints_repr_where_orjson_differs():
     row = [1e-05, 1e16, math.nan, math.inf, -math.inf, -0.0, 0.1]
     assert format_curve_csv(np.array([row])) == (
-        f"{CSV_HEADER}\n1e-05,1e+16,nan,inf,-inf,-0.0,0.1\n")
+        f"{CSV_HEADER}\n1e-05,1e+16,nan,inf,-inf,-0.0,0.1\n".encode())
 
 
 def test_format_obj_yields_bounded_chunks_of_whole_lines():
@@ -289,7 +336,7 @@ def test_format_obj_yields_bounded_chunks_of_whole_lines():
     chunks = list(format_obj(vertices, faces))
     assert len(chunks) == 5
     for chunk in chunks:
-        assert chunk.endswith("\n") and chunk.count("\n") <= _CHUNK_ROWS
+        assert chunk.endswith(b"\n") and chunk.count(b"\n") <= _CHUNK_ROWS
 
 
 @pytest.mark.parametrize("kind, digest", [
@@ -369,7 +416,8 @@ def test_cli_sweep_golden_digests(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("text",["a\nb\n", iter(["a\n", "b\n"])])
+@pytest.mark.parametrize("text", ["a\nb\n", iter([b"a\n", b"b\n"]),
+                                  pytest.param(b"a\nb\n", id="bytes")])
 def test_atomic_write_follows_umask(tmp_path, text):
     path = tmp_path / "out.txt"
     old = os.umask(0o022)
@@ -377,19 +425,30 @@ def test_atomic_write_follows_umask(tmp_path, text):
         atomic_write_text(str(path), text)
     finally:
         os.umask(old)
-    assert path.read_text() == "a\nb\n"
+    assert path.read_bytes() == b"a\nb\n"
     assert os.stat(path).st_mode & 0o777 == 0o644
 
 
-def test_atomic_write_failing_chunks_leave_nothing(tmp_path):
+def test_atomic_write_failing_chunks_leave_nothing(tmp_path, monkeypatch):
     def chunks():
-        yield "v 0.0 0.0 0.0\n"
+        yield b"v 0.0 0.0 0.0\n"
         raise RuntimeError("chunk failed")
 
     path = tmp_path / "m.obj"
     with pytest.raises(RuntimeError):
         atomic_write_text(str(path), chunks())
+    with pytest.raises(TypeError):  # a str chunk: only whole str is written as UTF-8
+        atomic_write_text(str(path), iter([b"v 0.0 0.0 0.0\n", "f 1 1 1\n"]))
     assert os.listdir(tmp_path) == []
+
+    def fail_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail_rename)
+    for data in (b"a\n", "a\n", iter([b"a\n", b"b\n"])):
+        with pytest.raises(OSError, match="rename failed"):
+            atomic_write_text(str(path), data)
+        assert os.listdir(tmp_path) == []
 
 
 def test_cli_integrate_and_determinism(tmp_path):

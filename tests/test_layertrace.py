@@ -1,6 +1,8 @@
 """The benchmark's layer tracer (`perfbench/layertrace.py`) on the current
 stepper: a traced command writes the same bytes as an untraced one, and the
-tracer counts exactly the accepted steps of the runs that were integrated."""
+tracer counts exactly the accepted steps of the runs that were integrated,
+and the CSV rows, OBJ vertices and bytes of the files written."""
+import contextlib
 import importlib.util
 from pathlib import Path
 
@@ -45,3 +47,33 @@ def test_tracer_writes_the_same_bytes_and_counts_the_steps_taken(tmp_path, monke
     assert traced.read_bytes() == plain.read_bytes()
     assert tracer.counts["steps_accepted"] == sum(taken) > 0
     assert runs is None or len(taken) == runs
+
+
+@pytest.mark.parametrize("argv", [
+    # Meshes of 5151 vertices: two OBJ vertex chunks and three face chunks.
+    ["mesh", "--theta0", "0.3", "--grid=-2:2:-1:1:101:51"],
+    ["mesh", "--kind", "circle", "--grid=-2:2:-1:1:101:51"],
+    ["sweep", "--theta0-range", "0.3:1.0:3", "--max-s", "5", "--workers", "1",
+     "--out-dir", "curves"],
+])
+def test_tracer_counts_the_rows_vertices_and_bytes_written(tmp_path, argv):
+    # The tracer binds io.format_curve_csv, io.format_obj and
+    # io.atomic_write_text; its counts must still be those of the files.
+    def run(root, tracer=None):
+        root.mkdir()
+        args = [str(root / a) if a == "curves" else a for a in argv]
+        with tracer.patched() if tracer else contextlib.nullcontext():
+            assert main(args + ["--out", str(root / "out")]) == 0
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    plain = run(tmp_path / "plain")
+    tracer = _layertrace().Tracer()
+    traced = run(tmp_path / "traced", tracer)
+    assert traced == plain
+    csvs = [data for path, data in traced.items() if path.parent.name == "curves"]
+    assert len(csvs) == (3 if argv[0] == "sweep" else 0)
+    obj = traced[Path("out")] if argv[0] == "mesh" else b""
+    assert tracer.counts["csv_rows"] == sum(data.count(b"\n") - 1 for data in csvs)
+    assert tracer.counts["obj_vertices"] == obj.count(b"\nv ") + obj.startswith(b"v ")
+    assert tracer.counts["obj_vertices"] == (5151 if argv[0] == "mesh" else 0)
+    assert tracer.counts["bytes_written"] == sum(map(len, traced.values()))
