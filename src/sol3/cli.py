@@ -138,7 +138,7 @@ def _settings(args: argparse.Namespace) -> OdeSettings:
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
-        io.atomic_write_text(out, text)
+        io.atomic_write_text(out, text.encode())
     else:
         sys.stdout.write(text)
 

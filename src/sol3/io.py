@@ -4,11 +4,10 @@ Every float is written as its `repr` text, i.e. the shortest string that
 round-trips exactly, so identical inputs produce byte-identical files and
 files parse back to the exact binary values.  The writers produce bytes in
 whole-block passes: orjson prints zeros, |v| < 1e-9 and 1e-4 <= |v| < 1e16
-as `repr` does, and 1e-9 <= |v| < 1e-5 once its one-digit exponent is
-padded (`1e-7` -> `1e-07`); `repr` prints the rest ([1e-5, 1e-4), |v| >=
-1e16, inf, NaN); tests hold every route to `repr`'s bytes.  Writes go
-through a temp file and an atomic rename; failed commands leave nothing
-behind.
+as `repr` does; `repr` prints the rest ([1e-9, 1e-4), where orjson writes
+`5e-7` or `0.00005` for `repr`'s `5e-07` and `5e-05`, |v| >= 1e16, inf and
+NaN); tests hold both routes to `repr`'s bytes.  Writes go through a temp
+file and an atomic rename; failed commands leave nothing behind.
 """
 from __future__ import annotations
 
@@ -31,7 +30,6 @@ CSV_HEADER = "s,x,y,theta,theta_prime,H,K"
 _CHUNK_ROWS = 4096
 _MAX_EXP_ARG = math.log(sys.float_info.max)  # e^t is finite for t up to this
 _SLOT = -1e300  # orjson's b"-1e300"; every other |v| >= 1e16 is a slot, so no value prints it
-_PADDED_EXPONENTS = [(b"e-%d," % d, b"e-0%d," % d) for d in range(6, 10)]
 _OBJ_BYTES = bytes.maketrans(b",n", b" v")  # commas to spaces; with b"ul" deleted, `null` to `v`
 
 
@@ -58,8 +56,8 @@ class MeshGrid:
             raise ValueError(f"mesh grid |t| must not exceed {_MAX_EXP_ARG!r}")
 
 
-def atomic_write_text(path: str, data: str | bytes | Iterable[bytes]) -> None:
-    """Write str (as UTF-8), bytes, or an iterable of bytes chunks to path atomically.
+def atomic_write_text(path: str, data: bytes | Iterable[bytes]) -> None:
+    """Write bytes, or an iterable of bytes chunks, to path atomically.
 
     The name predates the bytes writers; it stays because the benchmark's
     layer tracer (perfbench/layertrace.py) binds it, as it binds `format_obj`
@@ -69,8 +67,6 @@ def atomic_write_text(path: str, data: str | bytes | Iterable[bytes]) -> None:
     removed and path is left untouched.  The temp file is created with mode
     0o666 and the process umask applied, as `open` would create path itself.
     """
-    if isinstance(data, str):
-        data = data.encode()
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -98,17 +94,13 @@ def _float_lines(block: np.ndarray, obj: bool) -> bytes:
     each float as its `repr` text.
 
     One orjson call prints the block with an extra NaN column, whose `null`
-    marks each line end, and its one-digit negative exponents are padded
-    (`1e-7` -> `1e-07`).  `repr` prints the slots, the values whose orjson
-    text still differs: [1e-5, 1e-4), |v| >= 1e16, inf and NaN.
+    marks each line end.  `repr` prints the slots, the values whose orjson
+    text differs: [1e-9, 1e-4), |v| >= 1e16, inf and NaN.
     """
     mag = np.abs(block)
-    slots = ~((mag < 1e-5) | ((mag >= 1e-4) & (mag < 1e16)))  # NaN compares False: a slot
+    slots = ~((mag < 1e-9) | ((mag >= 1e-4) & (mag < 1e16)))  # NaN compares False: a slot
     flat = np.pad(np.where(slots, _SLOT, block), ((0, 0), (0, 1)), constant_values=math.nan)
     text = orjson.dumps(flat.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
-    if ((mag >= 1e-9) & (mag < 1e-5)).any():  # a comma follows every value
-        for short, padded in _PADDED_EXPONENTS:
-            text = text.replace(short, padded)
     if obj:  # `,null,` -> `\nv `: a same-length replace, then one translate
         text = b"v " + text.replace(b",null", b"\nnull").translate(_OBJ_BYTES, b"ul")[1:-2]
     else:

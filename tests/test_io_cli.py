@@ -239,8 +239,7 @@ def test_mesh_matches_scalar_reference(curve, grid, flipped):
 
 # z values on the boundaries between the text routes: both zeros and the least
 # subnormal (orjson's), 1e-9's lower neighbour (orjson's, two-digit exponent),
-# 1e-9 and 9.5e-6 (orjson's, exponent padded), 1e-5 and 1e16 (repr's) and
-# 1e16's lower neighbour (orjson's).
+# 1e-9, 9.5e-6, 1e-5 and 1e16 (repr's) and 1e16's lower neighbour (orjson's).
 _Z_POOL = [0.0, -0.0, 5e-324, float(np.nextafter(1e-9, 0.0)), 1e-9, 9.5e-6, 1e16,
            9999999999999998.0, 1e-5]
 
@@ -286,9 +285,9 @@ def _bit_patterns(exponents, rng):
 
 def test_writers_match_repr_on_random_bit_patterns():
     # Every exponent field (subnormals, inf and NaN included) in one third; the
-    # exponents of the padded and orjson routes, 2^-34 .. 2^54, in another; the
-    # last third holds one in five values in [1e-5, 1e-4) or above 1e16, so
-    # slots fall at line starts and ends and next to padded exponents.
+    # exponents 2^-34 .. 2^54, where slots in [1e-9, 1e-4) meet orjson values,
+    # in another; the last third holds one in five values in [1e-5, 1e-4) or
+    # above 1e16, so slots fall at line starts and ends and next to each other.
     rng = np.random.default_rng(29)
     n = 70_000
     mixed = _bit_patterns(rng.integers(989, 1078, size=n), rng)
@@ -312,8 +311,8 @@ def test_writers_match_repr_at_the_routing_boundaries():
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
 def test_writers_match_repr_at_every_chunk_size(n):
-    # Values drawn from slots (about 1e-5, 1e16 and inf), padded exponents and
-    # orjson values, so each kind falls at line starts, line ends and chunk edges.
+    # Values drawn from slots (about 1e-5, 1e16, 3.5e-7 and inf) and orjson
+    # values, so each kind falls at line starts, line ends and chunk edges.
     rng = np.random.default_rng(n)
     pool = np.array([1e-5, -1e16, 3.5e-7, -9.5e-6, 0.25, -0.0, 1e-12, math.inf])
     values = rng.choice(pool, size=21 * n) * rng.uniform(1.0, 1.5, size=21 * n)
@@ -416,8 +415,7 @@ def test_cli_sweep_golden_digests(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("text", ["a\nb\n", iter([b"a\n", b"b\n"]),
-                                  pytest.param(b"a\nb\n", id="bytes")])
+@pytest.mark.parametrize("text", [b"a\nb\n", iter([b"a\n", b"b\n"])])
 def test_atomic_write_follows_umask(tmp_path, text):
     path = tmp_path / "out.txt"
     old = os.umask(0o022)
@@ -437,7 +435,7 @@ def test_atomic_write_failing_chunks_leave_nothing(tmp_path, monkeypatch):
     path = tmp_path / "m.obj"
     with pytest.raises(RuntimeError):
         atomic_write_text(str(path), chunks())
-    with pytest.raises(TypeError):  # a str chunk: only whole str is written as UTF-8
+    with pytest.raises(TypeError):  # a str chunk: only bytes are written
         atomic_write_text(str(path), iter([b"v 0.0 0.0 0.0\n", "f 1 1 1\n"]))
     assert os.listdir(tmp_path) == []
 
@@ -445,7 +443,7 @@ def test_atomic_write_failing_chunks_leave_nothing(tmp_path, monkeypatch):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail_rename)
-    for data in (b"a\n", "a\n", iter([b"a\n", b"b\n"])):
+    for data in (b"a\n", iter([b"a\n", b"b\n"])):
         with pytest.raises(OSError, match="rename failed"):
             atomic_write_text(str(path), data)
         assert os.listdir(tmp_path) == []
