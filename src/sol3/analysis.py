@@ -6,7 +6,7 @@ y-parallel line, no inflection) or squeezed between two parallel lines with
 a single inflection.  The classifier reports which, `asymptote_estimate`
 extracts the bounding lines, and `closed_curve_search` hunts the closed
 constant-mean-curvature generating curve by shooting on its y-intercept,
-with shot settings built once per search: the caller's, max_s at least 40.
+loose iterates first and then secant steps at the caller's settings.
 """
 from __future__ import annotations
 
@@ -34,16 +34,16 @@ TAIL_FRACTION = 0.1
 #: An end counts as axis-parallel when max |sin theta| (or |cos theta|) over the
 #: tail stays below this.
 SETTLE_THRESHOLD = 1e-4
-#: Shooting drives |x(s1)| below this...
+#: Shooting drives |x(s1)|, and its last secant step over max(1, |y0|), below this...
 DEFAULT_RESIDUAL_TOL = 1e-10
 #: ...and then |y(s1) - y0| must independently fall below this.
 DEFAULT_CLOSURE_TOL = 1e-6
-#: Secant/bisection iterations allowed before shooting gives up.
+#: Iterations allowed in each phase: the loose one then hands on, the closing one gives up.
 _MAX_SHOOT_ITER = 200
 #: The y0 values scanned for a bracket when none is given, in order.
 _SCAN_GRID = (1 / 16, 1 / 8, 0.25, 0.5, 1.0, 2.0, 4.0)
-#: Tolerance of the scan's shots that only read the sign of x(s1), run with
-#: no step cap below the horizon...
+#: Least tolerance of the shots whose numbers reach no output (the scan's
+#: signs, the search's loose iterates), run with no step cap below the horizon...
 _SIGN_TOL = 1e-7
 #: ...whose sign counts when |x(s1)| is at least this many times the largest
 #: of _SIGN_TOL and the caller's tolerance (1e-3 at the defaults).
@@ -325,6 +325,15 @@ def _shot_settings(settings: Optional[OdeSettings]) -> OdeSettings:
     return replace(settings, max_s=max(settings.max_s, 40.0))
 
 
+def _sign_settings(shots: OdeSettings) -> OdeSettings:
+    """The scan's sign shots and the loose iterates: tol max(_SIGN_TOL, shots.tol), uncapped."""
+    return OdeSettings(tol=max(_SIGN_TOL, shots.tol), max_step=shots.max_s, max_s=shots.max_s)
+
+
+def _collapsed(lo: float, hi: float) -> bool:
+    return hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi))
+
+
 def _shot(H: float, y0: float,
           shots: OdeSettings) -> Optional[tuple[float, float, float, Trajectory]]:
     """Residuals (x(s1), y(s1) - y0, s1) of the orbit from (0, y0, 0) at its
@@ -346,7 +355,7 @@ def _scan(H: float, shots: OdeSettings) -> tuple[tuple[float, tuple], tuple[floa
     _SCAN_GRID (negated for H < 0) whose `_shot` residuals differ in the sign
     of x(s1), at the caller's shot settings `shots` (`_shot_settings`).
 
-    Each point is first shot at _SIGN_TOL with no step cap below the horizon.
+    Each point is first shot at `_sign_settings(shots)`.
     Its sign counts when |x(s1)| clears the margin; otherwise, or when that
     shot does not turn, the point is shot again at the caller's settings.
     When two adjacent signs differ, both ends are shot at the caller's
@@ -356,8 +365,8 @@ def _scan(H: float, shots: OdeSettings) -> tuple[tuple[float, tuple], tuple[floa
     picks whenever every counted sign is the caller's too.
     """
     grid = _SCAN_GRID if H > 0.0 else tuple(-y0 for y0 in _SCAN_GRID)
-    sign_settings = OdeSettings(tol=_SIGN_TOL, max_step=shots.max_s, max_s=shots.max_s)
-    margin = _SIGN_MARGIN * max(_SIGN_TOL, shots.tol)
+    sign_settings = _sign_settings(shots)
+    margin = _SIGN_MARGIN * sign_settings.tol
 
     def differ(a: Optional[tuple], b: Optional[tuple]) -> bool:
         return a is not None and b is not None and a[0] * b[0] < 0.0
@@ -387,11 +396,11 @@ def scan_bracket(H: float, settings: Optional[OdeSettings] = None) -> tuple[floa
 
     The y-reflection (x, y, theta) -> (x, -y, -theta) maps the H system onto
     the -H system, so for H < 0 the orbits start below the x-axis.  A grid
-    point's sign is read off a shot at _SIGN_TOL with no step cap when it
-    clears `_scan`'s margin; the two ends are shot at `settings`.  Raises
-    ValueError for H = 0 and BracketError when no sign change shows up;
-    closure of the generating curve away from the exhibited cases is
-    conjectural, so a failed scan is reported data, not a crash.
+    point's sign is read off a shot at `_sign_settings` when it clears
+    `_scan`'s margin; the two ends are shot at `settings`.  Raises ValueError
+    for H = 0 and BracketError when no sign change shows up; closure of the
+    generating curve away from the exhibited cases is conjectural, so a
+    failed scan is reported data, not a crash.
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")
@@ -406,20 +415,23 @@ def closed_curve_search(
 ) -> ShootingResult:
     """Shooting search for the closed constant-mean-curvature generating curve.
 
-    The control is the scalar residual x(s1; y0), driven below
-    DEFAULT_RESIDUAL_TOL by bisection with secant acceleration; the second
-    residual y(s1) - y0 is then an independent closure certificate (below
+    The control is the scalar residual x(s1; y0).  Phase 1 runs Illinois
+    regula falsi on loose shots (`_sign_settings`) to |x(s1)| below 100 of
+    their tolerances.  Phase 2 shoots at `settings` from its root by secant
+    steps (the first along phase 1's last slope), bisecting when one leaves
+    the bracket, and stops on y0*: |x(s1)| and the next step over
+    max(1, |y0|) below DEFAULT_RESIDUAL_TOL.  y0* is that shot's y0, and
+    `iterations` counts the y0s of both phases.  The second residual
+    y(s1) - y0 is an independent closure certificate (below
     DEFAULT_CLOSURE_TOL), never part of the control.  A certificate failure
     raises ClosureError: simultaneous closure is observed, not guaranteed,
     and must be reported rather than assumed.  Each shot runs to arc length
-    max(settings.max_s, 40).  Without a bracket, the `scan_bracket` grid (its
-    negatives for H < 0) is scanned first and its two end integrations, run
-    at `settings` like every shot whose numbers the search reads, serve as
-    the bracket's residuals; a given bracket (lo, hi) must be finite with
-    lo < hi (else ValueError).  The certificate's orbit, from s = 0 to s1, is
-    the final shot's run continued to s1 (`ode._continued`), bit for bit what
-    integrating it afresh gives, so the closed orbit is not integrated twice;
-    of the shots, only the latest is kept alive for it.
+    max(settings.max_s, 40).  Without a bracket, the `scan_bracket` grid's
+    two end integrations, run at `settings`, serve as the bracket's
+    residuals; a given bracket (lo, hi) must be finite with lo < hi (else
+    ValueError).  The certificate's orbit, from s = 0 to s1, is the final
+    shot's run continued to s1 (`ode._continued`), bit for bit what
+    integrating it afresh gives; of the shots, only the latest is kept alive.
     """
     if H == 0.0:
         raise ValueError("closed generating curves require H != 0")
@@ -450,29 +462,42 @@ def closed_curve_search(
             f"{rx_lo:.6e} and {rx_hi:.6e}", rx_lo, rx_hi)
     else:
         del end_lo, end_hi  # only the latest shot's run stays alive
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > _MAX_SHOOT_ITER:
-                raise BracketError(
-                    f"shooting did not reach |x(s1)| < {DEFAULT_RESIDUAL_TOL} "
-                    f"in {_MAX_SHOOT_ITER} iterations")
-            # Secant proposal, midpoint fallback when it leaves the bracket.
-            y0 = hi - rx_hi * (hi - lo) / (rx_hi - rx_lo)
-            if not lo < y0 < hi:
-                y0 = 0.5 * (lo + hi)
+        # Phase 1: Illinois regula falsi on loose shots to |x(s1)| < 100 loose tols.
+        loose = _sign_settings(shots)
+        a, b, ra, rb, side = lo, hi, rx_lo, rx_hi, 0
+        for n_loose in range(1, _MAX_SHOOT_ITER + 1):
+            slope = (rb - ra) / (b - a)
+            y0 = b - rb / slope
+            if not a < y0 < b:
+                y0 = 0.5 * (a + b)
+            rx = (_shot(H, y0, loose) or residual(y0))[0]
+            if abs(rx) < 100.0 * loose.tol or _collapsed(a, b):
+                break
+            if (rx > 0.0) == (rb > 0.0):
+                b, rb, ra, side = y0, rx, ra * (0.5 if side > 0 else 1.0), 1
+            else:
+                a, ra, rb, side = y0, rx, rb * (0.5 if side < 0 else 1.0), -1
+        # Phase 2: secants at the caller's settings from the loose root and slope.
+        for n_close in range(1, _MAX_SHOOT_ITER + 1):
             shot = residual(y0)
             rx = shot[0]
-            if abs(rx) < DEFAULT_RESIDUAL_TOL:
+            if n_close > 1:
+                slope = (rx - prev_rx) / (y0 - prev_y0)
+            step = rx / slope if slope else math.inf  # a flat secant bisects
+            if max(abs(rx), abs(step) / max(1.0, abs(y0))) < DEFAULT_RESIDUAL_TOL:
                 break
-            if (rx > 0.0) == (rx_hi > 0.0):
-                hi, rx_hi = y0, rx
-            else:
-                lo, rx_lo = y0, rx
-            if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
+            lo, hi = (lo, y0) if (rx > 0.0) == (rx_hi > 0.0) else (y0, hi)
+            if _collapsed(lo, hi):
                 raise BracketError(
                     f"bracket collapsed at y0 = {y0!r} with |x(s1)| = {abs(rx):.3e} "
-                    f"above the requested {DEFAULT_RESIDUAL_TOL}")
+                    f"before y0 settled to {DEFAULT_RESIDUAL_TOL}")
+            prev_y0, prev_rx, y0 = y0, rx, y0 - step
+            if not lo < y0 < hi:
+                y0 = 0.5 * (lo + hi)
+        else:
+            raise BracketError(f"shooting did not settle y0 to {DEFAULT_RESIDUAL_TOL} "
+                               f"in {_MAX_SHOOT_ITER} iterations at the given settings")
+        iterations = n_loose + n_close
 
     _, ry, s1, traj = shot
     if abs(ry) >= DEFAULT_CLOSURE_TOL:

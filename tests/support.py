@@ -2,8 +2,8 @@
 sol3 writes, integrate a line start without snapping it, re-evaluate a
 trajectory's stored theta', split verify's seeded draw into per-sample
 states, the oracle's Christoffel symbols and sectional curvature as
-stand-alone anchors, and the bracket scan that shoots every grid point at
-the caller's settings."""
+stand-alone anchors, the bracket scan that shoots every grid point at the
+caller's settings, and the one-phase search that shoots every iterate there."""
 import math
 from collections import namedtuple
 
@@ -66,6 +66,37 @@ def reference_scan(H: float, settings: ode.OdeSettings):
         prev = None if shot is None else (y0, shot)
     raise analysis.BracketError(f"no sign change of x(s1; y0) on the scan grid "
                                 f"[{min(grid)}, {max(grid)}] for H = {H}")
+
+
+def reference_search(H: float, bracket=None, settings=None) -> analysis.ShootingResult:
+    """`analysis.closed_curve_search` as it was before its loose phase, for a
+    bracket whose ends differ in sign: safeguarded regula falsi with every
+    iterate shot at the caller's settings, stopped on |x(s1)| alone."""
+    shots = analysis._shot_settings(settings)
+    if bracket is None:
+        (lo, (rx_lo, *_)), (hi, (rx_hi, *_)) = analysis._scan(H, shots)
+    else:
+        (lo, hi), (rx_lo, rx_hi) = bracket, (analysis._shot(H, y0, shots)[0] for y0 in bracket)
+    for iterations in range(1, analysis._MAX_SHOOT_ITER + 1):
+        y0 = hi - rx_hi * (hi - lo) / (rx_hi - rx_lo)
+        if not lo < y0 < hi:
+            y0 = 0.5 * (lo + hi)
+        rx, ry, s1, traj = analysis._shot(H, y0, shots)
+        if abs(rx) < analysis.DEFAULT_RESIDUAL_TOL:
+            break
+        if (rx > 0.0) == (rx_hi > 0.0):
+            hi, rx_hi = y0, rx
+        else:
+            lo, rx_lo = y0, rx
+        if analysis._collapsed(lo, hi):
+            raise analysis.BracketError(f"bracket collapsed at y0 = {y0!r}")
+    else:
+        raise analysis.BracketError(f"no |x(s1)| < 1e-10 in {iterations} iterations")
+    if abs(ry) >= analysis.DEFAULT_CLOSURE_TOL:
+        raise analysis.ClosureError(y0, s1, ry)
+    orbit = ode._continued(traj, shots, s1)
+    end = orbit.sample(len(orbit) - 1)[0]
+    return analysis.ShootingResult(y0, s1, end.x, end.y - y0, orbit, iterations)
 
 
 def max_ode_residual(traj: ode.Trajectory) -> float:

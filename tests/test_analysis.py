@@ -38,7 +38,7 @@ from sol3 import (
 from sol3 import analysis, oracle
 from sol3.ode import _bisect
 from sol3.surface import first_form
-from support import reference_scan
+from support import reference_scan, reference_search
 
 PI8 = math.pi / 8
 
@@ -267,6 +267,33 @@ def test_one_sided_trajectories_are_refused(x0, y0, theta0):
         classify_minimal(one_sided)
     with pytest.raises(ValueError, match="asymptote estimate needs a trajectory with an s < 0"):
         asymptote_estimate(one_sided)
+
+
+@pytest.mark.parametrize("theta0, inflections", [
+    (math.pi / 10, []),           # a slab with no inflection: both ends on one axis
+    (math.pi / 3, [1.0]),         # a corner with one: its ends on two axes
+    (math.pi / 10, [1.0, 2.0]),   # two inflections fit neither type
+])
+def test_settled_ends_that_fit_neither_type_are_undetermined(monkeypatch, theta0, inflections):
+    traj = minimal(1, 2, theta0, MEDIUM)
+    lines = asymptote_estimate(traj)
+    monkeypatch.setattr(analysis, "inflection_points", lambda traj: inflections)
+    result = classify_minimal(traj)
+    assert result == analysis.Classification(CurveClass.UNDETERMINED, inflections, lines)
+
+
+def test_theorem_checks_report_the_first_violating_s(monkeypatch):
+    # Indicator samples made non-negative at two s > 0 fail the concavity
+    # check at the first of them; the other two checks still pass.
+    traj = minimal(0, 0, PI8, OdeSettings(max_step=0.05, max_s=5.0))
+    indicator = analysis._concavity_indicator(traj)
+    first = int(np.searchsorted(traj.s, 1.0))
+    indicator[[first, first + 7]] = (0.0, 1.0)
+    monkeypatch.setattr(analysis, "_concavity_indicator", lambda traj: indicator)
+    report = theorem_checks(traj)
+    assert report.concave == analysis.PropertyCheck(False, float(traj.s[first]))
+    assert report.monotone.passed and report.below_diagonal.passed
+    assert not report.all_passed
 
 
 def test_slab_width_examples():
@@ -628,10 +655,11 @@ def _assert_same_scan(scanned, reference):
 ])
 def test_bracket_scanned_for_other_arguments_is_integrated_again(
         monkeypatch, settings, horizon):
-    # Without a bracket, the scan reads grid signs off shots capped only by
-    # the horizon, max(max_s, 40); every shot whose numbers reach the search,
-    # the bracket's two ends included, runs with the search's own settings,
-    # never with the defaults.
+    # Without a bracket, the scan reads grid signs, and the search its loose
+    # iterates, off shots capped only by the horizon, max(max_s, 40); every
+    # shot whose numbers reach the output, the bracket's two ends and the
+    # final shot that the orbit continues included, runs with the search's
+    # own settings, never with the defaults.
     calls = _count_integrations(monkeypatch)
     bracket = scan_bracket(2.0, settings)
     n_scan = len(calls)
@@ -642,7 +670,8 @@ def test_bracket_scanned_for_other_arguments_is_integrated_again(
     assert len(calls) == n_scan + scanned.iterations + 1
     assert set(calls) == {(horizon, horizon), (horizon, settings.max_step),
                           (scanned.s1, settings.max_step)}
-    assert set(calls[n_scan:]) == {(horizon, settings.max_step), (scanned.s1, settings.max_step)}
+    assert set(calls[n_scan:]) == set(calls)
+    assert calls[-2:] == [(horizon, settings.max_step), (scanned.s1, settings.max_step)]
     made = _record_shots(monkeypatch)
     shots = dataclasses.replace(settings, max_s=horizon)
     ends = analysis._scan(2.0, shots)
@@ -751,6 +780,34 @@ def test_sign_shots_take_fewer_rhs_calls_than_the_reference_scan(monkeypatch, H)
     assert 0 < n_calls < count[0]
 
 
+@pytest.mark.parametrize("H, bracket", [(0.8, None), (2.0, None), (1.0, (0.125, 0.75))])
+def test_two_phase_search_takes_fewer_rhs_calls_than_the_reference_search(
+        monkeypatch, H, bracket):
+    # Loose iterates and a closing secant cost less than shooting every
+    # iterate at the caller's settings, and land on the same y0*.
+    count = _count_rhs_calls(monkeypatch)
+    res = closed_curve_search(H, bracket)
+    n_calls, count[0] = count[0], 0
+    ref = reference_search(H, bracket)
+    assert 0 < n_calls < count[0]
+    assert abs(res.y0_star - ref.y0_star) < 1e-9
+
+
+def test_loose_shots_take_a_caller_tol_looser_than_the_sign_tol(monkeypatch):
+    # At tol 1e-6 the scan's sign shots and the loose iterates run at that
+    # tol, uncapped, and the loose phase stops below 100 times it: here on
+    # its first iterate, whose |x(s1)| is above 100 * _SIGN_TOL.
+    settings = OdeSettings(tol=1e-6)
+    loose = OdeSettings(tol=1e-6, max_step=40.0, max_s=40.0)
+    made = _record_shots(monkeypatch)
+    res = closed_curve_search(3.0, None, settings)
+    assert {used for _, used, _ in made} == {loose, dataclasses.replace(settings, max_s=40.0)}
+    iterates = [abs(shot[0]) for y0, used, shot in made
+                if used == loose and y0 not in analysis._SCAN_GRID]
+    assert len(iterates) == 1 and 100 * analysis._SIGN_TOL <= iterates[0] < 100 * 1e-6
+    assert abs(res.y0_star - closed_curve_search(3.0).y0_star) < 1e-9
+
+
 def test_closed_curve_search_bad_bracket():
     with pytest.raises(BracketError) as err:
         closed_curve_search(1.0, (2.0, 3.0))
@@ -771,18 +828,23 @@ def test_closed_curve_search_refuses_a_malformed_bracket(monkeypatch, bracket):
 
 # The start of the closed reference H = 1 orbit.
 Y0_STAR = 0.64217667565445699
+# The loose shots of a search at the default settings: uncapped to 40, at _SIGN_TOL.
+LOOSE = OdeSettings(tol=1e-7, max_step=40.0, max_s=40.0)
 
 
-def _fake_shots(monkeypatch, rx_of):
-    """Make every `analysis._shot` return x(s1) = rx_of(y0) with the real
-    reference orbit's shot otherwise, so that the certificate passes and the
-    final shot's stop-angle run is continued; returns the y0s shot."""
+def _fake_shots(monkeypatch, rx_of, loose_rx_of=None):
+    """Make every `analysis._shot` return x(s1) = rx_of(y0), or loose_rx_of(y0)
+    for a loose shot when given, with the real reference orbit's shot
+    otherwise, so that the certificate passes and the final shot's
+    stop-angle run is continued; returns the shots as (y0, loose)."""
     _, ry, s1, traj = analysis._shot(1.0, Y0_STAR, SHOTS)
     shot = []
 
     def fake(H, y0, settings):
-        shot.append(y0)
-        return rx_of(y0), ry, s1, traj
+        loose = settings == LOOSE
+        assert loose or settings == SHOTS
+        shot.append((y0, loose))
+        return (loose_rx_of if loose and loose_rx_of else rx_of)(y0), ry, s1, traj
 
     monkeypatch.setattr(analysis, "_shot", fake)
     return shot
@@ -795,17 +857,47 @@ def test_search_takes_an_end_with_zero_residual(monkeypatch, end):
                        lambda y0: 0.0 if y0 == bracket[end] else (-1.0, 1.0)[1 - end])
     res = closed_curve_search(1.0, bracket)
     assert (res.y0_star, res.iterations) == (bracket[end], 0)
-    assert shot == list(bracket)
+    assert shot == [(y0, False) for y0 in bracket]
     assert res.trajectory.s[-1] == res.s1 == pytest.approx(3.9326, abs=1e-3)
 
 
 def test_search_bisects_when_the_secant_rounds_onto_an_end(monkeypatch):
-    # With x(s1) = -1e-300 at lo and 1 at hi, the secant step rounds to lo
-    # exactly, so the midpoint is shot instead.
+    # With x(s1) = -1e-300 at lo and 1 at hi, the loose phase's secant step
+    # rounds to lo exactly, so the midpoint is shot instead; its x(s1) = 0
+    # ends both phases there.
     shot = _fake_shots(monkeypatch, lambda y0: {0.5: -1e-300, 0.75: 1.0}.get(y0, 0.0))
     res = closed_curve_search(1.0, (0.5, 0.75))
-    assert shot == [0.5, 0.75, 0.625]
-    assert (res.y0_star, res.iterations) == (0.625, 1)
+    assert shot == [(0.5, False), (0.75, False), (0.625, True), (0.625, False)]
+    assert (res.y0_star, res.iterations) == (0.625, 2)
+
+
+def test_search_bisects_when_a_closing_step_leaves_the_bracket(monkeypatch):
+    # The loose phase stops at the secant root 0.625 of the ends; there
+    # x(s1) = 5 at the caller's settings, and the step 5 / 8 along the
+    # loose slope lands at 0, below the bracket [0.5, 0.625], so its
+    # midpoint is shot instead, where x(s1) = 0.
+    rx = {0.5: -1.0, 0.75: 1.0, 0.625: 5.0, 0.5625: 0.0}
+    shot = _fake_shots(monkeypatch, lambda y0: rx.get(y0, -1.0), loose_rx_of=lambda y0: 0.0)
+    res = closed_curve_search(1.0, (0.5, 0.75))
+    assert shot == [(0.5, False), (0.75, False), (0.625, True), (0.625, False),
+                    (0.5625, False)]
+    assert (res.y0_star, res.iterations) == (0.5625, 3)
+
+
+def test_closing_phase_stops_on_y0_not_on_x(monkeypatch):
+    # x(s1) = 0.01 (y0 - Y0_STAR): the ends' secant root, where the loose
+    # phase stops, is 5e-9 above Y0_STAR.  There |x(s1)| = 5e-11 is below
+    # DEFAULT_RESIDUAL_TOL, but the secant step 5e-9 is not, so one more
+    # shot lands on Y0_STAR.
+    off = Y0_STAR + 5e-9
+    ends = {0.5: 0.01 * (0.5 - off), 0.75: 0.01 * (0.75 - off)}
+    shot = _fake_shots(monkeypatch, lambda y0: ends.get(y0, 0.01 * (y0 - Y0_STAR)),
+                       loose_rx_of=lambda y0: 0.0)
+    res = closed_curve_search(1.0, (0.5, 0.75))
+    assert shot[2:4] == [(pytest.approx(off, abs=1e-15), True),
+                         (pytest.approx(off, abs=1e-15), False)]
+    assert res.y0_star == pytest.approx(Y0_STAR, abs=1e-14)
+    assert res.iterations == 3
 
 
 def _step_at(c):
@@ -813,20 +905,62 @@ def _step_at(c):
     return lambda y0: -1.0 if y0 < c else 1.0
 
 
+def test_loose_phase_hands_its_latest_iterate_on_at_the_iteration_cap(monkeypatch):
+    # Loose shots that never come near zero stop the loose phase at the cap;
+    # the closing phase goes on from its latest iterate and finds the root
+    # of the caller's x(s1), here a line through Y0_STAR.
+    monkeypatch.setattr(analysis, "_MAX_SHOOT_ITER", 5)
+    shot = _fake_shots(monkeypatch, lambda y0: 0.5 * (y0 - Y0_STAR), loose_rx_of=_step_at(0.6))
+    res = closed_curve_search(1.0, (0.5, 0.75))
+    assert [loose for _, loose in shot] == [False] * 2 + [True] * 5 + [False] * (len(shot) - 7)
+    assert shot[7][0] == shot[6][0]  # the closing phase starts at the last loose iterate
+    assert res.y0_star == pytest.approx(Y0_STAR, abs=1e-12)
+    assert res.iterations == len(shot) - 2
+
+
 def test_search_gives_up_after_the_iteration_cap(monkeypatch):
+    # Each phase is allowed _MAX_SHOOT_ITER iterations; the closing phase
+    # then gives up.
     monkeypatch.setattr(analysis, "_MAX_SHOOT_ITER", 5)
     shot = _fake_shots(monkeypatch, _step_at(0.6))
     with pytest.raises(BracketError, match=r"in 5 iterations"):
         closed_curve_search(1.0, (0.5, 0.75))
-    assert len(shot) == 2 + 5
+    assert [loose for _, loose in shot] == [False] * 2 + [True] * 5 + [False] * 5
 
 
 def test_search_reports_a_collapsed_bracket(monkeypatch):
-    # Bisection of a step halves the bracket until it is a few ulps wide.
+    # Illinois steps on a step narrow the loose bracket until it is a few ulps
+    # wide, which hands its iterate on; the closing phase's bracket, from the
+    # ends, then collapses onto the step too, well before either cap.
     shot = _fake_shots(monkeypatch, _step_at(0.6))
     with pytest.raises(BracketError, match=r"bracket collapsed at y0 = 0\.6"):
         closed_curve_search(1.0, (0.5, 0.75))
-    assert 40 < len(shot) - 2 < analysis._MAX_SHOOT_ITER
+    n_loose = sum(loose for _, loose in shot)
+    assert 40 < n_loose < analysis._MAX_SHOOT_ITER
+    assert 0 < len(shot) - 2 - n_loose < analysis._MAX_SHOOT_ITER
+
+
+@pytest.mark.parametrize("turns_again", [True, False])
+def test_loose_shot_that_does_not_turn_is_shot_again(monkeypatch, turns_again):
+    # A loose shot that makes no turn is shot again at the caller's
+    # settings, which count as the same iterate; when that one makes no turn
+    # either, the search reports it.
+    def unturned(y0, settings, shot):
+        first_loose = settings == LOOSE and all(used != LOOSE for _, used, _ in made)
+        again = not turns_again and made and made[-1][1] == LOOSE and made[-1][2] is None
+        return None if first_loose or again else shot
+
+    made = _record_shots(monkeypatch, unturned)
+    if not turns_again:
+        with pytest.raises(BracketError, match=r"no angular return"):
+            closed_curve_search(1.0, (0.125, 0.75))
+        assert [used for _, used, _ in made] == [SHOTS, SHOTS, LOOSE, SHOTS]
+        return
+    res = closed_curve_search(1.0, (0.125, 0.75))
+    assert [used for _, used, _ in made][2:4] == [LOOSE, SHOTS]
+    assert made[2][0] == made[3][0] and made[2][2] is None
+    assert res.iterations == len(made) - 3
+    assert res.y0_star == pytest.approx(Y0_STAR, abs=1e-9)
 
 
 def test_closed_curve_search_rejects_zero_h():

@@ -9,6 +9,7 @@ from sol3 import (
     AXIS_SWAP_FLIP,
     BasePointMismatch,
     CurveState,
+    FrameVector,
     IsometryDescriptor,
     IsometryFamily,
     SolPoint,
@@ -191,6 +192,18 @@ def test_connection_metric_compatible():
 
 def test_flip_example():
     assert isometry_apply(AXIS_SWAP_FLIP, SolPoint(1, 2, 3)) == SolPoint(2, 1, -3)
+
+
+@pytest.mark.parametrize("signs", [(2, 1), (1, 0), (-1, 1.5)])
+def test_isometry_descriptor_refuses_a_sign_other_than_one(signs):
+    with pytest.raises(ValueError, match=r"sign entries must be \+1 or -1"):
+        IsometryDescriptor(IsometryFamily.FLIP, *signs)
+
+
+def test_frame_vector_iterates_its_coefficients_in_order():
+    v = FrameVector(0.5, -2.0, 3.0)
+    assert list(v) == [0.5, -2.0, 3.0]
+    assert v.dot(v) == sum(a * a for a in v) == 13.25
 
 
 def test_translation_identity():

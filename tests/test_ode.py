@@ -1081,6 +1081,30 @@ def test_bisect_ends_on_a_bracket_one_ulp_wide(step, root):
     assert len(calls) < 60
 
 
+def test_first_crossing_takes_a_zero_sample_past_the_start():
+    # A sample whose value is exactly 0 at s > 0 is the crossing, with no
+    # refinement; a zero at s <= 0 is passed over, as is its pair.
+    def refused(s):
+        raise AssertionError("a zero sample was refined")
+
+    assert ode._first_crossing([-1.0, 0.0, 1.0, 2.0], [-1.0, 0.0, 2.0, 0.0], refused) == 2.0
+    assert ode._first_crossing([0.0, 0.5, 1.0], [1.0, 0.0, -1.0], refused) == 0.5
+    assert ode._first_crossing([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], refused) is None
+
+
+def test_bisect_returns_a_midpoint_where_f_is_zero():
+    # The first midpoint of [0, 1] is the root of s - 0.5: it is returned as
+    # soon as it is evaluated, not narrowed to EVENT_TOL around it.
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return s - 0.5
+
+    assert ode._bisect(f, 0.0, 1.0, -0.5) == 0.5
+    assert calls == [0.5]
+
+
 def test_find_event_cmc_regression():
     # Baseline from an independent solve_ivp run at rtol=atol=1e-12.
     traj = integrate_forward(InitialCondition(0.0, 0.6425, 0.0),
